@@ -3,17 +3,20 @@
 //! sign-steered PCA accumulation per DKV chunk, and ADC conversion with
 //! the calibrated 1.3 % MAPE error (Sections IV and V-C).
 //!
-//! The engine is **lock-free**: ADC noise is not drawn from a shared RNG
-//! (PR 2 guarded one behind a `Mutex`, serializing every rail conversion)
-//! but derived from a counter-keyed deterministic stream seeded by
-//! `(engine seed, caller key, chunk index, rail)`. Every conversion's
-//! noise is therefore a pure function of *what* is being converted and
-//! *where* it sits in the computation — bit-identical across call orders,
-//! thread counts and interleavings, with zero synchronization on the hot
-//! path. OSM products come from the precomputed [`OsmProductLut`] (the
-//! in-simulator mirror of the paper's offline DPU conversion LUT,
-//! Section II-B), so the inner loop is a table load plus a sign-steered
-//! add.
+//! The engine is **lock-free**: ADC noise is derived from a counter-keyed
+//! deterministic stream seeded by `(engine seed, caller key, chunk index,
+//! rail)`, so every conversion's noise is a pure function of *what* is
+//! converted and *where* it sits in the computation — bit-identical
+//! across call orders, thread counts and interleavings.
+//!
+//! OSM products come from the precomputed weight-major [`OsmProductLut`]
+//! (the in-simulator mirror of the paper's offline DPU conversion LUT,
+//! Section II-B). Tiles run **weight-stationary**, like the DKV-programmed
+//! OSM whose weight stream stays in the ring while input streams flow
+//! past it (Section IV, Fig. 5): each weight's product row stays resident
+//! while every patch of the tile streams through it into per-patch rail
+//! counters. The per-pair [`VdpEngine::vdp_keyed`] path is the oracle the
+//! tile kernel is property-tested against; both read the same table.
 
 use rand::RngCore;
 use sconna_photonics::pca::AdcModel;
@@ -23,6 +26,9 @@ use sconna_sc::Precision;
 use sconna_tensor::engine::{
     combine_keys, mix_key, PatchMatrix, PreparedWeights, VdpEngine, WeightMatrix,
 };
+
+/// Patches per tile-kernel block, so its scratch stays in L1.
+const PATCH_BLOCK: usize = 64;
 
 /// Counter-based deterministic noise stream (SplitMix64): constructed
 /// per rail conversion from the conversion's coordinates, never shared,
@@ -76,38 +82,13 @@ fn accumulate_rails(
     (pos, neg)
 }
 
-/// Sign-steered rail accumulation against a **prepared** weight row:
-/// magnitudes are already clamped LUT addresses and signs are steering
-/// bits, so the inner loop touches no signed arithmetic at all. Must
-/// steer and clamp exactly like [`accumulate_rails`] — the prepared path
-/// is bit-equal to the raw path by construction.
-#[inline]
-fn accumulate_rails_prepared(
-    ichunk: &[u32],
-    mags: &[u16],
-    negs: &[bool],
-    qmax: u32,
-    product: impl Fn(u32, u32, usize) -> u32,
-) -> (u64, u64) {
-    let (mut pos, mut neg) = (0u64, 0u64);
-    for (k, ((&i, &mag), &steer_neg)) in ichunk.iter().zip(mags).zip(negs).enumerate() {
-        let p = product(i.min(qmax), mag as u32, k) as u64;
-        if steer_neg {
-            neg += p;
-        } else {
-            pos += p;
-        }
-    }
-    (pos, neg)
-}
-
 /// [`SconnaEngine`]'s prepared weight form — everything the stochastic
 /// pipeline derives from a weight matrix per call, hoisted to model-load
 /// time:
 ///
 /// * the clamped weight magnitudes, i.e. the binary operands the offline
 ///   DKV conversion turns into weight-stream LUT addresses (`Wb`,
-///   Section II-B);
+///   Section II-B) — each selects one row of the weight-major table;
 /// * the sign steering bits that route each OSM product onto the
 ///   positive or negative PCA rail (the filter MRR's sign bit);
 /// * the range-matched per-chunk ADC models (the TIR amplifier gain is a
@@ -116,10 +97,10 @@ fn accumulate_rails_prepared(
 ///
 /// The fingerprint fields pin the engine configuration the handle was
 /// derived for; an engine with a different precision, VDPE size or ADC
-/// ignores the payload and recomputes from the raw weights.
+/// re-prepares from the raw weights.
 #[derive(Debug)]
 struct SconnaPrepared {
-    /// Clamped magnitudes (LUT weight-stream addresses), row-major.
+    /// Clamped magnitudes (LUT weight-row addresses), row-major.
     mags: Vec<u16>,
     /// Sign steering bits, row-major; `true` lands on the negative rail.
     negs: Vec<bool>,
@@ -145,7 +126,7 @@ pub struct SconnaEngine {
     /// SC rounding error.
     pub adc: Option<AdcModel>,
     seed: u64,
-    /// Product tables; `None` above [`OsmProductLut::MAX_BITS`], where
+    /// Product table; `None` above [`OsmProductLut::MAX_BITS`], where
     /// the closed form takes over.
     lut: Option<std::sync::Arc<OsmProductLut>>,
 }
@@ -189,27 +170,34 @@ impl SconnaEngine {
         }
     }
 
-    /// Converts one chunk's rail pair through a range-matched ADC, noise
-    /// keyed by `(engine seed, accumulator key, chunk)`. The rails share
-    /// one Box-Muller draw ([`AdcModel::convert_pair`]) but receive its
-    /// two independent Gaussian projections.
+    /// Converts one chunk's rail pair through the range-matched ADC (if
+    /// the engine has one), noise keyed by `(engine seed, accumulator
+    /// key, chunk)`. The rails share one Box-Muller draw
+    /// ([`AdcModel::convert_pair`]) but receive its two independent
+    /// Gaussian projections.
     #[inline]
     fn convert_rails(
         &self,
-        ranged: &AdcModel,
+        ranged: Option<&AdcModel>,
         pos: u64,
         neg: u64,
         key: u64,
         chunk: usize,
     ) -> (f64, f64) {
-        let mut stream = KeyedAdcStream::new(self.seed, key, chunk as u64);
-        ranged.convert_pair(pos as f64, neg as f64, &mut stream)
+        match ranged {
+            Some(adc) => {
+                let mut stream = KeyedAdcStream::new(self.seed, key, chunk as u64);
+                adc.convert_pair(pos as f64, neg as f64, &mut stream)
+            }
+            None => (pos as f64, neg as f64),
+        }
     }
 
-    /// One accumulator: chunked OSM products, sign-steered rail counts,
-    /// keyed ADC conversion. Shared verbatim by the single-vector and
-    /// batched paths, which is what makes them bit-identical.
-    #[inline]
+    /// One accumulator, pair by pair: chunked OSM products, sign-steered
+    /// rail counts, keyed ADC conversion. This is the oracle the tile
+    /// kernel must match bit for bit, and the whole computation above
+    /// [`OsmProductLut::MAX_BITS`], where products come from the closed
+    /// form.
     fn vdp_core(&self, inputs: &[u32], weights: &[i32], key: u64) -> f64 {
         let scale = self.precision.stream_len() as f64;
         let qmax = self.precision.max_value();
@@ -234,59 +222,39 @@ impl SconnaEngine {
             };
             // Each rail's PCA digitizes independently (independent noise
             // projections of one keyed draw).
-            let (pos, neg) = match &self.adc {
-                Some(adc) => {
-                    let ranged = self.ranged_adc(adc, ichunk.len());
-                    self.convert_rails(&ranged, pos, neg, key, chunk)
-                }
-                None => (pos as f64, neg as f64),
-            };
+            let ranged = self.adc.map(|adc| self.ranged_adc(&adc, ichunk.len()));
+            let (pos, neg) = self.convert_rails(ranged.as_ref(), pos, neg, key, chunk);
             // Counts are Σ i·w / 2^B; rescale to integer-product units.
             total += (pos - neg) * scale;
         }
         total
     }
 
-    /// [`SconnaEngine::vdp_core`] against one prepared weight row: the
-    /// clamp, sign steering and ADC range matching all come from the
-    /// handle. Chunking, product source, noise keying and rail
-    /// conversion are shared with the raw path, which is what keeps the
-    /// two bit-identical.
-    #[inline]
-    fn vdp_core_prepared(
-        &self,
-        inputs: &[u32],
-        mags: &[u16],
-        negs: &[bool],
-        ranged: &[AdcModel],
-        key: u64,
-    ) -> f64 {
-        let scale = self.precision.stream_len() as f64;
+    /// The offline DKV conversion of a weight matrix (see
+    /// [`SconnaPrepared`]).
+    fn prepare(&self, weights: &WeightMatrix<'_>) -> SconnaPrepared {
         let qmax = self.precision.max_value();
-        let mut total = 0.0f64;
-        for (chunk, (ichunk, (mchunk, nchunk))) in inputs
-            .chunks(self.vdpe_size)
-            .zip(mags.chunks(self.vdpe_size).zip(negs.chunks(self.vdpe_size)))
-            .enumerate()
-        {
-            let (pos, neg) = match &self.lut {
-                Some(lut) => {
-                    accumulate_rails_prepared(ichunk, mchunk, nchunk, qmax, |i, mag, k| {
-                        lut.product(i, mag, k)
-                    })
-                }
-                None => accumulate_rails_prepared(ichunk, mchunk, nchunk, qmax, |i, mag, k| {
-                    osm_product_debiased(i, mag, self.precision, k)
-                }),
-            };
-            let (pos, neg) = if self.adc.is_some() {
-                self.convert_rails(&ranged[chunk], pos, neg, key, chunk)
-            } else {
-                (pos as f64, neg as f64)
-            };
-            total += (pos - neg) * scale;
+        let mags = weights
+            .as_slice()
+            .iter()
+            .map(|w| w.unsigned_abs().min(qmax) as u16)
+            .collect();
+        let negs = weights.as_slice().iter().map(|&w| w < 0).collect();
+        let ranged = match &self.adc {
+            Some(adc) => (0..weights.cols())
+                .step_by(self.vdpe_size)
+                .map(|start| self.ranged_adc(adc, self.vdpe_size.min(weights.cols() - start)))
+                .collect(),
+            None => Vec::new(),
+        };
+        SconnaPrepared {
+            mags,
+            negs,
+            ranged,
+            qmax,
+            vdpe_size: self.vdpe_size,
+            adc: self.adc.as_ref().map(|a| (a.bits, a.relative_noise_sigma)),
         }
-        total
     }
 
     /// Whether a prepared payload was derived for this engine's exact
@@ -297,6 +265,61 @@ impl SconnaEngine {
             && prep.adc == self.adc.as_ref().map(|a| (a.bits, a.relative_noise_sigma))
             && (self.adc.is_none() || prep.ranged.len() == cols.div_ceil(self.vdpe_size))
     }
+
+    /// The weight-stationary tile kernel. Per block of patches it clamps
+    /// and transposes the inputs once to column-major; per kernel and
+    /// VDPE chunk it streams every patch through each element's resident
+    /// product row (rail by the sign bit, OSM parity by the index within
+    /// the chunk) into per-patch u64 rail counters, then converts and
+    /// accumulates each patch's rails exactly as [`SconnaEngine::vdp_core`]
+    /// does — same key, chunk index and ascending chunk order.
+    fn tile(
+        &self,
+        lut: &OsmProductLut,
+        patches: &PatchMatrix,
+        prep: &SconnaPrepared,
+        kernels: usize,
+        keys: &[u64],
+    ) -> Vec<f64> {
+        let (rows, cols) = (patches.rows(), patches.cols());
+        let (scale, qmask) = (self.precision.stream_len() as f64, prep.qmax as usize);
+        let mut out = vec![0.0f64; rows * kernels];
+        let mut xt = vec![0u16; PATCH_BLOCK * cols];
+        let mut rails = [vec![0u64; PATCH_BLOCK], vec![0u64; PATCH_BLOCK]];
+        for p0 in (0..rows).step_by(PATCH_BLOCK) {
+            let pb = PATCH_BLOCK.min(rows - p0);
+            for p in 0..pb {
+                for (c, &x) in patches.row(p0 + p).iter().enumerate() {
+                    xt[c * pb + p] = x.min(prep.qmax) as u16;
+                }
+            }
+            for k in 0..kernels {
+                let mags = &prep.mags[k * cols..(k + 1) * cols];
+                let negs = &prep.negs[k * cols..(k + 1) * cols];
+                for (chunk, start) in (0..cols).step_by(self.vdpe_size).enumerate() {
+                    let end = cols.min(start + self.vdpe_size);
+                    rails.iter_mut().for_each(|r| r[..pb].fill(0));
+                    for c in start..end {
+                        // qmax = 2^B - 1 is all ones and inputs are clamped to it: the
+                        // mask changes no index, it only drops the bounds check.
+                        let row = &lut.weight_row(mags[c] as u32, c - start)[..=qmask];
+                        let rail = &mut rails[negs[c] as usize][..pb];
+                        for (acc, &x) in rail.iter_mut().zip(&xt[c * pb..(c + 1) * pb]) {
+                            *acc += row[x as usize & qmask] as u64;
+                        }
+                    }
+                    let ranged = prep.ranged.get(chunk);
+                    for p in 0..pb {
+                        let key = combine_keys(keys[p0 + p], k as u64);
+                        let (pos, neg) =
+                            self.convert_rails(ranged, rails[0][p], rails[1][p], key, chunk);
+                        out[(p0 + p) * kernels + k] += (pos - neg) * scale;
+                    }
+                }
+            }
+        }
+        out
+    }
 }
 
 impl VdpEngine for SconnaEngine {
@@ -305,10 +328,15 @@ impl VdpEngine for SconnaEngine {
         self.vdp_core(inputs, weights, key)
     }
 
-    // vdp_batch: the trait default already runs the whole patch × kernel
-    // tile through `vdp_keyed` with position-derived keys; since this
-    // engine's per-pair work is the lock-free `vdp_core` either way, an
-    // override would duplicate the default verbatim.
+    /// Prepare-then-run, through the same tile kernel as a prepared call.
+    fn vdp_batch(
+        &self,
+        patches: &PatchMatrix,
+        weights: &WeightMatrix<'_>,
+        keys: &[u64],
+    ) -> Vec<f64> {
+        self.vdp_batch_prepared(patches, &self.prepare_weights(weights), keys)
+    }
 
     /// Derives the weight-stationary form the hardware mapping assumes:
     /// the offline DKV conversion of every weight to its clamped LUT
@@ -316,67 +344,37 @@ impl VdpEngine for SconnaEngine {
     /// range-matched ADC of every VDPE chunk — computed once per layer
     /// instead of on every tile call.
     fn prepare_weights(&self, weights: &WeightMatrix<'_>) -> PreparedWeights {
-        let qmax = self.precision.max_value();
-        let mags = weights
-            .as_slice()
-            .iter()
-            .map(|w| w.unsigned_abs().min(qmax) as u16)
-            .collect();
-        let negs = weights.as_slice().iter().map(|&w| w < 0).collect();
-        let ranged = match &self.adc {
-            Some(adc) => (0..weights.cols())
-                .step_by(self.vdpe_size.max(1))
-                .map(|start| self.ranged_adc(adc, self.vdpe_size.min(weights.cols() - start)))
-                .collect(),
-            None => Vec::new(),
-        };
-        PreparedWeights::with_payload(
-            self.name(),
-            weights,
-            SconnaPrepared {
-                mags,
-                negs,
-                ranged,
-                qmax,
-                vdpe_size: self.vdpe_size,
-                adc: self.adc.as_ref().map(|a| (a.bits, a.relative_noise_sigma)),
-            },
-        )
+        PreparedWeights::with_payload(self.name(), weights, self.prepare(weights))
     }
 
-    /// The weight-stationary tile: every `(patch, kernel)` pair runs the
-    /// prepared core under the same [`combine_keys`] derivation as the
-    /// raw paths — bit-identical to [`VdpEngine::vdp_batch`] on the same
-    /// weights (property-tested in `tests/batch_parity.rs`).
+    /// The weight-stationary tile kernel, bit-identical to per-pair
+    /// [`VdpEngine::vdp_keyed`] under [`combine_keys`] (property-tested
+    /// in `tests/batch_parity.rs`). A foreign handle, or one derived for
+    /// a differently configured SCONNA engine, is re-prepared from the
+    /// raw weights; above [`OsmProductLut::MAX_BITS`] every pair runs
+    /// the closed-form oracle.
     fn vdp_batch_prepared(
         &self,
         patches: &PatchMatrix,
         weights: &PreparedWeights,
         keys: &[u64],
     ) -> Vec<f64> {
-        let cols = weights.cols();
-        let prep = match weights.payload::<SconnaPrepared>() {
-            // Foreign handle or one derived for a differently configured
-            // SCONNA engine: recompute from the raw weights.
-            Some(p) if self.accepts(p, cols) => p,
-            _ => return self.vdp_batch(patches, &weights.as_matrix(), keys),
-        };
+        let (kernels, cols) = (weights.rows(), weights.cols());
         assert_eq!(patches.cols(), cols, "patch/kernel vector length mismatch");
         assert_eq!(keys.len(), patches.rows(), "one noise key per patch");
-        let mut out = Vec::with_capacity(patches.rows() * weights.rows());
-        for (p, &pkey) in keys.iter().enumerate() {
-            let prow = patches.row(p);
-            for k in 0..weights.rows() {
-                out.push(self.vdp_core_prepared(
-                    prow,
-                    &prep.mags[k * cols..(k + 1) * cols],
-                    &prep.negs[k * cols..(k + 1) * cols],
-                    &prep.ranged,
-                    combine_keys(pkey, k as u64),
-                ));
-            }
+        let wm = weights.as_matrix();
+        let Some(lut) = &self.lut else {
+            return (0..patches.rows() * kernels)
+                .map(|i| (i / kernels, i % kernels))
+                .map(|(p, k)| {
+                    self.vdp_core(patches.row(p), wm.row(k), combine_keys(keys[p], k as u64))
+                })
+                .collect();
+        };
+        match weights.payload::<SconnaPrepared>() {
+            Some(prep) if self.accepts(prep, cols) => self.tile(lut, patches, prep, kernels, keys),
+            _ => self.tile(lut, patches, &self.prepare(&wm), kernels, keys),
         }
-        out
     }
 
     fn name(&self) -> &'static str {
@@ -505,30 +503,77 @@ mod tests {
 
     #[test]
     fn prepared_tile_is_bit_identical_to_raw_tile() {
-        // Prepared weights (clamped LUT addresses + signs + ranged ADC)
-        // must reproduce the raw batched path bit for bit, ragged tail
-        // chunk included (cols 180 = one full 176-chunk + a 4-wide tail).
-        let cols = 180;
+        // The weight-stationary kernel, fed a prepared or a raw matrix,
+        // must reproduce the per-pair oracle bit for bit: across patch
+        // blocks (rows > 2 blocks), ragged tail chunks (cols 180 = one
+        // full 176-chunk + a 4-wide tail), an odd VDPE size (OSM parity
+        // follows the index within the chunk, not the column), and
+        // operands the B-bit registers must clamp (inputs above qmax,
+        // weights beyond ±qmax including i32::MIN).
+        let (rows, kernels, cols) = (2 * PATCH_BLOCK + 5, 4, 180);
         let patches = PatchMatrix::from_vec(
-            3,
+            rows,
             cols,
-            (0..3 * cols).map(|i| ((i * 29) % 256) as u32).collect(),
+            (0..rows * cols).map(|i| ((i * 29) % 300) as u32).collect(),
         );
-        let wdata: Vec<i32> = (0..4 * cols)
-            .map(|i| ((i * 43) % 255) as i32 - 127)
+        let mut wdata: Vec<i32> = (0..kernels * cols)
+            .map(|i| ((i * 43) % 401) as i32 - 200)
             .collect();
-        let wm = WeightMatrix::new(&wdata, 4, cols);
-        let keys = [5u64, 77, 4242];
-        for engine in [SconnaEngine::paper_default(11), SconnaEngine::noiseless()] {
+        wdata[3] = i32::MIN;
+        wdata[cols + 7] = i32::MAX;
+        let wm = WeightMatrix::new(&wdata, kernels, cols);
+        let keys: Vec<u64> = (0..rows as u64).map(|p| p * 7 + 5).collect();
+        let odd = SconnaEngine::new(Precision::B8, 7, Some(AdcModel::sconna_default()), 3);
+        for engine in [
+            SconnaEngine::paper_default(11),
+            SconnaEngine::noiseless(),
+            odd,
+        ] {
             let prepared = engine.prepare_weights(&wm);
             let raw = engine.vdp_batch(&patches, &wm, &keys);
             let fast = engine.vdp_batch_prepared(&patches, &prepared, &keys);
-            assert_eq!(
-                raw.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{}",
-                engine.name()
-            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&raw), bits(&fast), "{}", engine.name());
+            for p in 0..rows {
+                for k in 0..kernels {
+                    let key = combine_keys(keys[p], k as u64);
+                    let want = engine.vdp_keyed(patches.row(p), wm.row(k), key);
+                    assert_eq!(
+                        fast[p * kernels + k].to_bits(),
+                        want.to_bits(),
+                        "p={p} k={k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_precision_tile_runs_the_oracle() {
+        // Above the table bound there is no product table: the tile is
+        // the per-pair closed-form oracle, pair by pair.
+        let cols = 20;
+        let patches = PatchMatrix::from_vec(
+            3,
+            cols,
+            (0..3 * cols).map(|i| ((i * 389) % 4096) as u32).collect(),
+        );
+        let wdata: Vec<i32> = (0..2 * cols)
+            .map(|i| ((i * 97) % 4095) as i32 - 2047)
+            .collect();
+        let wm = WeightMatrix::new(&wdata, 2, cols);
+        let e = SconnaEngine::new(Precision::new(12), 6, Some(AdcModel::sconna_default()), 9);
+        assert!(e.lut.is_none(), "B12 must run the closed form");
+        let got = e.vdp_batch_prepared(&patches, &e.prepare_weights(&wm), &[1, 2, 3]);
+        for p in 0..3 {
+            for k in 0..2 {
+                let want = e.vdp_keyed(
+                    patches.row(p),
+                    wm.row(k),
+                    combine_keys(p as u64 + 1, k as u64),
+                );
+                assert_eq!(got[p * 2 + k].to_bits(), want.to_bits(), "p={p} k={k}");
+            }
         }
     }
 

@@ -102,11 +102,7 @@ pub fn analyze_layer_batched(cfg: &AcceleratorConfig, w: &VdpWorkload, batch: us
     };
     let psum = scale_time(p::REDUCTION_NETWORK.latency, psum_adds, cfg.tiles() as u64);
 
-    // DKV programming: one event per (kernel, chunk, slice) assignment;
-    // rounds of `total_vdpes` assignments program in parallel.
-    let reprogram_events = (w.kernels as u64) * chunks * slices;
-    let rounds = reprogram_events.div_ceil(cfg.total_vdpes as u64);
-    let reprogram = SimTime::from_ps(cfg.dkv_reprogram.as_ps() * rounds);
+    let (reprogram_events, reprogram) = layer_reprogram(cfg, w);
 
     // Memory: unique DIV bytes (P·S per image) plus the layer's weights
     // (L·S, once) move into the per-VDPC operand scratchpads, each fed
@@ -148,15 +144,10 @@ pub fn analyze_layer_batched(cfg: &AcceleratorConfig, w: &VdpWorkload, batch: us
 /// programming rounds here in full.
 pub fn model_reload_time(cfg: &AcceleratorConfig, model: &CnnModel) -> SimTime {
     model.workloads.iter().fold(SimTime::ZERO, |acc, w| {
-        let chunks = cfg.chunks(w.vector_len) as u64;
-        let slices = cfg.bit_slices as u64;
-        let reprogram_events = (w.kernels as u64) * chunks * slices;
-        let rounds = reprogram_events.div_ceil(cfg.total_vdpes as u64);
-        let reprogram = SimTime::from_ps(cfg.dkv_reprogram.as_ps() * rounds);
         let bytes = (w.kernels * w.vector_len) as f64;
         let memory =
             SimTime::from_secs_f64(bytes / (cfg.vdpc_count() as f64 * p::EDRAM_BANDWIDTH_BPS));
-        acc + reprogram.max(memory)
+        acc + layer_reprogram(cfg, w).1.max(memory)
     })
 }
 
@@ -171,13 +162,10 @@ pub fn model_reload_time(cfg: &AcceleratorConfig, model: &CnnModel) -> SimTime {
 /// an availability number. Analog baselines pay their full programming
 /// rounds even warm. Always `<=` the cold [`model_reload_time`].
 pub fn model_warm_reload_time(cfg: &AcceleratorConfig, model: &CnnModel) -> SimTime {
-    model.workloads.iter().fold(SimTime::ZERO, |acc, w| {
-        let chunks = cfg.chunks(w.vector_len) as u64;
-        let slices = cfg.bit_slices as u64;
-        let reprogram_events = (w.kernels as u64) * chunks * slices;
-        let rounds = reprogram_events.div_ceil(cfg.total_vdpes as u64);
-        acc + SimTime::from_ps(cfg.dkv_reprogram.as_ps() * rounds)
-    })
+    model
+        .workloads
+        .iter()
+        .fold(SimTime::ZERO, |acc, w| acc + layer_reprogram(cfg, w).1)
 }
 
 /// Co-resident model-swap latency: what an instance pays to switch its
@@ -204,12 +192,19 @@ pub fn model_swap_time(cfg: &AcceleratorConfig, model: &CnnModel) -> SimTime {
         _ => SimTime::ZERO,
     };
     model.workloads.iter().fold(SimTime::ZERO, |acc, w| {
-        let chunks = cfg.chunks(w.vector_len) as u64;
-        let slices = cfg.bit_slices as u64;
-        let reprogram_events = (w.kernels as u64) * chunks * slices;
-        let rounds = reprogram_events.div_ceil(cfg.total_vdpes as u64);
-        acc + SimTime::from_ps(cfg.dkv_reprogram.as_ps() * rounds) + bank_select
+        acc + layer_reprogram(cfg, w).1 + bank_select
     })
+}
+
+/// DKV programming of one layer's weights: one event per (kernel, chunk,
+/// slice) assignment, in rounds of `total_vdpes` assignments programmed
+/// in parallel. Returns `(events, time)`.
+fn layer_reprogram(cfg: &AcceleratorConfig, w: &VdpWorkload) -> (u64, SimTime) {
+    let events = (w.kernels as u64) * cfg.chunks(w.vector_len) as u64 * cfg.bit_slices as u64;
+    (
+        events,
+        scale_time(cfg.dkv_reprogram, events, cfg.total_vdpes as u64),
+    )
 }
 
 fn scale_time(unit: SimTime, ops: u64, parallelism: u64) -> SimTime {

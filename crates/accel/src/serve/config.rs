@@ -354,6 +354,32 @@ pub enum ServingConfigError {
         /// Number of models provided.
         models: usize,
     },
+    /// A fleet built over an empty model list.
+    NoModels,
+    /// A multi-model functional fleet whose workload list disagrees in
+    /// length with its model list.
+    WorkloadCountMismatch {
+        /// Number of models.
+        models: usize,
+        /// Number of functional workloads.
+        workloads: usize,
+    },
+    /// A functional workload with an empty sample set.
+    NoSamples {
+        /// Model index of the offending workload.
+        model: usize,
+    },
+    /// A functional workload with zero worker threads.
+    NoWorkers {
+        /// Model index of the offending workload.
+        model: usize,
+    },
+    /// [`AdmissionPolicy::Degrade`](super::AdmissionPolicy::Degrade)
+    /// over a functional workload without a fallback network.
+    MissingFallback {
+        /// Model index of the offending workload.
+        model: usize,
+    },
 }
 
 impl std::fmt::Display for ServingConfigError {
@@ -402,6 +428,19 @@ impl std::fmt::Display for ServingConfigError {
             } => write!(
                 f,
                 "tenant {tenant:?} names model {model} of a {models}-model slice"
+            ),
+            Self::NoModels => write!(f, "need at least one model"),
+            Self::WorkloadCountMismatch { models, workloads } => write!(
+                f,
+                "one functional workload per model ({workloads} workloads for {models} models)"
+            ),
+            Self::NoSamples { model } => {
+                write!(f, "model {model}: functional serving needs samples")
+            }
+            Self::NoWorkers { model } => write!(f, "model {model}: need at least one worker"),
+            Self::MissingFallback { model } => write!(
+                f,
+                "model {model}: Degrade admission needs a fallback network"
             ),
         }
     }

@@ -137,32 +137,32 @@ impl<'a> FunctionalExec<'a> {
         instances: usize,
         requests: usize,
         degrading: bool,
-    ) -> Self {
-        for w in &workloads {
-            assert!(!w.samples.is_empty(), "functional serving needs samples");
-            assert!(w.workers > 0, "need at least one worker");
+    ) -> Result<Self, ServingConfigError> {
+        let mut fallback_nets = Vec::with_capacity(workloads.len());
+        for (model, w) in workloads.iter().enumerate() {
+            if w.samples.is_empty() {
+                return Err(ServingConfigError::NoSamples { model });
+            }
+            if w.workers == 0 {
+                return Err(ServingConfigError::NoWorkers { model });
+            }
+            match w.fallback {
+                Some(fb) => fallback_nets.push((fb, w.fallback_engine.unwrap_or(w.engine))),
+                None if degrading => return Err(ServingConfigError::MissingFallback { model }),
+                None => {}
+            }
         }
-        let fallback = if degrading {
-            Some(
-                (0..instances)
-                    .map(|_| {
-                        workloads
-                            .iter()
-                            .map(|w| {
-                                let fb = w.fallback.expect(
-                                    "invariant: Degrade admission requires FunctionalWorkload::fallback (documented)",
-                                );
-                                let engine = w.fallback_engine.unwrap_or(w.engine);
-                                PreparedNetwork::new(fb, engine)
-                            })
-                            .collect()
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        Self {
+        let fallback = degrading.then(|| {
+            (0..instances)
+                .map(|_| {
+                    fallback_nets
+                        .iter()
+                        .map(|&(fb, engine)| PreparedNetwork::new(fb, engine))
+                        .collect()
+                })
+                .collect()
+        });
+        Ok(Self {
             // Model load: every instance prepares every model's weights
             // once — per-layer DKV/LUT stream conversion, narrow GEMM
             // forms — before the first request arrives; later swaps
@@ -179,7 +179,7 @@ impl<'a> FunctionalExec<'a> {
             arenas: (0..instances).map(|_| BatchArena::new()).collect(),
             predictions: vec![usize::MAX; requests],
             workloads,
-        }
+        })
     }
 
     /// Executes one dispatched batch on instance `inst`: the whole
@@ -1949,11 +1949,12 @@ impl<'a> Fleet<'a> {
         models: &[&'a CnnModel],
         workloads: &[&'a FunctionalWorkload<'a>],
     ) -> Result<Self, ServingConfigError> {
-        assert_eq!(
-            models.len(),
-            workloads.len(),
-            "one functional workload per model"
-        );
+        if models.len() != workloads.len() {
+            return Err(ServingConfigError::WorkloadCountMismatch {
+                models: models.len(),
+                workloads: workloads.len(),
+            });
+        }
         Self::build(config, models.to_vec(), Some(workloads.to_vec()))
     }
 
@@ -1963,7 +1964,9 @@ impl<'a> Fleet<'a> {
         workloads: Option<Vec<&'a FunctionalWorkload<'a>>>,
     ) -> Result<Self, ServingConfigError> {
         config.validate()?;
-        assert!(!models.is_empty(), "need at least one model");
+        if models.is_empty() {
+            return Err(ServingConfigError::NoModels);
+        }
 
         // A single-tenant run is a one-tenant roster carrying the
         // config's own arrival process and budget: the legacy path *is*
@@ -2060,7 +2063,8 @@ impl<'a> Fleet<'a> {
             models: model_ctxs,
             degraded_accel,
             functional: workloads
-                .map(|ws| FunctionalExec::new(ws, config.instances, config.requests, degrading)),
+                .map(|ws| FunctionalExec::new(ws, config.instances, config.requests, degrading))
+                .transpose()?,
             ledger,
             pending: (0..roster.len()).map(|_| VecDeque::new()).collect(),
             tenants,

@@ -1503,4 +1503,78 @@ mod tests {
             .to_string();
         assert!(err.contains("names model 3 of a 1-model slice"), "{err:?}");
     }
+
+    /// A functional workload over [`tiny_workload`] on the given engine.
+    fn tiny_functional<'a>(
+        net: &'a QuantizedNetwork,
+        samples: &'a [Sample],
+        engine: &'a SconnaEngine,
+        workers: usize,
+    ) -> FunctionalWorkload<'a> {
+        FunctionalWorkload {
+            net,
+            fallback: None,
+            fallback_engine: None,
+            samples,
+            engine,
+            workers,
+        }
+    }
+
+    #[test]
+    fn try_new_multi_rejects_an_empty_model_list() {
+        let err = Fleet::try_new_multi(&small_closed(1, 4, 8), &[]).err();
+        assert_eq!(err, Some(ServingConfigError::NoModels));
+    }
+
+    #[test]
+    fn try_new_multi_functional_rejects_a_workload_count_mismatch() {
+        let (net, samples) = tiny_workload();
+        let engine = SconnaEngine::paper_default(1);
+        let w = tiny_functional(&net, &samples, &engine, 1);
+        let model = shufflenet_v2();
+        let err = Fleet::try_new_multi_functional(&small_closed(1, 4, 8), &[&model], &[&w, &w]);
+        assert_eq!(
+            err.err(),
+            Some(ServingConfigError::WorkloadCountMismatch {
+                models: 1,
+                workloads: 2
+            })
+        );
+    }
+
+    #[test]
+    fn try_new_functional_rejects_an_empty_sample_set() {
+        let (net, _) = tiny_workload();
+        let engine = SconnaEngine::paper_default(1);
+        let w = tiny_functional(&net, &[], &engine, 1);
+        let model = shufflenet_v2();
+        let err = Fleet::try_new_functional(&small_closed(1, 4, 8), &model, &w).err();
+        assert_eq!(err, Some(ServingConfigError::NoSamples { model: 0 }));
+    }
+
+    #[test]
+    fn try_new_functional_rejects_zero_workers() {
+        let (net, samples) = tiny_workload();
+        let engine = SconnaEngine::paper_default(1);
+        let w = tiny_functional(&net, &samples, &engine, 0);
+        let model = shufflenet_v2();
+        let err = Fleet::try_new_functional(&small_closed(1, 4, 8), &model, &w).err();
+        assert_eq!(err, Some(ServingConfigError::NoWorkers { model: 0 }));
+    }
+
+    #[test]
+    fn try_new_functional_rejects_degrade_without_a_fallback_network() {
+        let (net, samples) = tiny_workload();
+        let engine = SconnaEngine::paper_default(1);
+        let w = tiny_functional(&net, &samples, &engine, 1);
+        let model = shufflenet_v2();
+        let cfg = ServingConfig {
+            admission: AdmissionPolicy::Degrade { fallback_bits: 4 },
+            queue_cap: Some(4),
+            ..small_closed(1, 4, 8)
+        };
+        let err = Fleet::try_new_functional(&cfg, &model, &w).err();
+        assert_eq!(err, Some(ServingConfigError::MissingFallback { model: 0 }));
+    }
 }

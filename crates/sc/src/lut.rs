@@ -16,7 +16,7 @@
 
 use crate::bitstream::PackedBitstream;
 use crate::format::Precision;
-use crate::multiply::{lds_product, lds_product_floor, multiply_streams};
+use crate::multiply::{multiply_streams, osm_product_debiased};
 use crate::sng::{LdsSng, StochasticNumberGenerator, ThermometerSng};
 
 /// Offline-generated LUT of uncorrelated stream pairs: entry `k` stores
@@ -118,19 +118,17 @@ impl XorHashedLut {
 /// pair — the in-simulator mirror of the paper's offline DPU conversion
 /// LUT (Section II-B): just as the hardware converts binary operands to
 /// streams offline so the online datapath is a fetch + AND, the simulator
-/// converts the `O(B)` closed form into a table offline so the inference
-/// inner loop is a table load plus a sign-steered add.
+/// converts the `O(B)` closed form into a table offline.
 ///
-/// Both pairings of
-/// [`osm_product_debiased`](crate::multiply::osm_product_debiased) are
-/// stored interleaved — entry `2·((i << B) | w)` holds the ceil (LDS ×
-/// thermometer) product, entry `2·((i << B) | w) + 1` the floor
-/// (complement) product — so the lookup is a shift-or index plus the OSM
-/// parity bit, with no table-select branch. At the paper's B = 8
-/// operating point this is the `256 × 256 × 2` u16 table (256 KiB),
-/// small enough to live in L2 next to the weights. The domain is the
-/// representable magnitudes `[0, 2^B)`; the engines clamp operands
-/// before the lookup, exactly as the hardware's `B`-bit registers do.
+/// The layout is **weight-major**, `[w][parity][i]`: row
+/// [`weight_row(w, parity)`](Self::weight_row) holds one weight
+/// magnitude's products against every input value under the ceil
+/// (parity 0) or floor (parity 1) pairing of [`osm_product_debiased`], so
+/// a tile kernel keeps a weight's row resident while every patch streams
+/// through it, as the DKV-programmed OSM holds its weight stream. At B = 8
+/// this is `256 × 2` rows of 256 u16 products (256 KiB, 512 B per row).
+/// The domain is `[0, 2^B)`; the engines clamp operands first, exactly as
+/// the hardware's `B`-bit registers do.
 #[derive(Debug, Clone)]
 pub struct OsmProductLut {
     precision: Precision,
@@ -144,7 +142,7 @@ impl OsmProductLut {
     /// it faster than the closed form.
     pub const MAX_BITS: u8 = 10;
 
-    /// Generates the interleaved product table for `precision`, or
+    /// Generates the weight-major product table for `precision`, or
     /// `None` when the precision exceeds [`Self::MAX_BITS`] (callers
     /// fall back to the closed form).
     pub fn try_generate(precision: Precision) -> Option<Self> {
@@ -153,10 +151,9 @@ impl OsmProductLut {
         }
         let l = precision.stream_len() as u32;
         let mut table = Vec::with_capacity((l as usize) * (l as usize) * 2);
-        for i in 0..l {
-            for w in 0..l {
-                table.push(lds_product(i, w, precision) as u16);
-                table.push(lds_product_floor(i, w, precision) as u16);
+        for w in 0..l {
+            for parity in 0..2 {
+                table.extend((0..l).map(|i| osm_product_debiased(i, w, precision, parity) as u16));
             }
         }
         Some(Self {
@@ -166,7 +163,7 @@ impl OsmProductLut {
         })
     }
 
-    /// Generates the tables.
+    /// Generates the table.
     ///
     /// # Panics
     /// Panics if `precision` exceeds [`Self::MAX_BITS`].
@@ -175,9 +172,9 @@ impl OsmProductLut {
             .unwrap_or_else(|| panic!("OsmProductLut supports at most B{}", Self::MAX_BITS))
     }
 
-    /// Process-wide shared tables for `precision` (generated once,
+    /// Process-wide shared table for `precision` (generated once,
     /// then handed out as `Arc` clones): engines are constructed per
-    /// serving instance and per experiment, and the tables are immutable,
+    /// serving instance and per experiment, and the table is immutable,
     /// so there is no reason to regenerate them. The lock guards
     /// construction only — the hot path holds a plain `Arc`.
     pub fn shared(precision: Precision) -> Option<std::sync::Arc<Self>> {
@@ -202,27 +199,30 @@ impl OsmProductLut {
         )
     }
 
-    /// Precision the tables were generated for.
+    /// Precision the table was generated for.
     pub fn precision(&self) -> Precision {
         self.precision
     }
 
-    /// Debiased OSM product by table load — equals
-    /// [`osm_product_debiased`](crate::multiply::osm_product_debiased)
-    /// for every operand pair in `[0, 2^B)` (property-tested). Callers
-    /// clamp operands to the representable range first (the engines'
-    /// existing discipline); out-of-range operands are a debug-assert.
+    /// The contiguous row of weight magnitude `w`'s products against
+    /// every input `0..2^B` under OSM pairing `parity` (low bit only).
+    /// Panics if `w` is outside `[0, 2^B)`.
     #[inline]
-    pub fn product(&self, i: u32, w: u32, osm_index: usize) -> u32 {
-        debug_assert!(
-            i < (1 << self.bits) && w < (1 << self.bits),
-            "operands out of table domain"
-        );
-        let idx = ((((i as usize) << self.bits) | w as usize) << 1) | (osm_index & 1);
-        self.table[idx] as u32
+    pub fn weight_row(&self, w: u32, parity: usize) -> &[u16] {
+        let len = 1usize << self.bits;
+        let start = ((w as usize) << 1 | (parity & 1)) * len;
+        &self.table[start..start + len]
     }
 
-    /// Host-memory footprint of the interleaved table in bytes.
+    /// Debiased OSM product by table load — equals
+    /// [`osm_product_debiased`] for every operand pair in `[0, 2^B)`
+    /// (property-tested); either operand outside that range panics.
+    #[inline]
+    pub fn product(&self, i: u32, w: u32, osm_index: usize) -> u32 {
+        self.weight_row(w, osm_index)[i as usize] as u32
+    }
+
+    /// Host-memory footprint of the table in bytes.
     pub fn storage_bytes(&self) -> usize {
         self.table.len() * std::mem::size_of::<u16>()
     }
@@ -349,17 +349,22 @@ mod tests {
         let _ = Serializer::new(0.0);
     }
 
-    #[test]
-    fn product_lut_matches_closed_form_exhaustive_b4() {
-        let p = Precision::B4;
-        let lut = OsmProductLut::generate(p);
-        for i in 0..16u32 {
-            for w in 0..16u32 {
-                for osm in 0..4 {
+    /// Asserts every `(i, w, parity)` of the given operand lists: the
+    /// weight row, and the per-pair `product` reading it, equal the
+    /// closed form.
+    fn assert_rows_match_closed_form(lut: &OsmProductLut, is: &[u32], ws: &[u32]) {
+        let p = lut.precision();
+        for &w in ws {
+            for parity in 0..4 {
+                let row = lut.weight_row(w, parity);
+                assert_eq!(row.len(), p.stream_len());
+                for &i in is {
+                    let want = osm_product_debiased(i, w, p, parity);
+                    assert_eq!(row[i as usize] as u32, want, "i={i} w={w} parity={parity}");
                     assert_eq!(
-                        lut.product(i, w, osm),
-                        osm_product_debiased(i, w, p, osm),
-                        "i={i} w={w} osm={osm}"
+                        lut.product(i, w, parity),
+                        want,
+                        "i={i} w={w} parity={parity}"
                     );
                 }
             }
@@ -367,22 +372,42 @@ mod tests {
     }
 
     #[test]
+    fn product_lut_matches_closed_form_exhaustive_b4() {
+        let all: Vec<u32> = (0..16).collect();
+        assert_rows_match_closed_form(&OsmProductLut::generate(Precision::B4), &all, &all);
+    }
+
+    #[test]
     fn product_lut_matches_closed_form_sampled_b8() {
-        let p = Precision::B8;
-        let lut = OsmProductLut::generate(p);
-        for i in (0..256u32).step_by(7) {
-            for w in (0..256u32).step_by(5) {
-                assert_eq!(lut.product(i, w, 0), osm_product_debiased(i, w, p, 0));
-                assert_eq!(lut.product(i, w, 1), osm_product_debiased(i, w, p, 1));
-            }
-        }
+        let is: Vec<u32> = (0..256).step_by(7).chain([255]).collect();
+        let ws: Vec<u32> = (0..256).step_by(5).chain([1, 254]).collect();
+        assert_rows_match_closed_form(&OsmProductLut::generate(Precision::B8), &is, &ws);
+    }
+
+    #[test]
+    fn product_lut_matches_closed_form_at_b10_corners() {
+        // The largest table: first, second, middle and last rows and
+        // columns, where an off-by-one in the row stride would show.
+        let corners = [0u32, 1, 2, 511, 512, 1022, 1023];
+        assert_rows_match_closed_form(
+            &OsmProductLut::generate(Precision::new(10)),
+            &corners,
+            &corners,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn product_lut_rejects_weight_outside_domain() {
+        let _ = OsmProductLut::generate(Precision::B4).weight_row(16, 0);
     }
 
     #[test]
     fn product_lut_b8_sizing() {
         let lut = OsmProductLut::generate(Precision::B8);
-        // The paper-shaped 256 × 256 × 2 table at 2 bytes per entry.
-        assert_eq!(lut.storage_bytes(), 256 * 256 * 2 * 2);
+        // [w][parity][i] = 256 weights × 2 pairings × 256 inputs, at 2
+        // bytes per entry.
+        assert_eq!(lut.storage_bytes(), 256 * 2 * 256 * 2);
         assert_eq!(lut.precision(), Precision::B8);
     }
 

@@ -26,7 +26,7 @@
 //!   **weight-stationary** API the hardware mapping assumes: whatever
 //!   per-call derivation an engine performs on the weight matrix (the
 //!   exact engine's narrow-GEMM i16 form and overflow bound, the SCONNA
-//!   engine's clamped LUT stream addresses, sign steering bits and
+//!   engine's clamped product-table row addresses, sign steering bits and
 //!   range-matched ADC parameters) is hoisted into the handle, so a
 //!   layer's weights are transformed once and then hit by every row
 //!   block of every request. The contract is bit-exact equivalence with
@@ -169,9 +169,13 @@ impl<'a> WeightMatrix<'a> {
 /// * [`ExactEngine`] stores the narrowed `i16` weight form and the
 ///   worst-case weight magnitude of its overflow guard, so the blocked
 ///   GEMM never re-derives them per row-block call.
-/// * The SCONNA engine (in `sconna-accel`) stores the clamped LUT
-///   stream addresses (the DKV-converted `Wb` operands), the sign
-///   steering bits, and the range-matched per-chunk ADC models.
+/// * The SCONNA engine (in `sconna-accel`) stores the clamped weight
+///   magnitudes (the DKV-converted `Wb` operands, each addressing one
+///   row of its weight-major product table), the sign steering bits,
+///   and the range-matched per-chunk ADC models. Its weight-stationary
+///   tile kernel streams every patch through each weight's product row;
+///   a handle it did not prepare for its own configuration is
+///   re-prepared from the raw weights and runs the same kernel.
 ///
 /// Handles are built by [`VdpEngine::prepare_weights`] and consumed by
 /// [`VdpEngine::vdp_batch_prepared`]; an engine handed a foreign handle

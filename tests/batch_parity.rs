@@ -67,29 +67,52 @@ fn assert_batch_parity(
 }
 
 proptest! {
-    /// Tile ≡ per-vector for both engines across precisions, VDPE sizes
-    /// (ragged tail chunks included) and ADC on/off.
+    /// Tile ≡ per-vector for both engines across precisions (B1 through
+    /// the B10 table edge into the B11–B12 closed form), VDPE sizes
+    /// (odd sizes and ragged tail chunks included, plus paper-sized
+    /// 176-chunks over multi-chunk vectors), tiles up to 70 patches (so
+    /// any internal patch blocking is crossed), operands the B-bit
+    /// registers must clamp (inputs above `qmax`, weights beyond
+    /// ±`qmax` including `i32::MIN`) and ADC on/off.
     #[test]
     fn prop_vdp_batch_matches_per_vector(
-        bits in 2u8..=9,
-        vdpe in 3usize..=40,
-        cols in 0usize..=90,
-        rows in 1usize..=4,
+        bits in 1u8..=12,
+        small_vdpe in 3usize..=40,
+        small_cols in 0usize..=90,
+        paper_chunks in 0u8..=3,
+        long_cols in 0usize..=400,
+        rows in 0usize..=70,
         kernels in 1usize..=6,
         seed in 0u64..=1000,
         noisy in 0u8..=1,
+        out_of_range in 0u8..=1,
     ) {
         let noisy = noisy == 1;
+        // One case in four runs the paper's N = 176 over long vectors.
+        let (vdpe, cols) = if paper_chunks == 0 {
+            (176, long_cols)
+        } else {
+            (small_vdpe, small_cols)
+        };
         let precision = Precision::new(bits);
-        let qmax = precision.max_value();
+        let qmax = precision.max_value() as i64;
+        // Out-of-range cases draw inputs up to 2·qmax + 1 and weights
+        // over ±(2·qmax + 1), with one weight pinned at i32::MIN.
+        let span = if out_of_range == 1 { 2 * qmax + 1 } else { qmax };
         let patches = PatchMatrix::from_vec(
             rows,
             cols,
-            (0..rows * cols).map(|i| (i as u32 * 37 + seed as u32) % (qmax + 1)).collect(),
+            (0..rows * cols)
+                .map(|i| ((i as i64 * 37 + seed as i64) % (span + 1)) as u32)
+                .collect(),
         );
-        let wdata: Vec<i32> = (0..kernels * cols)
-            .map(|i| ((i as i64 * 53 + seed as i64) % (2 * qmax as i64 + 1)) as i32 - qmax as i32)
+        let mut wdata: Vec<i32> = (0..kernels * cols)
+            .map(|i| ((i as i64 * 53 + seed as i64) % (2 * span + 1) - span) as i32)
             .collect();
+        if out_of_range == 1 && !wdata.is_empty() {
+            let at = seed as usize % wdata.len();
+            wdata[at] = i32::MIN;
+        }
         let wm = WeightMatrix::new(&wdata, kernels, cols);
         let keys: Vec<u64> = (0..rows as u64).map(|p| p.wrapping_mul(seed | 1)).collect();
 
