@@ -200,7 +200,7 @@ impl<'a> FunctionalExec<'a> {
         } else {
             &self.nets[inst][model]
         };
-        let preds = net.predict_batch_in(&images, ids, w.workers, &self.arenas[inst]);
+        let preds = net.predict_batch(&images, ids, w.workers, &self.arenas[inst]);
         for (&id, pred) in ids.iter().zip(preds) {
             self.predictions[id as usize] = pred;
         }

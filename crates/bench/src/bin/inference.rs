@@ -25,6 +25,7 @@ use sconna_bench::banner;
 use sconna_photonics::pca::AdcModel;
 use sconna_sc::multiply::osm_product_debiased;
 use sconna_sc::Precision;
+use sconna_tensor::arena::BatchArena;
 use sconna_tensor::engine::{
     combine_keys, ExactEngine, PatchMatrix, PreparedWeights, VdpEngine, WeightMatrix,
 };
@@ -263,7 +264,8 @@ impl E2eNet {
         })
     }
 
-    /// Batched hot path (what `QuantizedNetwork::forward` runs).
+    /// Batched hot path with the weights prepared on the fly (what a
+    /// single-image `QConv2d::forward` runs).
     fn forward_batched(&self, image: &Tensor<u32>, engine: &dyn VdpEngine) -> Vec<f32> {
         let a = self.conv1.forward(image, engine);
         let a = self.pool.forward(&a);
@@ -280,29 +282,26 @@ impl E2eNet {
         }
     }
 
-    /// Weight-stationary hot path: same tiles, weights prepared once —
-    /// the PR 4 shape (what `PreparedNetwork::forward_keyed` runs). Must
-    /// be bit-equal to [`E2eNet::forward_batched`].
+    /// Weight-stationary hot path: same tiles, weights prepared once
+    /// (what `PreparedNetwork::forward_batch` runs). Must be bit-equal to
+    /// [`E2eNet::forward_batched`].
     fn forward_prepared(
         &self,
         image: &Tensor<u32>,
         engine: &dyn VdpEngine,
         prep: &PreparedE2e,
     ) -> Vec<f32> {
-        let a = self.conv1.forward_prepared_keyed(
-            image,
-            engine,
-            &prep.conv1,
-            self.conv1.layer_key(),
-            1,
-        );
-        let a = self.pool.forward(&a);
-        let a =
-            self.conv2
-                .forward_prepared_keyed(&a, engine, &prep.conv2, self.conv2.layer_key(), 1);
-        let a = self.pool.forward(&a);
+        let arena = BatchArena::new();
+        let conv = |layer: &QConv2d, handles: &[PreparedWeights], x: &Tensor<u32>| {
+            let key = [layer.layer_key()];
+            let out = layer.forward_batch(&[x], engine, handles, &key, 1, &arena);
+            out.into_iter().next().expect("one output")
+        };
+        let a = self.pool.forward(&conv(&self.conv1, &prep.conv1, image));
+        let a = self.pool.forward(&conv(&self.conv2, &prep.conv2, &a));
+        let key = [self.fc.layer_key()];
         self.fc
-            .forward_logits_batch_keyed(&[&a], engine, Some(&prep.fc), &[self.fc.layer_key()])
+            .forward_logits_batch(&[&a], engine, &prep.fc, &key, &arena)
             .pop()
             .expect("one logit row")
     }
@@ -310,22 +309,16 @@ impl E2eNet {
     /// Pre-batching baseline: per-pixel patch gather, one single-vector
     /// engine call per (pixel, kernel) / FC row.
     fn forward_single(&self, image: &Tensor<u32>, engine: &dyn VdpEngine) -> Vec<f32> {
-        let a = self.conv1.forward_reference(image, engine);
+        let a = self
+            .conv1
+            .forward_reference(image, engine, self.conv1.layer_key());
         let a = self.pool.forward(&a);
-        let a = self.conv2.forward_reference(&a, engine);
+        let a = self
+            .conv2
+            .forward_reference(&a, engine, self.conv2.layer_key());
         let a = self.pool.forward(&a);
-        // Reference FC: row-at-a-time single-vector calls.
-        let [out_f, in_f] = *self.fc.weights.dims() else {
-            panic!("fc rank")
-        };
-        let base = self.fc.layer_key();
-        (0..out_f)
-            .map(|o| {
-                let wrow = &self.fc.weights.as_slice()[o * in_f..(o + 1) * in_f];
-                let acc = engine.vdp_keyed(a.as_slice(), wrow, combine_keys(base, o as u64));
-                acc as f32 * self.fc.dequant + self.fc.bias[o]
-            })
-            .collect()
+        self.fc
+            .forward_logits_reference(&a, engine, self.fc.layer_key())
     }
 }
 
@@ -473,15 +466,14 @@ fn main() {
     // Worker-count invariance of the parallel conv forward on the noisy
     // engine: 1 / 2 / 8 workers must agree bit for bit.
     let probe = net.pool.forward(&net.conv1.forward(&images[0], &sconna));
-    let w1 = net
-        .conv2
-        .forward_keyed(&probe, &sconna, net.conv2.layer_key(), 1);
-    let invariant = [2usize, 8].iter().all(|&w| {
+    let arena = BatchArena::new();
+    let key = [net.conv2.layer_key()];
+    let conv2 = |w| {
         net.conv2
-            .forward_keyed(&probe, &sconna, net.conv2.layer_key(), w)
-            .as_slice()
-            == w1.as_slice()
-    });
+            .forward_batch(&[&probe], &sconna, &sconna_prep.conv2, &key, w, &arena)
+    };
+    let w1 = conv2(1);
+    let invariant = [2usize, 8].iter().all(|&w| conv2(w) == w1);
 
     println!("\nend-to-end small CNN ({e2e_images} images, 16x16):");
     println!(

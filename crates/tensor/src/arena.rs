@@ -11,8 +11,9 @@
 //! exactly the state a fresh `zeros` allocation would have, and every
 //! accumulator's noise key depends only on its (image, layer, group,
 //! output position) coordinates — never on which buffer the patch
-//! happened to land in — so arena-threaded forwards are bit-identical to
-//! the allocating paths (property-tested in `tests/batch_parity.rs`).
+//! happened to land in — so a long-lived, dirty arena yields the same
+//! bits as a fresh one (property-tested against the per-pair oracle in
+//! `tests/batch_parity.rs`).
 
 use crate::engine::PatchMatrix;
 use crate::tensor::Tensor;
@@ -42,7 +43,7 @@ impl ConvScratch {
 
 /// Lock-free pools of reusable inference buffers, shared by every worker
 /// of a batched forward and across calls when threaded through
-/// [`PreparedNetwork::forward_batch_in`](crate::network::PreparedNetwork::forward_batch_in)
+/// [`PreparedNetwork::forward_batch`](crate::network::PreparedNetwork::forward_batch)
 /// (each serving instance owns one arena).
 #[derive(Default)]
 pub struct BatchArena {

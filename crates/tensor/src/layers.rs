@@ -7,35 +7,30 @@
 //! ReLU act directly on activation codes (ReLU is folded into
 //! requantization's clamp at zero).
 //!
-//! Convolution runs through an **im2col + batched-VDP** hot path: output
-//! rows are cut into fixed blocks, each block's patches are gathered into
-//! a [`PatchMatrix`](crate::engine::PatchMatrix) once per group
-//! (arena-reused scratch on the serving path — [`crate::arena`]), and the
-//! whole patch × kernel tile
-//! goes to [`VdpEngine::vdp_batch`] in one call. Blocks are independent,
-//! so they evaluate in parallel (`sconna_sim::parallel`) and — because
-//! every accumulator's noise key is derived from its (layer, group,
-//! output position, kernel) coordinates, never from execution order —
-//! the result is bit-identical for any worker count. The pre-batching
-//! per-pixel path survives as [`QConv2d::forward_reference`], the parity
-//! oracle and benchmark baseline.
+//! Every layer runs through **one** forward path: an im2col +
+//! batched-VDP tile kernel over weight-stationary prepared weights.
+//! [`QConv2d::prepare`] / [`QFc::prepare`] transform each layer's
+//! weights into the engine's [`PreparedWeights`] form once at model load;
+//! [`QConv2d::forward_batch`] then cuts output rows into fixed blocks,
+//! stacks the im2col patches of *every image of the batch* into one
+//! [`PatchMatrix`](crate::engine::PatchMatrix) per (block, group) —
+//! scratch and output tensors drawn from a [`BatchArena`] — and sends
+//! each tile to [`VdpEngine::vdp_batch_prepared`], so a layer's weights
+//! are fetched once per tile for the whole batch. Blocks are independent,
+//! so they evaluate in parallel (`sconna_sim::parallel`), and because
+//! every accumulator's noise key is derived from its (image, layer,
+//! group, output position, kernel) coordinates — never from execution
+//! order or batch composition — the result is bit-identical for any
+//! worker count and any batch. [`QConv2d::forward`],
+//! [`QConv2d::forward_preactivation`] and [`QFc::forward_logits`] are
+//! single-image conveniences over the same path, preparing the weights on
+//! the fly (bit-identical by the `vdp_batch_prepared` contract).
 //!
-//! Two weight-stationary extensions ride on the same block machinery:
-//!
-//! * **Prepared weights** — [`QConv2d::prepare`] / [`QFc::prepare`]
-//!   transform each layer's weights into the engine's
-//!   [`PreparedWeights`] form once at model load; every forward then
-//!   runs [`VdpEngine::vdp_batch_prepared`], so per-call weight
-//!   derivation (the exact engine's i16 narrowing, SCONNA's DKV/LUT
-//!   stream addressing) never repeats per row block.
-//! * **Whole-batch tiles** — the multi-image forwards
-//!   ([`QConv2d::forward_batch_keyed`],
-//!   [`QFc::forward_logits_batch_keyed`]) stack the im2col patches of
-//!   *every image of a serving batch* into one tile per (block, group),
-//!   so a layer's weights are fetched once per tile for the whole batch
-//!   instead of once per request. Each image keeps its own noise base
-//!   key, so the stacked result is bit-identical to running the images
-//!   one by one.
+//! The only other path is the per-pair oracle:
+//! [`QConv2d::forward_reference`] and [`QFc::forward_logits_reference`]
+//! gather each patch per pixel and make one [`VdpEngine::vdp_keyed`] call
+//! per (position, kernel) under the same noise keys — the parity
+//! reference the tile path is property-tested against.
 
 use crate::arena::{BatchArena, ConvScratch};
 use crate::engine::{combine_keys, mix_key, PreparedWeights, VdpEngine, WeightMatrix};
@@ -112,7 +107,15 @@ pub struct QConv2d {
 
 impl QConv2d {
     /// Output spatial size for an input of `(h, w)`.
+    ///
+    /// # Panics
+    /// Panics if the stride is zero.
     pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
+        assert!(
+            self.stride > 0,
+            "{}: conv stride must be positive",
+            self.name
+        );
         let k = self.weights.dims()[2];
         (
             (h + 2 * self.padding - k) / self.stride + 1,
@@ -133,30 +136,48 @@ impl QConv2d {
         name_key(&self.name)
     }
 
-    /// Runs the convolution on activation codes (ReLU folded into the
-    /// requantizer's clamp at zero).
+    /// Runs the convolution on one image under [`QConv2d::layer_key`]
+    /// (ReLU folded into the requantizer's clamp at zero): the weights are
+    /// prepared on the fly and the image runs as a batch of one through
+    /// the [`QConv2d::forward_batch`] tile kernel.
     ///
     /// # Panics
     /// Panics if the input channel count does not match the weights and
     /// groups, or the kernel does not fit the padded input.
     pub fn forward(&self, input: &Tensor<u32>, engine: &dyn VdpEngine) -> Tensor<u32> {
-        self.forward_keyed(input, engine, self.layer_key(), 1)
+        self.forward_one(input, engine, Requant::apply)
     }
 
-    /// [`QConv2d::forward`] with an explicit noise base key and worker
-    /// count. The base key lets callers decorrelate noise across images
-    /// (the network forward mixes an image key in); the block-parallel
-    /// result is bit-identical for every `workers` value.
-    pub fn forward_keyed(
+    /// [`QConv2d::forward`] keeping **signed pre-activation codes** (same
+    /// scale, no ReLU clamp) — what a residual branch produces before the
+    /// skip addition.
+    pub fn forward_preactivation(
         &self,
         input: &Tensor<u32>,
         engine: &dyn VdpEngine,
-        base_key: u64,
-        workers: usize,
-    ) -> Tensor<u32> {
-        self.forward_blocks(&[input], engine, None, &[base_key], workers, |acc, rq| {
-            rq.apply(acc)
-        })
+    ) -> Tensor<i32> {
+        self.forward_one(input, engine, Requant::apply_signed)
+    }
+
+    fn forward_one<T: Copy + Default + Send>(
+        &self,
+        input: &Tensor<u32>,
+        engine: &dyn VdpEngine,
+        convert: impl Fn(&Requant, f64) -> T + Sync,
+    ) -> Tensor<T> {
+        let prepared = self.prepare(engine);
+        let arena = BatchArena::new();
+        let key = self.layer_key();
+        self.forward_blocks(
+            &[input],
+            engine,
+            &prepared,
+            &[key],
+            1,
+            &arena,
+            Tensor::zeros,
+            convert,
+        )
         .pop()
         .expect("invariant: forward_blocks yields one output per input")
     }
@@ -201,120 +222,58 @@ impl QConv2d {
             .collect()
     }
 
-    /// [`QConv2d::forward_keyed`] against prepared weight handles from
-    /// [`QConv2d::prepare`] — bit-identical results, with the per-call
-    /// weight derivation hoisted out of the row-block loop.
+    /// The conv forward: runs a whole serving batch against prepared
+    /// handles from [`QConv2d::prepare`]. The im2col patches of **all**
+    /// images are stacked into one `vdp_batch_prepared` tile per (row
+    /// block, group), so the weights are fetched once per tile for the
+    /// entire batch — the weight-stationary amortization the hardware
+    /// mapping assumes. Image `b`'s accumulators are keyed from
+    /// `base_keys[b]`, so its output is independent of the batch
+    /// composition and of `workers`, and bit-identical to
+    /// [`QConv2d::forward_reference`] under the same key
+    /// (property-tested). im2col scratch and output tensors come from
+    /// `arena` (recycled buffers are re-zeroed), so the forward is
+    /// allocation-free in steady state when the caller recycles the inputs
+    /// after the layer. An empty batch returns an empty vector.
     ///
     /// # Panics
-    /// Panics if `prepared` does not hold one handle per group with this
-    /// layer's geometry.
-    pub fn forward_prepared_keyed(
+    /// Panics if the images disagree in shape, `base_keys` is not one key
+    /// per image, or `prepared` does not hold one handle per group with
+    /// this layer's geometry.
+    pub fn forward_batch(
         &self,
-        input: &Tensor<u32>,
+        inputs: &[&Tensor<u32>],
         engine: &dyn VdpEngine,
         prepared: &[PreparedWeights],
-        base_key: u64,
-        workers: usize,
-    ) -> Tensor<u32> {
-        self.forward_blocks(
-            &[input],
-            engine,
-            Some(prepared),
-            &[base_key],
-            workers,
-            |acc, rq| rq.apply(acc),
-        )
-        .pop()
-        .expect("invariant: forward_blocks yields one output per input")
-    }
-
-    /// Runs the convolution over a whole serving batch at once: the
-    /// im2col patches of **all** images are stacked into one
-    /// `vdp_batch` tile per (row block, group), so the weight matrix is
-    /// fetched once per tile for the entire batch — the weight-stationary
-    /// amortization the hardware mapping assumes. Image `b`'s
-    /// accumulators are keyed from `base_keys[b]` exactly as in the
-    /// single-image path, so the result is bit-identical to calling
-    /// [`QConv2d::forward_keyed`] per image (property-tested). An empty
-    /// batch returns an empty vector.
-    ///
-    /// # Panics
-    /// Panics if the images disagree in shape, or `base_keys` is not one
-    /// key per image.
-    pub fn forward_batch_keyed(
-        &self,
-        inputs: &[&Tensor<u32>],
-        engine: &dyn VdpEngine,
-        prepared: Option<&[PreparedWeights]>,
-        base_keys: &[u64],
-        workers: usize,
-    ) -> Vec<Tensor<u32>> {
-        self.forward_blocks(inputs, engine, prepared, base_keys, workers, |acc, rq| {
-            rq.apply(acc)
-        })
-    }
-
-    /// [`QConv2d::forward_batch_keyed`] with arena-reused im2col scratch
-    /// and output tensors drawn from `arena` — bit-identical (recycled
-    /// buffers are re-zeroed and noise keys are pure coordinate
-    /// functions), but steady-state allocation-free when the caller
-    /// recycles the inputs after the layer.
-    pub fn forward_batch_keyed_in(
-        &self,
-        inputs: &[&Tensor<u32>],
-        engine: &dyn VdpEngine,
-        prepared: Option<&[PreparedWeights]>,
         base_keys: &[u64],
         workers: usize,
         arena: &BatchArena,
     ) -> Vec<Tensor<u32>> {
-        self.forward_blocks_in(
+        let alloc = |dims: &[usize]| arena.tensor(dims);
+        self.forward_blocks(
             inputs,
             engine,
             prepared,
             base_keys,
             workers,
-            Some(arena),
-            |dims| arena.tensor(dims),
-            |acc, rq| rq.apply(acc),
+            arena,
+            alloc,
+            Requant::apply,
         )
     }
 
-    /// Runs the convolution but keeps **signed pre-activation codes**
-    /// (same scale as [`QConv2d::forward`], no ReLU clamp) — what a
-    /// residual branch produces before the skip addition.
-    pub fn forward_preactivation(
-        &self,
-        input: &Tensor<u32>,
-        engine: &dyn VdpEngine,
-    ) -> Tensor<i32> {
-        self.forward_preactivation_keyed(input, engine, self.layer_key(), 1)
-    }
-
-    /// [`QConv2d::forward_preactivation`] with an explicit noise base key
-    /// and worker count.
-    pub fn forward_preactivation_keyed(
+    /// The per-pair oracle: per-pixel patch gather and one
+    /// [`VdpEngine::vdp_keyed`] call per (pixel, kernel) under the **same
+    /// noise keys** as [`QConv2d::forward_batch`] with `base_key` — the
+    /// parity reference of the tile path and the baseline the inference
+    /// bench measures speedup against.
+    pub fn forward_reference(
         &self,
         input: &Tensor<u32>,
         engine: &dyn VdpEngine,
         base_key: u64,
-        workers: usize,
-    ) -> Tensor<i32> {
-        self.forward_blocks(&[input], engine, None, &[base_key], workers, |acc, rq| {
-            rq.apply_signed(acc)
-        })
-        .pop()
-        .expect("invariant: forward_blocks yields one output per input")
-    }
-
-    /// Pre-batching reference path: per-pixel patch gather and one
-    /// single-vector engine call per (pixel, kernel), with the **same
-    /// noise keys** as the batched path — the parity oracle for the
-    /// im2col/`vdp_batch` rebuild and the baseline the inference bench
-    /// measures speedup against.
-    pub fn forward_reference(&self, input: &Tensor<u32>, engine: &dyn VdpEngine) -> Tensor<u32> {
+    ) -> Tensor<u32> {
         let geo = self.validate(input);
-        let base_key = self.layer_key();
         let mut out = Tensor::<u32>::zeros(&[geo.l, geo.h_out, geo.w_out]);
         let mut patch: Vec<u32> = vec![0; geo.patch_len];
         for oy in 0..geo.h_out {
@@ -454,48 +413,22 @@ impl QConv2d {
         }
     }
 
-    /// The batched hot path: row blocks → im2col gather (all images of
-    /// the batch stacked) → one `vdp_batch`/`vdp_batch_prepared` tile per
-    /// group → requantize, blocks evaluated in parallel.
+    /// The tile kernel behind every conv forward: row blocks → im2col
+    /// gather (all images of the batch stacked) → one
+    /// `vdp_batch_prepared` tile per group → `convert`, blocks evaluated
+    /// in parallel. im2col scratch is checked out of `arena` per row block;
+    /// output tensors come from `alloc`.
+    #[allow(clippy::too_many_arguments)]
     fn forward_blocks<T>(
         &self,
         inputs: &[&Tensor<u32>],
         engine: &dyn VdpEngine,
-        prepared: Option<&[PreparedWeights]>,
+        prepared: &[PreparedWeights],
         base_keys: &[u64],
         workers: usize,
-        convert: impl Fn(f64, &Requant) -> T + Sync,
-    ) -> Vec<Tensor<T>>
-    where
-        T: Copy + Default + Send,
-    {
-        self.forward_blocks_in(
-            inputs,
-            engine,
-            prepared,
-            base_keys,
-            workers,
-            None,
-            Tensor::<T>::zeros,
-            convert,
-        )
-    }
-
-    /// [`QConv2d::forward_blocks`] with optional arena reuse: im2col
-    /// scratch is checked out of `arena` per row block and output tensors
-    /// come from `alloc` (fresh zeros, or recycled arena storage). `None`
-    /// allocates fresh scratch — observationally identical either way.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_blocks_in<T>(
-        &self,
-        inputs: &[&Tensor<u32>],
-        engine: &dyn VdpEngine,
-        prepared: Option<&[PreparedWeights]>,
-        base_keys: &[u64],
-        workers: usize,
-        arena: Option<&BatchArena>,
+        arena: &BatchArena,
         alloc: impl Fn(&[usize]) -> Tensor<T>,
-        convert: impl Fn(f64, &Requant) -> T + Sync,
+        convert: impl Fn(&Requant, f64) -> T + Sync,
     ) -> Vec<Tensor<T>>
     where
         T: Copy + Default + Send,
@@ -514,21 +447,19 @@ impl QConv2d {
                 self.name
             );
         }
-        if let Some(ps) = prepared {
+        assert_eq!(
+            prepared.len(),
+            self.groups,
+            "{}: one prepared handle per group",
+            self.name
+        );
+        for p in prepared {
             assert_eq!(
-                ps.len(),
-                self.groups,
-                "{}: one prepared handle per group",
+                (p.rows(), p.cols()),
+                (geo.kernels_per_group, geo.patch_len),
+                "{}: prepared handle geometry mismatch",
                 self.name
             );
-            for p in ps {
-                assert_eq!(
-                    (p.rows(), p.cols()),
-                    (geo.kernels_per_group, geo.patch_len),
-                    "{}: prepared handle geometry mismatch",
-                    self.name
-                );
-            }
         }
         let rows_per_block = (CONV_BLOCK_PATCHES / geo.w_out.max(1)).clamp(1, 16);
         let blocks = block_ranges(geo.h_out, rows_per_block);
@@ -569,12 +500,12 @@ impl QConv2d {
         &self,
         inputs: &[&Tensor<u32>],
         engine: &dyn VdpEngine,
-        prepared: Option<&[PreparedWeights]>,
+        prepared: &[PreparedWeights],
         geo: &ConvGeometry,
         base_keys: &[u64],
         rows: std::ops::Range<usize>,
-        arena: Option<&BatchArena>,
-        convert: &(impl Fn(f64, &Requant) -> T + Sync),
+        arena: &BatchArena,
+        convert: &(impl Fn(&Requant, f64) -> T + Sync),
     ) -> Vec<T>
     where
         T: Copy + Default,
@@ -583,15 +514,14 @@ impl QConv2d {
         let n_local = bh * geo.w_out;
         let n_patches = inputs.len() * n_local;
         let mut slab = vec![T::default(); inputs.len() * geo.l * n_local];
-        // The im2col gather buffers come from the arena when one is
-        // threaded through — checked out per row block, returned after
-        // the tile, zeroed either way.
-        let mut scratch = arena.map_or_else(ConvScratch::default, BatchArena::scratch);
+        // The im2col gather buffers are checked out of the arena per row
+        // block (zeroed) and returned after the tile.
+        let mut scratch = arena.scratch();
         scratch.prepare(n_patches, geo.patch_len);
         let ConvScratch { patches, keys } = &mut scratch;
         let kpg = geo.kernels_per_group;
 
-        for g in 0..self.groups {
+        for (g, handle) in prepared.iter().enumerate() {
             for (b, input) in inputs.iter().enumerate() {
                 for (by, oy) in rows.clone().enumerate() {
                     for ox in 0..geo.w_out {
@@ -616,32 +546,19 @@ impl QConv2d {
                     }
                 }
             }
-            let accs = match prepared {
-                Some(ps) => engine.vdp_batch_prepared(patches, &ps[g], keys),
-                None => {
-                    let wslice = &self.weights.as_slice()
-                        [g * kpg * geo.patch_len..(g + 1) * kpg * geo.patch_len];
-                    engine.vdp_batch(
-                        patches,
-                        &WeightMatrix::new(wslice, kpg, geo.patch_len),
-                        keys,
-                    )
-                }
-            };
+            let accs = engine.vdp_batch_prepared(patches, handle, keys);
             for b in 0..inputs.len() {
                 for li in 0..n_local {
                     let pi = b * n_local + li;
                     for kg in 0..kpg {
                         let k = g * kpg + kg;
                         let acc = accs[pi * kpg + kg] + self.bias[k];
-                        slab[(b * geo.l + k) * n_local + li] = convert(acc, &self.requant);
+                        slab[(b * geo.l + k) * n_local + li] = convert(&self.requant, acc);
                     }
                 }
             }
         }
-        if let Some(arena) = arena {
-            arena.release_scratch(scratch);
-        }
+        arena.release_scratch(scratch);
         slab
     }
 }
@@ -695,10 +612,21 @@ pub struct MaxPool2d {
 
 impl MaxPool2d {
     /// Runs the pooling.
+    ///
+    /// # Panics
+    /// Panics if the input is not rank 3, the stride is zero, or the
+    /// window does not fit the padded input.
     pub fn forward(&self, input: &Tensor<u32>) -> Tensor<u32> {
         let [d, h, w] = *input.dims() else {
             panic!("pool input must be rank 3, got {:?}", input.dims());
         };
+        assert!(self.stride > 0, "pool stride must be positive");
+        assert!(
+            h + 2 * self.padding >= self.kernel && w + 2 * self.padding >= self.kernel,
+            "pool window {} does not fit input {h}x{w} with padding {}",
+            self.kernel,
+            self.padding
+        );
         let h_out = (h + 2 * self.padding - self.kernel) / self.stride + 1;
         let w_out = (w + 2 * self.padding - self.kernel) / self.stride + 1;
         let mut out = Tensor::<u32>::zeros(&[d, h_out, w_out]);
@@ -774,25 +702,23 @@ impl QFc {
         name_key(&self.name)
     }
 
-    /// Computes real-valued logits.
+    /// Computes real-valued logits for one image under
+    /// [`QFc::layer_key`]: the weights are prepared on the fly and the
+    /// image runs as a batch of one through [`QFc::forward_logits_batch`].
     ///
     /// # Panics
     /// Panics if the input length does not match the weight matrix.
     pub fn forward_logits(&self, input: &Tensor<u32>, engine: &dyn VdpEngine) -> Vec<f32> {
-        self.forward_logits_keyed(input, engine, self.layer_key())
-    }
-
-    /// [`QFc::forward_logits`] with an explicit noise base key: the whole
-    /// classifier is one 1 × `out_features` `vdp_batch` tile.
-    pub fn forward_logits_keyed(
-        &self,
-        input: &Tensor<u32>,
-        engine: &dyn VdpEngine,
-        base_key: u64,
-    ) -> Vec<f32> {
-        self.forward_logits_batch_keyed(&[input], engine, None, &[base_key])
-            .pop()
-            .expect("invariant: forward_logits_batch_keyed yields one row per input")
+        let prepared = self.prepare(engine);
+        self.forward_logits_batch(
+            &[input],
+            engine,
+            &prepared,
+            &[self.layer_key()],
+            &BatchArena::new(),
+        )
+        .pop()
+        .expect("invariant: forward_logits_batch yields one row per input")
     }
 
     /// A lower-weight-precision copy of the classifier: weight codes are
@@ -814,52 +740,65 @@ impl QFc {
     /// Transforms the classifier weights into `engine`'s
     /// weight-stationary [`PreparedWeights`] form, once at model load.
     pub fn prepare(&self, engine: &dyn VdpEngine) -> PreparedWeights {
-        let [out_f, in_f] = *self.weights.dims() else {
-            panic!("fc weights must be rank 2, got {:?}", self.weights.dims());
-        };
+        let (out_f, in_f) = self.shape();
         engine.prepare_weights(&WeightMatrix::new(self.weights.as_slice(), out_f, in_f))
     }
 
-    /// Computes logits for a whole serving batch in one
-    /// `feature × class` tile: image `b`'s accumulators are keyed from
-    /// `base_keys[b]`, so the stacked result is bit-identical to calling
-    /// [`QFc::forward_logits_keyed`] per image. Passing a handle from
-    /// [`QFc::prepare`] additionally makes the tile weight-stationary.
+    /// The classifier forward: logits for a whole serving batch in one
+    /// weight-stationary `feature × class` tile against a handle from
+    /// [`QFc::prepare`], built in `arena` scratch. Image `b`'s
+    /// accumulators are keyed from `base_keys[b]`, so each row is
+    /// bit-identical to [`QFc::forward_logits_reference`] under that key.
     ///
     /// # Panics
     /// Panics on input-length or key-count mismatch.
-    pub fn forward_logits_batch_keyed(
+    pub fn forward_logits_batch(
         &self,
         inputs: &[&Tensor<u32>],
         engine: &dyn VdpEngine,
-        prepared: Option<&PreparedWeights>,
-        base_keys: &[u64],
-    ) -> Vec<Vec<f32>> {
-        self.forward_logits_batch_core(inputs, engine, prepared, base_keys, None)
-    }
-
-    /// [`QFc::forward_logits_batch_keyed`] with the feature tile built in
-    /// arena-reused scratch — bit-identical, allocation-free in steady
-    /// state.
-    pub fn forward_logits_batch_keyed_in(
-        &self,
-        inputs: &[&Tensor<u32>],
-        engine: &dyn VdpEngine,
-        prepared: Option<&PreparedWeights>,
+        prepared: &PreparedWeights,
         base_keys: &[u64],
         arena: &BatchArena,
     ) -> Vec<Vec<f32>> {
-        self.forward_logits_batch_core(inputs, engine, prepared, base_keys, Some(arena))
+        let (out_f, in_f) = self.shape();
+        assert_eq!(base_keys.len(), inputs.len(), "one base key per image");
+        let mut scratch = arena.scratch();
+        scratch.prepare(inputs.len(), in_f);
+        for (b, input) in inputs.iter().enumerate() {
+            assert_eq!(input.len(), in_f, "{}: input length mismatch", self.name);
+            scratch.patches.row_mut(b).copy_from_slice(input.as_slice());
+        }
+        let accs = engine.vdp_batch_prepared(&scratch.patches, prepared, base_keys);
+        arena.release_scratch(scratch);
+        accs.chunks(out_f).map(|row| self.dequantize(row)).collect()
     }
 
-    fn forward_logits_batch_core(
+    /// The per-output oracle: one [`VdpEngine::vdp_keyed`] call per class
+    /// under the same noise keys as [`QFc::forward_logits_batch`] with
+    /// `base_key`.
+    ///
+    /// # Panics
+    /// Panics if the input length does not match the weight matrix.
+    pub fn forward_logits_reference(
         &self,
-        inputs: &[&Tensor<u32>],
+        input: &Tensor<u32>,
         engine: &dyn VdpEngine,
-        prepared: Option<&PreparedWeights>,
-        base_keys: &[u64],
-        arena: Option<&BatchArena>,
-    ) -> Vec<Vec<f32>> {
+        base_key: u64,
+    ) -> Vec<f32> {
+        let (_, in_f) = self.shape();
+        assert_eq!(input.len(), in_f, "{}: input length mismatch", self.name);
+        let rows = self.weights.as_slice().chunks(in_f);
+        let accs: Vec<f64> = rows
+            .enumerate()
+            .map(|(o, wrow)| {
+                engine.vdp_keyed(input.as_slice(), wrow, combine_keys(base_key, o as u64))
+            })
+            .collect();
+        self.dequantize(&accs)
+    }
+
+    /// `(out_features, in_features)`, with the bias checked against them.
+    fn shape(&self) -> (usize, usize) {
         let [out_f, in_f] = *self.weights.dims() else {
             panic!("fc weights must be rank 2, got {:?}", self.weights.dims());
         };
@@ -869,30 +808,14 @@ impl QFc {
             "{}: bias length mismatch",
             self.name
         );
-        assert_eq!(base_keys.len(), inputs.len(), "one base key per image");
-        let mut scratch = arena.map_or_else(ConvScratch::default, BatchArena::scratch);
-        scratch.prepare(inputs.len(), in_f);
-        for (b, input) in inputs.iter().enumerate() {
-            assert_eq!(input.len(), in_f, "{}: input length mismatch", self.name);
-            scratch.patches.row_mut(b).copy_from_slice(input.as_slice());
-        }
-        let accs = match prepared {
-            Some(p) => engine.vdp_batch_prepared(&scratch.patches, p, base_keys),
-            None => {
-                let wm = WeightMatrix::new(self.weights.as_slice(), out_f, in_f);
-                engine.vdp_batch(&scratch.patches, &wm, base_keys)
-            }
-        };
-        if let Some(arena) = arena {
-            arena.release_scratch(scratch);
-        }
-        accs.chunks(out_f)
-            .map(|row| {
-                row.iter()
-                    .zip(&self.bias)
-                    .map(|(&acc, &b)| acc as f32 * self.dequant + b)
-                    .collect()
-            })
+        (out_f, in_f)
+    }
+
+    /// One image's accumulators → real-valued logits.
+    fn dequantize(&self, accs: &[f64]) -> Vec<f32> {
+        accs.iter()
+            .zip(&self.bias)
+            .map(|(&acc, &b)| acc as f32 * self.dequant + b)
             .collect()
     }
 }
@@ -1114,6 +1037,8 @@ mod tests {
         assert!((logits[0] + 1.5).abs() < 1e-6);
         assert!((logits[1] - 11.0).abs() < 1e-6);
         assert_eq!(argmax(&logits), 1);
+        let reference = fc.forward_logits_reference(&input, &ExactEngine, fc.layer_key());
+        assert_eq!(reference, logits);
     }
 
     #[test]
@@ -1135,7 +1060,7 @@ mod tests {
             requant: unit_requant(),
         };
         let prepared = conv.prepare(&ExactEngine);
-        let out = conv.forward_batch_keyed(&[], &ExactEngine, Some(&prepared), &[], 4);
+        let out = conv.forward_batch(&[], &ExactEngine, &prepared, &[], 4, &BatchArena::new());
         assert!(out.is_empty());
     }
 
@@ -1154,7 +1079,7 @@ mod tests {
         };
         let input = Tensor::<u32>::from_fn(&[4, 7, 7], |i| (i % 256) as u32);
         let batched = conv.forward(&input, &ExactEngine);
-        let reference = conv.forward_reference(&input, &ExactEngine);
+        let reference = conv.forward_reference(&input, &ExactEngine, conv.layer_key());
         assert_eq!(batched.as_slice(), reference.as_slice());
     }
 
@@ -1170,11 +1095,20 @@ mod tests {
             requant: unit_requant(),
         };
         let input = Tensor::<u32>::from_fn(&[2, 11, 9], |i| (i % 200) as u32);
-        let key = conv.layer_key();
-        let baseline = conv.forward_keyed(&input, &ExactEngine, key, 1);
+        let (key, prepared) = (conv.layer_key(), conv.prepare(&ExactEngine));
+        let arena = BatchArena::new();
+        let run = |workers| {
+            conv.forward_batch(&[&input], &ExactEngine, &prepared, &[key], workers, &arena)
+                .pop()
+                .expect("one output")
+        };
+        let baseline = run(1);
         for workers in [2usize, 3, 8] {
-            let run = conv.forward_keyed(&input, &ExactEngine, key, workers);
-            assert_eq!(baseline.as_slice(), run.as_slice(), "{workers} workers");
+            assert_eq!(
+                baseline.as_slice(),
+                run(workers).as_slice(),
+                "{workers} workers"
+            );
         }
     }
 
@@ -1208,5 +1142,42 @@ mod tests {
         };
         let input = Tensor::<u32>::zeros(&[3, 2, 2]);
         let _ = conv.forward(&input, &ExactEngine);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv stride must be positive")]
+    fn conv_zero_stride_panics() {
+        let conv = QConv2d {
+            name: "s0".into(),
+            weights: Tensor::from_vec(&[1, 1, 1, 1], vec![1]),
+            bias: vec![0.0],
+            stride: 0,
+            padding: 0,
+            groups: 1,
+            requant: unit_requant(),
+        };
+        let _ = conv.output_hw(4, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "pool stride must be positive")]
+    fn maxpool_zero_stride_panics() {
+        let pool = MaxPool2d {
+            kernel: 2,
+            stride: 0,
+            padding: 0,
+        };
+        let _ = pool.forward(&Tensor::<u32>::zeros(&[1, 4, 4]));
+    }
+
+    #[test]
+    #[should_panic(expected = "pool window 5 does not fit input 2x2")]
+    fn maxpool_window_larger_than_padded_input_panics() {
+        let pool = MaxPool2d {
+            kernel: 5,
+            stride: 1,
+            padding: 1,
+        };
+        let _ = pool.forward(&Tensor::<u32>::zeros(&[1, 2, 2]));
     }
 }

@@ -1,13 +1,20 @@
 //! Quantized network container: an ordered stack of quantized layers that
 //! runs end-to-end on any [`VdpEngine`].
 //!
-//! [`QuantizedNetwork`] holds the weights; [`PreparedNetwork`] binds the
-//! network to one engine and transforms every layer's weights into that
-//! engine's weight-stationary [`crate::engine::PreparedWeights`] form
-//! **once at model load**. All heavy entry points (accuracy evaluation,
-//! serving instances) run through the prepared form; results are
-//! bit-identical to the unprepared paths by the `vdp_batch_prepared`
-//! contract.
+//! A network has exactly two forwards, one fast and one oracle:
+//!
+//! * **Fast** — [`PreparedNetwork`] binds the network to one engine and
+//!   transforms every layer's weights into that engine's weight-stationary
+//!   [`crate::engine::PreparedWeights`] form **once at model load**;
+//!   [`PreparedNetwork::forward_batch`] then runs whole batches through
+//!   stacked, arena-backed tiles ([`QConv2d::forward_batch`],
+//!   [`QFc::forward_logits_batch`]). Accuracy evaluation and serving
+//!   instances run this path.
+//! * **Oracle** — [`QuantizedNetwork::forward_keyed`] walks the per-pair
+//!   references ([`QConv2d::forward_reference`],
+//!   [`QFc::forward_logits_reference`]): one
+//!   [`VdpEngine::vdp_keyed`] call per accumulator under the same keys.
+//!   The fast path is property-tested bit-identical against it.
 
 use crate::arena::BatchArena;
 use crate::engine::{combine_keys, PreparedWeights, VdpEngine};
@@ -40,7 +47,8 @@ pub struct QuantizedNetwork {
 
 impl QuantizedNetwork {
     /// Runs a real-valued image through the network on the given engine
-    /// and returns the class logits.
+    /// and returns the class logits ([`QuantizedNetwork::forward_keyed`]
+    /// under image key 0).
     ///
     /// # Panics
     /// Panics if the network does not end in an FC layer or an FC layer
@@ -49,12 +57,13 @@ impl QuantizedNetwork {
         self.forward_keyed(image, engine, 0)
     }
 
-    /// [`QuantizedNetwork::forward`] with an **image key** mixed into
-    /// every layer's noise key: distinct keys give stochastic engines
-    /// statistically independent noise per image, while the result stays
-    /// a pure function of `(image, key)` — the property that lets
-    /// accuracy evaluation parallelize over images without losing
-    /// reproducibility.
+    /// The network oracle: runs one image through the per-pair layer
+    /// references with an **image key** mixed into every layer's noise
+    /// key. Distinct keys give stochastic engines statistically
+    /// independent noise per image, while the result stays a pure
+    /// function of `(image, key)`. [`PreparedNetwork::forward_batch`]
+    /// reproduces it bit for bit at any batch composition and worker
+    /// count.
     pub fn forward_keyed(
         &self,
         image: &Tensor<f32>,
@@ -62,30 +71,32 @@ impl QuantizedNetwork {
         image_key: u64,
     ) -> Vec<f32> {
         let mut act: Tensor<u32> = self.input_quant.quantize_tensor(image);
-        let last = self.layers.len() - 1;
+        let last = self.last_index();
         for (i, layer) in self.layers.iter().enumerate() {
             match layer {
                 QLayer::Conv(conv) => {
-                    act = conv.forward_keyed(
-                        &act,
-                        engine,
-                        combine_keys(image_key, conv.layer_key()),
-                        1,
-                    );
+                    let key = combine_keys(image_key, conv.layer_key());
+                    act = conv.forward_reference(&act, engine, key);
                 }
                 QLayer::MaxPool(pool) => act = pool.forward(&act),
                 QLayer::GlobalAvgPool => act = GlobalAvgPool.forward(&act),
                 QLayer::Fc(fc) => {
                     assert_eq!(i, last, "FC must be the final layer");
-                    return fc.forward_logits_keyed(
-                        &act,
-                        engine,
-                        combine_keys(image_key, fc.layer_key()),
-                    );
+                    let key = combine_keys(image_key, fc.layer_key());
+                    return fc.forward_logits_reference(&act, engine, key);
                 }
             }
         }
         panic!("network must end in an FC classifier");
+    }
+
+    /// Index of the final layer, where the FC classifier must sit.
+    fn last_index(&self) -> usize {
+        assert!(
+            !self.layers.is_empty(),
+            "network has no layers: it must end in an FC classifier"
+        );
+        self.layers.len() - 1
     }
 
     /// Predicted class for an image.
@@ -266,12 +277,13 @@ enum PreparedLayer {
 /// loading a model onto an accelerator instance: DKV/LUT conversion and
 /// narrow-form derivation happen once, then every request reuses them.
 ///
-/// All forwards are bit-identical to the unprepared
-/// [`QuantizedNetwork`] paths under the same keys (the
-/// `vdp_batch_prepared` contract), so preparation is purely a wall-time
-/// optimization — property-tested in `tests/batch_parity.rs`.
+/// Its batched forward is bit-identical to the
+/// [`QuantizedNetwork::forward_keyed`] oracle under the same keys, so
+/// preparation is purely a wall-time optimization — property-tested in
+/// `tests/batch_parity.rs`.
 ///
 /// ```
+/// use sconna_tensor::arena::BatchArena;
 /// use sconna_tensor::engine::ExactEngine;
 /// # use sconna_tensor::network::{QLayer, QuantizedNetwork};
 /// # use sconna_tensor::layers::QFc;
@@ -287,10 +299,11 @@ enum PreparedLayer {
 /// #     })],
 /// # };
 /// let engine = ExactEngine;
-/// let prepared = net.prepare(&engine);            // once, at model load
+/// let prepared = net.prepare(&engine); // once, at model load
+/// let arena = BatchArena::new();       // once per serving instance
 /// let image = Tensor::from_fn(&[1, 4, 4], |_| 0.5);
-/// let logits = prepared.forward_keyed(&image, 7); // per request
-/// assert_eq!(logits, net.forward_keyed(&image, &engine, 7));
+/// let logits = prepared.forward_batch(&[&image], &[7], 1, &arena); // per batch
+/// assert_eq!(logits[0], net.forward_keyed(&image, &engine, 7)); // the oracle
 /// ```
 pub struct PreparedNetwork<'a> {
     net: &'a QuantizedNetwork,
@@ -327,46 +340,25 @@ impl<'a> PreparedNetwork<'a> {
         self.engine
     }
 
-    /// [`QuantizedNetwork::forward_keyed`] through the prepared handles —
-    /// bit-identical logits, no per-call weight derivation.
-    pub fn forward_keyed(&self, image: &Tensor<f32>, image_key: u64) -> Vec<f32> {
-        self.forward_batch(&[image], &[image_key], 1)
-            .pop()
-            .expect("invariant: forward_batch yields one logit row per image")
-    }
-
     /// Runs a whole serving batch through the network with **stacked
     /// tiles**: at every multiplying layer, the im2col patches (or
     /// feature vectors) of all images share one batched-VDP tile, so each
     /// layer's prepared weights are fetched once per row block for the
     /// entire batch. Image `b` runs under `image_keys[b]`; the result is
-    /// bit-identical to per-image [`PreparedNetwork::forward_keyed`]
-    /// calls for any batch composition and any `workers` count.
+    /// bit-identical to the [`QuantizedNetwork::forward_keyed`] oracle for
+    /// any batch composition and any `workers` count.
+    ///
+    /// Every im2col scratch tile and activation tensor is drawn from
+    /// `arena`, and each layer's inputs are recycled as soon as the layer
+    /// completes (recycled buffers are re-zeroed; noise keys are pure
+    /// coordinate functions): in steady state a serving instance that
+    /// keeps one arena runs whole batches without touching the allocator.
+    /// Callers with no long-lived arena pass `&BatchArena::new()`.
     ///
     /// # Panics
     /// Panics if `image_keys` is not one key per image, the images
     /// disagree in shape, or the network does not end in its FC layer.
     pub fn forward_batch(
-        &self,
-        images: &[&Tensor<f32>],
-        image_keys: &[u64],
-        workers: usize,
-    ) -> Vec<Vec<f32>> {
-        // A call-local arena still amortizes buffers across the layer
-        // walk and row blocks; long-lived callers (serving instances)
-        // thread their own through `forward_batch_in` for cross-call
-        // reuse.
-        self.forward_batch_in(images, image_keys, workers, &BatchArena::new())
-    }
-
-    /// [`PreparedNetwork::forward_batch`] drawing every im2col scratch
-    /// tile and activation tensor from `arena`, with each layer's inputs
-    /// recycled as soon as the layer completes. Bit-identical to the
-    /// allocating path (recycled buffers are re-zeroed; noise keys are
-    /// pure coordinate functions — property-tested in
-    /// `tests/batch_parity.rs`): in steady state a serving instance runs
-    /// whole batches without touching the allocator.
-    pub fn forward_batch_in(
         &self,
         images: &[&Tensor<f32>],
         image_keys: &[u64],
@@ -388,7 +380,7 @@ impl<'a> PreparedNetwork<'a> {
                 arena.recycle(old);
             }
         };
-        let last = self.net.layers.len() - 1;
+        let last = self.net.last_index();
         for (i, (layer, prep)) in self.net.layers.iter().zip(&self.layers).enumerate() {
             match (layer, prep) {
                 (QLayer::Conv(conv), PreparedLayer::Conv(handles)) => {
@@ -397,14 +389,8 @@ impl<'a> PreparedNetwork<'a> {
                         .map(|&k| combine_keys(k, conv.layer_key()))
                         .collect();
                     let refs: Vec<&Tensor<u32>> = acts.iter().collect();
-                    let next = conv.forward_batch_keyed_in(
-                        &refs,
-                        self.engine,
-                        Some(handles),
-                        &base_keys,
-                        workers,
-                        arena,
-                    );
+                    let next =
+                        conv.forward_batch(&refs, self.engine, handles, &base_keys, workers, arena);
                     swap(&mut acts, next);
                 }
                 (QLayer::MaxPool(pool), _) => {
@@ -422,13 +408,8 @@ impl<'a> PreparedNetwork<'a> {
                         .map(|&k| combine_keys(k, fc.layer_key()))
                         .collect();
                     let refs: Vec<&Tensor<u32>> = acts.iter().collect();
-                    let logits = fc.forward_logits_batch_keyed_in(
-                        &refs,
-                        self.engine,
-                        Some(handle),
-                        &base_keys,
-                        arena,
-                    );
+                    let logits =
+                        fc.forward_logits_batch(&refs, self.engine, handle, &base_keys, arena);
                     swap(&mut acts, Vec::new());
                     return logits;
                 }
@@ -439,27 +420,16 @@ impl<'a> PreparedNetwork<'a> {
     }
 
     /// Predicted classes for a whole batch (argmax of
-    /// [`PreparedNetwork::forward_batch`]).
+    /// [`PreparedNetwork::forward_batch`]) — the steady-state call of a
+    /// long-lived serving instance.
     pub fn predict_batch(
-        &self,
-        images: &[&Tensor<f32>],
-        image_keys: &[u64],
-        workers: usize,
-    ) -> Vec<usize> {
-        self.predict_batch_in(images, image_keys, workers, &BatchArena::new())
-    }
-
-    /// [`PreparedNetwork::predict_batch`] drawing its scratch from
-    /// `arena` ([`PreparedNetwork::forward_batch_in`]) — the steady-state
-    /// call of a long-lived serving instance.
-    pub fn predict_batch_in(
         &self,
         images: &[&Tensor<f32>],
         image_keys: &[u64],
         workers: usize,
         arena: &BatchArena,
     ) -> Vec<usize> {
-        self.forward_batch_in(images, image_keys, workers, arena)
+        self.forward_batch(images, image_keys, workers, arena)
             .iter()
             .map(|logits| crate::layers::argmax(logits))
             .collect()
@@ -478,7 +448,10 @@ impl<'a> PreparedNetwork<'a> {
         }
         let hits = parallel_map_with((0..samples.len()).collect(), workers, |i: usize| {
             let s = &samples[i];
-            let logits = self.forward_keyed(&s.image, i as u64);
+            let logits = self
+                .forward_batch(&[&s.image], &[i as u64], 1, &BatchArena::new())
+                .pop()
+                .expect("invariant: forward_batch yields one logit row per image");
             let top1 = crate::layers::argmax(&logits) == s.label;
             let topk = crate::layers::top_k(&logits, k).contains(&s.label);
             (top1, topk)
@@ -568,13 +541,15 @@ mod tests {
 
     #[test]
     fn prepared_forward_matches_unprepared() {
+        // The prepared tile path against the per-pair oracle.
         let net = tiny_network();
         let prepared = net.prepare(&ExactEngine);
+        let arena = BatchArena::new();
         for key in [0u64, 7, 9999] {
             let image = Tensor::from_fn(&[1, 4, 4], |i| ((i as u64 * 13 + key) % 16) as f32 / 16.0);
             assert_eq!(
-                prepared.forward_keyed(&image, key),
-                net.forward_keyed(&image, &ExactEngine, key)
+                prepared.forward_batch(&[&image], &[key], 1, &arena),
+                vec![net.forward_keyed(&image, &ExactEngine, key)]
             );
         }
     }
@@ -590,22 +565,24 @@ mod tests {
             .collect();
         let refs: Vec<&Tensor<f32>> = images.iter().collect();
         let keys: Vec<u64> = (0..5u64).map(|b| b * 1000 + 3).collect();
+        let arena = BatchArena::new();
         let singles: Vec<Vec<f32>> = refs
             .iter()
             .zip(&keys)
-            .map(|(im, &k)| prepared.forward_keyed(im, k))
+            .flat_map(|(im, &k)| prepared.forward_batch(&[im], &[k], 1, &arena))
             .collect();
         for workers in [1usize, 2, 8] {
             assert_eq!(
-                prepared.forward_batch(&refs, &keys, workers),
+                prepared.forward_batch(&refs, &keys, workers, &arena),
                 singles,
                 "{workers} workers"
             );
         }
         // Predictions come straight off the batch logits.
-        let preds = prepared.predict_batch(&refs, &keys, 2);
+        let preds = prepared.predict_batch(&refs, &keys, 2, &arena);
         assert_eq!(preds.len(), 5);
-        assert_eq!(prepared.forward_batch(&[], &[], 1), Vec::<Vec<f32>>::new());
+        let empty = prepared.forward_batch(&[], &[], 1, &arena);
+        assert_eq!(empty, Vec::<Vec<f32>>::new());
     }
 
     #[test]
@@ -724,5 +701,28 @@ mod tests {
         for workers in [2usize, 4, 8] {
             assert_eq!(net.evaluate(&samples, 2, &ExactEngine, workers), baseline);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "network has no layers")]
+    fn empty_network_panics_with_a_message() {
+        let net = QuantizedNetwork {
+            layers: Vec::new(),
+            ..tiny_network()
+        };
+        let _ = net.forward(&Tensor::from_fn(&[1, 4, 4], |_| 0.5), &ExactEngine);
+    }
+
+    #[test]
+    #[should_panic(expected = "network has no layers")]
+    fn empty_prepared_network_panics_with_a_message() {
+        let net = QuantizedNetwork {
+            layers: Vec::new(),
+            ..tiny_network()
+        };
+        let image = Tensor::from_fn(&[1, 4, 4], |_| 0.5);
+        let _ = net
+            .prepare(&ExactEngine)
+            .forward_batch(&[&image], &[0], 1, &BatchArena::new());
     }
 }

@@ -270,7 +270,20 @@ fn step_vec(param: &mut [f32], grad: &[f32], lr: f32) {
     }
 }
 
-/// The quantized residual model.
+/// The quantized residual model: a short composition of single-image
+/// layer calls ([`QConv2d::forward`], [`QConv2d::forward_preactivation`],
+/// [`QFc::forward_logits`]).
+///
+/// **Shared noise across images.** Every layer runs under its layer key
+/// alone — no image key is mixed in — so on a stochastic engine every
+/// test image sees the *same* ADC noise draw at each accumulator
+/// position, and an accuracy run measures one noise realization rather
+/// than an average over independent draws. That fits the `table5`
+/// capacity trend: the residual drop swings from 4.25 pp at seed 7 to
+/// 24.75 pp at seed 21, and its mean (10.58 pp) is worse than the plain
+/// CNN's (8.25 pp), against the paper's trend. Keying each image (as
+/// [`crate::network::QuantizedNetwork::evaluate`] does) would change the
+/// `table5` output, so it is an open ROADMAP item rather than done here.
 #[derive(Debug, Clone)]
 pub struct QuantizedSmallResNet {
     /// Input quantizer.

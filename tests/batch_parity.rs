@@ -2,9 +2,10 @@
 //! the im2col patch gather, and block-parallel conv forward must all be
 //! bit-identical to their single-vector / per-pixel references — for the
 //! exact engine, the noiseless stochastic engine, and the noisy engine
-//! with keyed ADC error. The weight-stationary extensions obey the same
-//! bar: `PreparedWeights` tiles and whole-batch stacked tiles must be
-//! bit-equal to the unprepared per-request paths.
+//! with keyed ADC error. The prepared, arena-backed forward obeys the
+//! same bar: `PreparedWeights` tiles and whole-batch stacked tiles must be
+//! bit-equal to the per-pair `vdp_keyed` oracle, layer by layer and for
+//! whole networks.
 
 use proptest::prelude::*;
 use sconna::accel::SconnaEngine;
@@ -161,20 +162,23 @@ proptest! {
         } else {
             Box::new(ExactEngine)
         };
-        let reference = conv.forward_reference(&input, engine.as_ref());
+        let key = conv.layer_key();
+        let reference = conv.forward_reference(&input, engine.as_ref(), key);
         let batched = conv.forward(&input, engine.as_ref());
         prop_assert_eq!(reference.as_slice(), batched.as_slice());
 
+        let prepared = conv.prepare(engine.as_ref());
         for workers in [2usize, 8] {
-            let parallel = conv.forward_keyed(&input, engine.as_ref(), conv.layer_key(), workers);
-            prop_assert_eq!(batched.as_slice(), parallel.as_slice(), "workers {}", workers);
+            let parallel = conv.forward_batch(
+                &[&input], engine.as_ref(), &prepared, &[key], workers, &BatchArena::new());
+            prop_assert_eq!(batched.as_slice(), parallel[0].as_slice(), "workers {}", workers);
         }
     }
 
     /// The weight-stationary serving path — prepared per-group handles +
     /// the im2col patches of a whole request batch stacked into one tile
-    /// — must be bit-equal to running each request through the plain
-    /// per-request `forward_keyed`, for every worker count, on random
+    /// — must be bit-equal to running each request through the per-pair
+    /// `forward_reference` oracle, for every worker count, on random
     /// conv geometries and batch compositions, with and without ADC
     /// noise.
     #[test]
@@ -214,33 +218,23 @@ proptest! {
         } else {
             Box::new(ExactEngine)
         };
-        // Per-request reference: plain unprepared single-image forwards.
+        // Per-request reference: the per-pair oracle under each image's key.
         let singles: Vec<Tensor<u32>> = images
             .iter()
             .zip(&base_keys)
-            .map(|(im, &bk)| conv.forward_keyed(im, engine.as_ref(), bk, 1))
+            .map(|(im, &bk)| conv.forward_reference(im, engine.as_ref(), bk))
             .collect();
-
-        let prepared = conv.prepare(engine.as_ref());
-        let refs: Vec<&Tensor<u32>> = images.iter().collect();
-        for workers in [1usize, 2, 8] {
-            let stacked = conv.forward_batch_keyed(&refs, engine.as_ref(), Some(&prepared), &base_keys, workers);
-            prop_assert_eq!(stacked.len(), singles.len());
-            for (b, (got, want)) in stacked.iter().zip(&singles).enumerate() {
-                prop_assert_eq!(got.as_slice(), want.as_slice(), "image {} workers {}", b, workers);
-            }
-        }
-        // Single-image prepared forward is the same contract at batch 1.
-        let one = conv.forward_prepared_keyed(&images[0], engine.as_ref(), &prepared, base_keys[0], 2);
-        prop_assert_eq!(one.as_slice(), singles[0].as_slice());
 
         // Arena-reused scratch is observationally pure: running the same
         // batch repeatedly through one (increasingly dirty) arena, at any
-        // worker count, must reproduce the allocating path bit-for-bit.
+        // worker count, must reproduce the oracle bit-for-bit.
+        let prepared = conv.prepare(engine.as_ref());
+        let refs: Vec<&Tensor<u32>> = images.iter().collect();
         let arena = BatchArena::new();
         for workers in [1usize, 2, 8] {
-            let pooled = conv.forward_batch_keyed_in(
-                &refs, engine.as_ref(), Some(&prepared), &base_keys, workers, &arena);
+            let pooled = conv.forward_batch(
+                &refs, engine.as_ref(), &prepared, &base_keys, workers, &arena);
+            prop_assert_eq!(pooled.len(), singles.len());
             for (b, (got, want)) in pooled.iter().zip(&singles).enumerate() {
                 prop_assert_eq!(got.as_slice(), want.as_slice(), "arena image {} workers {}", b, workers);
             }
@@ -249,12 +243,17 @@ proptest! {
                 arena.recycle(t);
             }
         }
+        // A batch of one is the same contract.
+        let one = conv.forward_batch(&refs[..1], engine.as_ref(), &prepared, &base_keys[..1], 2, &arena);
+        prop_assert_eq!(one[0].as_slice(), singles[0].as_slice());
     }
 
-    /// Whole-network arena threading: `forward_batch_in` through one
+    /// Whole-network arena threading: `forward_batch` through one
     /// long-lived arena (dirtied across calls, layers and images — the
-    /// serving-instance usage) is bit-identical to the allocating
-    /// `forward_batch`, logits compared exactly.
+    /// serving-instance usage) is bit-identical to the per-pair
+    /// `QuantizedNetwork::forward_keyed` oracle, logits compared exactly —
+    /// on the primary network and on its `degraded(4)` fallback tier run
+    /// by a B4 SCONNA engine with ADC (the overload fleet's shed path).
     #[test]
     fn prop_network_forward_batch_in_arena_is_bit_identical(
         n_images in 1usize..=3,
@@ -295,20 +294,45 @@ proptest! {
         } else {
             Box::new(ExactEngine)
         };
-        let prepared = net.prepare(engine.as_ref());
         let images: Vec<Tensor<f32>> = (0..n_images)
             .map(|b| Tensor::from_fn(&[1, 12, 12], |i| ((i as u64 * 13 + seed + b as u64 * 71) % 256) as f32 / 255.0))
             .collect();
-        let refs: Vec<&Tensor<f32>> = images.iter().collect();
         let keys: Vec<u64> = (0..n_images as u64).map(|b| seed.wrapping_add(b * 977)).collect();
 
-        let want = prepared.forward_batch(&refs, &keys, 1);
-        let arena = BatchArena::new();
-        for round in 0..3 {
-            for workers in [1usize, 2, 8] {
-                let got = prepared.forward_batch_in(&refs, &keys, workers, &arena);
-                prop_assert_eq!(&got, &want, "round {} workers {}", round, workers);
-            }
+        assert_network_matches_oracle(&net, engine.as_ref(), &images, &keys);
+        let fallback = SconnaEngine::new(Precision::new(4), 176, Some(AdcModel::sconna_default()), seed);
+        assert_network_matches_oracle(&net.degraded(4), &fallback, &images, &keys);
+    }
+}
+
+/// Runs `images` through one long-lived arena, three rounds at 1, 2 and 8
+/// workers, and requires every batch's logits to equal the per-image
+/// oracle exactly.
+fn assert_network_matches_oracle(
+    net: &sconna::tensor::network::QuantizedNetwork,
+    engine: &dyn VdpEngine,
+    images: &[Tensor<f32>],
+    keys: &[u64],
+) {
+    let want: Vec<Vec<f32>> = images
+        .iter()
+        .zip(keys)
+        .map(|(im, &k)| net.forward_keyed(im, engine, k))
+        .collect();
+    let prepared = net.prepare(engine);
+    let refs: Vec<&Tensor<f32>> = images.iter().collect();
+    let arena = BatchArena::new();
+    for round in 0..3 {
+        for workers in [1usize, 2, 8] {
+            let got = prepared.forward_batch(&refs, keys, workers, &arena);
+            assert_eq!(
+                &got,
+                &want,
+                "{} round {} workers {}",
+                engine.name(),
+                round,
+                workers
+            );
         }
     }
 }

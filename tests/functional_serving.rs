@@ -13,6 +13,7 @@ use sconna::accel::serve::{
 };
 use sconna::accel::{AcceleratorConfig, SconnaEngine};
 use sconna::sim::time::SimTime;
+use sconna::tensor::arena::BatchArena;
 use sconna::tensor::dataset::Sample;
 use sconna::tensor::engine::{ExactEngine, VdpEngine};
 use sconna::tensor::layers::{MaxPool2d, QConv2d, QFc};
@@ -73,8 +74,8 @@ fn tiny_workload(seed: u64, classes: usize) -> (QuantizedNetwork, Vec<Sample>) {
     (net, samples)
 }
 
-/// Offline reference: request `r`'s prediction from a plain (unprepared,
-/// unstacked) per-request forward under image key `r`.
+/// Offline reference: request `r`'s prediction from the per-pair network
+/// oracle under image key `r`.
 fn offline_predictions(
     net: &QuantizedNetwork,
     samples: &[Sample],
@@ -164,7 +165,7 @@ proptest! {
     }
 
     /// The prepared whole-network stacked forward is bit-equal to the
-    /// plain per-request forward for any batch composition and worker
+    /// per-pair network oracle for any batch composition and worker
     /// count — the network-level half of the serving guarantee.
     #[test]
     fn prop_prepared_network_batch_matches_per_request(
@@ -185,7 +186,7 @@ proptest! {
             .collect();
         let prepared = net.prepare(engine);
         for workers in [1usize, 2, 8] {
-            let stacked = prepared.forward_batch(&images, &keys, workers);
+            let stacked = prepared.forward_batch(&images, &keys, workers, &BatchArena::new());
             prop_assert_eq!(&stacked, &singles, "{} workers", workers);
         }
     }
