@@ -281,7 +281,7 @@ impl TenantSpec {
 }
 
 /// Why a [`ServingConfig`] cannot be simulated. Returned by
-/// [`ServingConfig::validate`] and the `Fleet::try_*` constructors;
+/// [`ServingConfig::validate`] and [`Fleet::try_new`](super::Fleet::try_new);
 /// the panicking constructors panic with this error's message, so the
 /// legacy panic texts are preserved verbatim.
 #[derive(Debug, Clone, PartialEq)]
@@ -315,6 +315,13 @@ pub enum ServingConfigError {
     /// The autoscale policy is internally inconsistent (bounds,
     /// interval or headroom).
     Autoscale(String),
+    /// The supervisor policy is degenerate (backoff, jitter, ladder
+    /// reset or crash-loop bounds).
+    Supervisor(String),
+    /// A retry policy allowing zero dispatch attempts per request.
+    ZeroMaxAttempts,
+    /// A retry policy hedging after a zero delay.
+    ZeroHedgeDelay,
     /// Autoscale `max` disagrees with the provisioned pool.
     AutoscalePoolMismatch {
         /// The policy's `max`.
@@ -403,7 +410,11 @@ impl std::fmt::Display for ServingConfigError {
             Self::NonPositiveRate { rate_fps } => {
                 write!(f, "Poisson rate must be positive (got {rate_fps})")
             }
-            Self::Autoscale(msg) => write!(f, "{msg}"),
+            Self::Autoscale(msg) | Self::Supervisor(msg) => write!(f, "{msg}"),
+            Self::ZeroMaxAttempts => {
+                write!(f, "a request needs at least one dispatch attempt")
+            }
+            Self::ZeroHedgeDelay => write!(f, "hedge delay must be positive"),
             Self::AutoscalePoolMismatch { max, instances } => write!(
                 f,
                 "autoscale max ({max}) must equal the provisioned instance pool ({instances})"
@@ -602,6 +613,17 @@ impl ServingConfig {
                     instances: self.instances,
                 });
             }
+        }
+        if let Some(policy) = self.supervisor {
+            policy
+                .try_validate()
+                .map_err(ServingConfigError::Supervisor)?;
+        }
+        if self.retry.max_attempts == Some(0) {
+            return Err(ServingConfigError::ZeroMaxAttempts);
+        }
+        if self.retry.hedge_after == Some(SimTime::ZERO) {
+            return Err(ServingConfigError::ZeroHedgeDelay);
         }
         if self.tenants.is_empty() {
             validate_arrivals(&self.arrivals, self.requests)?;
@@ -919,6 +941,33 @@ mod tests {
                 "{err} should contain {needle:?}"
             );
         }
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_attempt_retry_literal() {
+        // The literal skips `with_max_attempts`' assert; validation
+        // catches it instead of serving with no dispatch ceiling.
+        let cfg = base().with_retry(RetryPolicy {
+            max_attempts: Some(0),
+            ..RetryPolicy::default()
+        });
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(err, ServingConfigError::ZeroMaxAttempts);
+        assert_eq!(
+            err.to_string(),
+            "a request needs at least one dispatch attempt"
+        );
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_hedge_delay_literal() {
+        let cfg = base().with_retry(RetryPolicy {
+            hedge_after: Some(SimTime::ZERO),
+            ..RetryPolicy::default()
+        });
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(err, ServingConfigError::ZeroHedgeDelay);
+        assert_eq!(err.to_string(), "hedge delay must be positive");
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! by [`Fleet::into_report`] reproduces the wrapper behavior
 //! bit-identically (pinned in `tests/scenarios.rs`).
 //!
+//! The event loop runs the analytic timing model only; it never executes
+//! a network. A functional fleet ([`Fleet::try_new`] with workloads)
+//! computes its predictions at report time:
+//! [`Fleet::into_functional_report`] projects the settled outcomes onto
+//! one prepared network per (model, tier) in use.
+//!
 //! On top of the steppable core sits fault injection
 //! ([`Fleet::with_faults`]): a [`FaultPlan`](super::FaultPlan) of timed
 //! kill / restart / stall events scheduled on the same event queue as the
@@ -72,22 +78,22 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The functional side of a serving experiment: the quantized model the
-/// instances actually execute, the labelled request population, and the
-/// VDP engine backing every instance.
+/// fleet's responses are computed on, the labelled request population,
+/// and the VDP engine behind it.
 ///
 /// Request `r` is drawn round-robin from `samples`
 /// (`samples[r % samples.len()]`) and runs under image noise key `r`, so
-/// the prediction set is a pure function of this workload — independent
-/// of fleet size, batch packing, arrival process and `workers`. That
-/// purity is also what makes fault injection safe functionally: a batch
-/// aborted by a kill and re-executed later reproduces the same
-/// predictions bit-for-bit.
+/// each response's prediction is a pure function of this workload, its
+/// tier and `r` — independent of fleet size, batch packing, arrival
+/// process, kills, hedges and `workers`. That purity is why the event
+/// loop never runs the network: [`Fleet::into_functional_report`]
+/// derives every prediction from the settled outcomes.
 pub struct FunctionalWorkload<'a> {
-    /// The quantized network every instance loads.
+    /// The quantized network full-fidelity responses are computed on.
     pub net: &'a QuantizedNetwork,
-    /// Low-precision fallback network degraded batches execute on;
-    /// required when the admission policy is [`AdmissionPolicy::Degrade`]
-    /// (typically `net.degraded(fallback_bits)`).
+    /// Low-precision fallback network degraded responses are computed
+    /// on; required when the admission policy is
+    /// [`AdmissionPolicy::Degrade`] (typically `net.degraded(fallback_bits)`).
     pub fallback: Option<&'a QuantizedNetwork>,
     /// Engine the fallback network runs on — typically the same
     /// organization at `Precision::new(fallback_bits)`, whose shorter
@@ -96,141 +102,12 @@ pub struct FunctionalWorkload<'a> {
     pub fallback_engine: Option<&'a dyn VdpEngine>,
     /// Labelled request population (round-robin by request id).
     pub samples: &'a [Sample],
-    /// Engine each instance's prepared model executes on.
+    /// Engine the prepared primary network executes on.
     pub engine: &'a dyn VdpEngine,
-    /// Worker threads for the row-block parallelism inside one instance's
-    /// batch execution. Results are worker-count invariant; this only
-    /// changes host wall time.
+    /// Worker threads for the row-block parallelism inside one batch
+    /// forward. Results are worker-count invariant; this only changes
+    /// host wall time.
     pub workers: usize,
-}
-
-/// Per-instance functional execution state: each instance owns a
-/// **co-resident** prepared (weight-stationary) copy of every model of
-/// the fleet — and, under [`AdmissionPolicy::Degrade`], of each
-/// fallback model — loaded once at fleet bring-up, plus the
-/// request-id-indexed prediction ledger. A single-model fleet (every
-/// legacy entry point) holds exactly one prepared copy per instance,
-/// as before; a multi-tenant fleet keeps one per model so a swap costs
-/// only the analytic [`model_swap_time`], never a functional rebuild.
-struct FunctionalExec<'a> {
-    /// One workload per model index, parallel to the fleet's model
-    /// slice.
-    workloads: Vec<&'a FunctionalWorkload<'a>>,
-    /// Engine-backed prepared models, `[instance][model]`.
-    nets: Vec<Vec<PreparedNetwork<'a>>>,
-    /// Prepared fallback copies, `[instance][model]`, when degrading.
-    fallback: Option<Vec<Vec<PreparedNetwork<'a>>>>,
-    /// Per-instance scratch arenas: a long-lived instance reuses its
-    /// im2col patch matrices and activation buffers across batches
-    /// instead of reallocating them per dispatch. Observationally pure —
-    /// recycled buffers are re-zeroed and noise is keyed by coordinates,
-    /// so predictions are bit-identical to fresh allocation
-    /// (property-tested in `tests/batch_parity.rs`).
-    arenas: Vec<BatchArena>,
-    /// Prediction per request id (`usize::MAX` = no response).
-    predictions: Vec<usize>,
-}
-
-impl<'a> FunctionalExec<'a> {
-    fn new(
-        workloads: Vec<&'a FunctionalWorkload<'a>>,
-        instances: usize,
-        requests: usize,
-        degrading: bool,
-    ) -> Result<Self, ServingConfigError> {
-        let mut fallback_nets = Vec::with_capacity(workloads.len());
-        for (model, w) in workloads.iter().enumerate() {
-            if w.samples.is_empty() {
-                return Err(ServingConfigError::NoSamples { model });
-            }
-            if w.workers == 0 {
-                return Err(ServingConfigError::NoWorkers { model });
-            }
-            match w.fallback {
-                Some(fb) => fallback_nets.push((fb, w.fallback_engine.unwrap_or(w.engine))),
-                None if degrading => return Err(ServingConfigError::MissingFallback { model }),
-                None => {}
-            }
-        }
-        let fallback = degrading.then(|| {
-            (0..instances)
-                .map(|_| {
-                    fallback_nets
-                        .iter()
-                        .map(|&(fb, engine)| PreparedNetwork::new(fb, engine))
-                        .collect()
-                })
-                .collect()
-        });
-        Ok(Self {
-            // Model load: every instance prepares every model's weights
-            // once — per-layer DKV/LUT stream conversion, narrow GEMM
-            // forms — before the first request arrives; later swaps
-            // repoint, they never re-prepare.
-            nets: (0..instances)
-                .map(|_| {
-                    workloads
-                        .iter()
-                        .map(|w| PreparedNetwork::new(w.net, w.engine))
-                        .collect()
-                })
-                .collect(),
-            fallback,
-            arenas: (0..instances).map(|_| BatchArena::new()).collect(),
-            predictions: vec![usize::MAX; requests],
-            workloads,
-        })
-    }
-
-    /// Executes one dispatched batch on instance `inst`: the whole
-    /// batch's images run through stacked `vdp_batch` tiles, keyed per
-    /// request id — on the primary or the fallback prepared copy of
-    /// `model` according to the batch's tier.
-    fn execute_batch(&mut self, inst: usize, model: usize, ids: &[u64], degraded: bool) {
-        let w = self.workloads[model];
-        let samples = w.samples;
-        let images: Vec<&Tensor<f32>> = ids
-            .iter()
-            .map(|&id| &samples[id as usize % samples.len()].image)
-            .collect();
-        let net = if degraded {
-            &self.fallback.as_ref().expect(
-                "invariant: degraded batches are only dispatched after fallback nets were built",
-            )[inst][model]
-        } else {
-            &self.nets[inst][model]
-        };
-        let preds = net.predict_batch(&images, ids, w.workers, &self.arenas[inst]);
-        for (&id, pred) in ids.iter().zip(preds) {
-            self.predictions[id as usize] = pred;
-        }
-    }
-
-    /// Correct responses over the run: predictions matching their sample
-    /// label (looked up through `model_of`, the request-id → model-index
-    /// map of the tenant roster), counted only for requests that reached
-    /// a response terminal state. Computed from the final ledger (not
-    /// incrementally) so a batch aborted by a kill and re-executed is
-    /// counted exactly once.
-    fn correct_responses(
-        &self,
-        outcomes: &[RequestOutcome],
-        model_of: impl Fn(usize) -> usize,
-    ) -> u64 {
-        self.predictions
-            .iter()
-            .enumerate()
-            .filter(|&(id, &pred)| {
-                matches!(
-                    outcomes[id],
-                    RequestOutcome::Served | RequestOutcome::Degraded
-                ) && {
-                    let samples = self.workloads[model_of(id)].samples;
-                    pred == samples[id % samples.len()].label
-                }
-            })
-            .count() as u64
-    }
 }
 
 /// Scheduler events.
@@ -597,8 +474,6 @@ struct Scheduler<'a> {
     /// The reduced-precision operating point degraded batches record
     /// their energy against.
     degraded_accel: Option<AcceleratorConfig>,
-    /// Functional execution state; `None` runs the analytic-only model.
-    functional: Option<FunctionalExec<'a>>,
     ledger: EnergyLedger,
     /// Per-tenant bounded queues of requests waiting to be batched,
     /// arrival order within each queue. Ids are assigned in global
@@ -1023,14 +898,6 @@ impl Scheduler<'_> {
             } else {
                 SimTime::ZERO
             };
-            if let Some(func) = &mut self.functional {
-                // Run the real inference the analytic model is timing:
-                // the whole batch through one stack of prepared tiles on
-                // this instance's copy of the tenant's model (primary or
-                // fallback).
-                let ids: Vec<u64> = reqs.iter().map(|&(id, _)| id).collect();
-                func.execute_batch(inst, midx, &ids, tier_degraded);
-            }
             for &(id, _) in &reqs {
                 let a = &mut self.attempts[id as usize];
                 *a += 1;
@@ -1116,9 +983,8 @@ impl Scheduler<'_> {
                     }
                 } else if let Some(twin) = fl.hedge {
                     // The hedge pays off: promote the duplicate to
-                    // primary — its request copy becomes authoritative,
-                    // nothing is requeued and the (request-id-keyed)
-                    // predictions recorded at dispatch stay valid.
+                    // primary — its request copy becomes authoritative
+                    // and nothing is requeued.
                     self.avail.hedges_promoted += 1;
                     let tfl = self.nodes[twin].in_flight.as_mut().expect(
                         "invariant: a live hedge pointer names an instance running the duplicate",
@@ -1126,14 +992,6 @@ impl Scheduler<'_> {
                     debug_assert_eq!(tfl.hedge_of, Some(inst));
                     tfl.hedge_of = None;
                 } else {
-                    if let Some(func) = &mut self.functional {
-                        // The aborted requests never produced a response;
-                        // their (deterministic) predictions are
-                        // re-computed identically if re-dispatched.
-                        for &(id, _) in &fl.reqs {
-                            func.predictions[id as usize] = usize::MAX;
-                        }
-                    }
                     let tier_degraded = fl.degraded;
                     let t = fl.tenant as usize;
                     let mut refused = 0usize;
@@ -1630,9 +1488,8 @@ impl Scheduler<'_> {
     /// `inst`, if it is still in flight, unhedged, not itself a hedge,
     /// nothing is waiting in the queue (spare capacity goes to real
     /// traffic first), and an idle instance exists. The duplicate pays
-    /// real dispatch energy but is *not* re-executed functionally —
-    /// predictions are keyed per request id and already recorded — nor
-    /// counted in `batches`/attempts: it is insurance, not traffic.
+    /// real dispatch energy but is not counted in `batches`/attempts: it
+    /// is insurance, not traffic.
     fn maybe_hedge(&mut self, q: &mut EventQueue<Ev>, now: SimTime, inst: usize, seq: u64) {
         if self.total_queued() != 0 {
             return;
@@ -1853,119 +1710,93 @@ pub struct Fleet<'a> {
     sched: Scheduler<'a>,
     q: EventQueue<Ev>,
     done: bool,
+    /// One validated workload per model; empty for an analytic fleet.
+    workloads: Vec<&'a FunctionalWorkload<'a>>,
 }
 
 impl<'a> Fleet<'a> {
-    /// Builds a steppable analytic-timing fleet. Equivalent to
-    /// [`simulate_serving`](super::simulate_serving) when driven to
-    /// completion (bit-identical reports, pinned in
+    /// Builds a steppable analytic-timing fleet over one model: the
+    /// panicking shorthand for `try_new(config, &[model], &[])`.
+    /// Equivalent to [`simulate_serving`](super::simulate_serving) when
+    /// driven to completion (bit-identical reports, pinned in
     /// `tests/scenarios.rs`).
     ///
     /// # Panics
-    /// Panics on degenerate configurations: zero instances, zero batch
-    /// limit, zero requests, a zero queue cap, a non-positive Poisson
-    /// rate, or a trace whose length disagrees with `requests`. Use
-    /// [`Fleet::try_new`] for a recoverable error instead.
+    /// Panics with the message of any [`ServingConfigError`]
+    /// [`Fleet::try_new`] would return.
     pub fn new(config: &ServingConfig, model: &'a CnnModel) -> Self {
-        Self::try_new(config, model).unwrap_or_else(|e| panic!("{e}"))
+        Self::try_new(config, &[model], &[]).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Fleet::new`]: degenerate configurations surface as a
-    /// descriptive [`ServingConfigError`] instead of a panic.
-    pub fn try_new(
-        config: &ServingConfig,
-        model: &'a CnnModel,
-    ) -> Result<Self, ServingConfigError> {
-        Self::build(config, vec![model], None)
-    }
-
-    /// Builds a steppable **multi-tenant** fleet: `config.tenants` name
-    /// their models by index into `models`, every instance can host any
-    /// of them co-resident, and switching the active model pays
-    /// [`model_swap_time`]. With an empty roster this is exactly
-    /// [`Fleet::new`] over `models[0]`.
+    /// Builds a steppable **multi-tenant** analytic fleet: the panicking
+    /// shorthand for `try_new(config, models, &[])`.
     ///
     /// # Panics
-    /// Panics on degenerate configurations (see [`Fleet::try_new_multi`]).
+    /// As [`Fleet::new`].
     pub fn new_multi(config: &ServingConfig, models: &[&'a CnnModel]) -> Self {
-        Self::try_new_multi(config, models).unwrap_or_else(|e| panic!("{e}"))
+        Self::try_new(config, models, &[]).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Fleet::new_multi`]: degenerate configurations —
-    /// including a tenant whose model index falls outside `models` —
-    /// surface as a descriptive [`ServingConfigError`].
-    pub fn try_new_multi(
-        config: &ServingConfig,
-        models: &[&'a CnnModel],
-    ) -> Result<Self, ServingConfigError> {
-        Self::build(config, models.to_vec(), None)
-    }
-
-    /// Builds a steppable **functional** fleet: every instance owns a
-    /// prepared model copy and executes its dequeued batches for real.
+    /// Builds a steppable **functional** fleet over one model: the
+    /// panicking shorthand for `try_new(config, &[model], &[workload])`.
     /// Equivalent to
     /// [`simulate_serving_functional`](super::simulate_serving_functional)
     /// when driven to completion.
     ///
     /// # Panics
-    /// Panics on degenerate configurations, an empty sample set, or a
-    /// [`AdmissionPolicy::Degrade`] policy without `workload.fallback`.
+    /// As [`Fleet::new`].
     pub fn new_functional(
         config: &ServingConfig,
         model: &'a CnnModel,
         workload: &'a FunctionalWorkload<'a>,
     ) -> Self {
-        Self::try_new_functional(config, model, workload).unwrap_or_else(|e| panic!("{e}"))
+        Self::try_new(config, &[model], &[workload]).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Fleet::new_functional`].
-    pub fn try_new_functional(
-        config: &ServingConfig,
-        model: &'a CnnModel,
-        workload: &'a FunctionalWorkload<'a>,
-    ) -> Result<Self, ServingConfigError> {
-        Self::build(config, vec![model], Some(vec![workload]))
-    }
-
-    /// Builds a steppable multi-tenant **functional** fleet:
-    /// `workloads[i]` carries the samples and prepared-network source
-    /// for `models[i]`, and every instance holds co-resident prepared
-    /// copies of *all* models.
+    /// Builds a steppable fleet. `config.tenants` name their models by
+    /// index into `models`; every instance can host any of them
+    /// co-resident, and switching the active model pays
+    /// [`model_swap_time`]. An empty roster is one tenant over
+    /// `models[0]`. `workloads[i]` carries the functional side of
+    /// `models[i]` for [`Fleet::into_functional_report`]; an empty
+    /// `workloads` builds an analytic fleet.
     ///
-    /// # Panics
-    /// Panics on degenerate configurations or when `workloads` and
-    /// `models` disagree in length.
-    pub fn new_multi_functional(
-        config: &ServingConfig,
-        models: &[&'a CnnModel],
-        workloads: &[&'a FunctionalWorkload<'a>],
-    ) -> Self {
-        Self::try_new_multi_functional(config, models, workloads).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Fleet::new_multi_functional`].
-    pub fn try_new_multi_functional(
+    /// Degenerate configurations surface as a descriptive
+    /// [`ServingConfigError`]: anything [`ServingConfig::validate`]
+    /// rejects, an empty model list, a tenant model index outside
+    /// `models`, a workload count that disagrees with `models`, and a
+    /// workload with no samples, no workers, or no fallback network
+    /// under [`AdmissionPolicy::Degrade`].
+    pub fn try_new(
         config: &ServingConfig,
         models: &[&'a CnnModel],
         workloads: &[&'a FunctionalWorkload<'a>],
     ) -> Result<Self, ServingConfigError> {
-        if models.len() != workloads.len() {
+        config.validate()?;
+        if models.is_empty() {
+            return Err(ServingConfigError::NoModels);
+        }
+        if !workloads.is_empty() && workloads.len() != models.len() {
             return Err(ServingConfigError::WorkloadCountMismatch {
                 models: models.len(),
                 workloads: workloads.len(),
             });
         }
-        Self::build(config, models.to_vec(), Some(workloads.to_vec()))
-    }
-
-    fn build(
-        config: &ServingConfig,
-        models: Vec<&'a CnnModel>,
-        workloads: Option<Vec<&'a FunctionalWorkload<'a>>>,
-    ) -> Result<Self, ServingConfigError> {
-        config.validate()?;
-        if models.is_empty() {
-            return Err(ServingConfigError::NoModels);
+        let degraded_accel = if let AdmissionPolicy::Degrade { fallback_bits } = config.admission {
+            Some(config.accelerator.with_native_bits(fallback_bits))
+        } else {
+            None
+        };
+        for (model, w) in workloads.iter().enumerate() {
+            if w.samples.is_empty() {
+                return Err(ServingConfigError::NoSamples { model });
+            }
+            if w.workers == 0 {
+                return Err(ServingConfigError::NoWorkers { model });
+            }
+            if degraded_accel.is_some() && w.fallback.is_none() {
+                return Err(ServingConfigError::MissingFallback { model });
+            }
         }
 
         // A single-tenant run is a one-tenant roster carrying the
@@ -1991,13 +1822,6 @@ impl<'a> Fleet<'a> {
                 });
             }
         }
-
-        let degrading = matches!(config.admission, AdmissionPolicy::Degrade { .. });
-        let degraded_accel = if let AdmissionPolicy::Degrade { fallback_bits } = config.admission {
-            Some(config.accelerator.with_native_bits(fallback_bits))
-        } else {
-            None
-        };
 
         let mut ledger = EnergyLedger::new();
         for _ in 0..config.instances {
@@ -2026,20 +1850,17 @@ impl<'a> Fleet<'a> {
             AutoscaleCtl::new(policy, per_instance)
         });
 
-        let sup = config.supervisor.map(|policy| {
-            policy.validate();
-            SupCtl {
-                policy,
-                reload: models
-                    .iter()
-                    .map(|m| match policy.restart_mode {
-                        RestartMode::Cold => model_reload_time(&config.accelerator, m),
-                        RestartMode::Warm => model_warm_reload_time(&config.accelerator, m),
-                    })
-                    .collect(),
-                budget_left: policy.restart_budget,
-                states: (0..config.instances).map(|_| SupState::fresh()).collect(),
-            }
+        let sup = config.supervisor.map(|policy| SupCtl {
+            policy,
+            reload: models
+                .iter()
+                .map(|m| match policy.restart_mode {
+                    RestartMode::Cold => model_reload_time(&config.accelerator, m),
+                    RestartMode::Warm => model_warm_reload_time(&config.accelerator, m),
+                })
+                .collect(),
+            budget_left: policy.restart_budget,
+            states: (0..config.instances).map(|_| SupState::fresh()).collect(),
         });
 
         let model_ctxs: Vec<ModelCtx<'a>> = models
@@ -2062,9 +1883,6 @@ impl<'a> Fleet<'a> {
         let mut sched = Scheduler {
             models: model_ctxs,
             degraded_accel,
-            functional: workloads
-                .map(|ws| FunctionalExec::new(ws, config.instances, config.requests, degrading))
-                .transpose()?,
             ledger,
             pending: (0..roster.len()).map(|_| VecDeque::new()).collect(),
             tenants,
@@ -2148,6 +1966,7 @@ impl<'a> Fleet<'a> {
             sched,
             q,
             done: false,
+            workloads: workloads.to_vec(),
         })
     }
 
@@ -2390,49 +2209,70 @@ impl<'a> Fleet<'a> {
         self.into_parts().report
     }
 
-    /// Runs to completion and builds the [`FunctionalServingReport`].
+    /// Runs to completion and builds the [`FunctionalServingReport`] as
+    /// a projection of the settled outcomes. Response ids are grouped by
+    /// (model, tier); one [`PreparedNetwork`] per group in use — the
+    /// primary network for `Served`, the fallback for `Degraded` —
+    /// predicts each id once, in chunks of `max_batch` through one
+    /// [`BatchArena`]. A prediction is a pure function of
+    /// `(net, engine, sample, request id)`, so it is the one the serving
+    /// instance would have computed, whatever the packing, kills or
+    /// hedges; drops read `usize::MAX`.
     ///
     /// # Panics
-    /// Panics if the fleet was not built with [`Fleet::new_functional`]
-    /// or [`Fleet::new_multi_functional`].
+    /// Panics if the fleet was built without functional workloads.
     pub fn into_functional_report(mut self) -> FunctionalServingReport {
-        self.run_to_completion();
-        let fin = self.into_parts();
-        let func = fin
-            .functional
-            .expect("invariant: into_functional_report is only called on functional fleets");
-        debug_assert!(
-            fin.outcomes
-                .iter()
-                .zip(&func.predictions)
-                .all(
-                    |(o, &p)| matches!(o, RequestOutcome::Served | RequestOutcome::Degraded)
-                        == (p != usize::MAX)
-                ),
-            "exactly the responses must have been executed"
+        assert!(
+            !self.workloads.is_empty(),
+            "into_functional_report needs a fleet built with functional workloads"
         );
-        let model_of: Vec<usize> = fin
-            .tenant_of
-            .iter()
-            .map(|&t| fin.tenant_models[t as usize])
-            .collect();
-        let correct = func.correct_responses(&fin.outcomes, |id| model_of[id]);
-        let serving = fin.report;
-        let responses = serving.completed + serving.degraded;
-        // Per-tenant correctness: walk the responses once, crediting the
-        // tenant that owns each request id.
-        let mut t_correct = vec![0u64; serving.tenants.len()];
-        for (id, o) in fin.outcomes.iter().enumerate() {
-            if !matches!(o, RequestOutcome::Served | RequestOutcome::Degraded) {
-                continue;
-            }
-            let t = fin.tenant_of[id] as usize;
-            let w = func.workloads[fin.tenant_models[t]];
-            let label = w.samples[id % w.samples.len()].label;
-            if func.predictions[id] == label {
-                t_correct[t] += 1;
+        self.run_to_completion();
+        let workloads = std::mem::take(&mut self.workloads);
+        let max_batch = self.sched.cfg.max_batch;
+        let fin = self.into_parts();
+        // Response ids of model `m` on the primary tier at slot `2m`, on
+        // the fallback tier at slot `2m + 1`, each in id order.
+        let mut groups = vec![Vec::new(); 2 * workloads.len()];
+        for (id, outcome) in fin.outcomes.iter().enumerate() {
+            let tier = match outcome {
+                RequestOutcome::Served => 0,
+                RequestOutcome::Degraded => 1,
+                _ => continue,
+            };
+            let model = fin.tenant_models[fin.tenant_of[id] as usize];
+            groups[2 * model + tier].push(id as u64);
+        }
+        let mut predictions = vec![usize::MAX; fin.outcomes.len()];
+        let mut t_correct = vec![0u64; fin.tenant_models.len()];
+        let arena = BatchArena::new();
+        for (slot, ids) in groups.iter().enumerate().filter(|(_, ids)| !ids.is_empty()) {
+            let w = workloads[slot / 2];
+            let net = if slot % 2 == 0 {
+                PreparedNetwork::new(w.net, w.engine)
+            } else {
+                let fallback = w
+                    .fallback
+                    .expect("invariant: try_new checked a fallback network under Degrade");
+                PreparedNetwork::new(fallback, w.fallback_engine.unwrap_or(w.engine))
+            };
+            for chunk in ids.chunks(max_batch) {
+                let images: Vec<&Tensor<f32>> = chunk
+                    .iter()
+                    .map(|&id| &w.samples[id as usize % w.samples.len()].image)
+                    .collect();
+                let preds = net.predict_batch(&images, chunk, w.workers, &arena);
+                for (&id, pred) in chunk.iter().zip(preds) {
+                    let id = id as usize;
+                    predictions[id] = pred;
+                    if pred == w.samples[id % w.samples.len()].label {
+                        t_correct[fin.tenant_of[id] as usize] += 1;
+                    }
+                }
             }
         }
+        let correct: u64 = t_correct.iter().sum();
+        let serving = fin.report;
+        let responses = serving.completed + serving.degraded;
         let tenant_accuracy: Vec<TenantAccuracy> = serving
             .tenants
             .iter()
@@ -2466,7 +2306,7 @@ impl<'a> Fleet<'a> {
             } else {
                 correct as f64 / serving.offered as f64
             },
-            predictions: func.predictions,
+            predictions,
             outcomes: fin.outcomes,
             attempts: fin.attempts,
             correct,
@@ -2476,7 +2316,7 @@ impl<'a> Fleet<'a> {
     }
 
     /// Final accounting: terminal asserts plus report construction.
-    fn into_parts(self) -> FinishedRun<'a> {
+    fn into_parts(self) -> FinishedRun {
         assert!(self.done, "into_parts only after the simulation settled");
         let final_now = self.q.now();
         let mut sched = self.sched;
@@ -2630,7 +2470,6 @@ impl<'a> Fleet<'a> {
             report,
             outcomes,
             attempts: sched.attempts,
-            functional: sched.functional,
             tenant_of: sched.tenant_of,
             tenant_models: sched.tenants.iter().map(|tr| tr.spec.model).collect(),
         }
@@ -2638,11 +2477,10 @@ impl<'a> Fleet<'a> {
 }
 
 /// Everything a settled run yields, before report-flavour packaging.
-struct FinishedRun<'a> {
+struct FinishedRun {
     report: ServingReport,
     outcomes: Vec<RequestOutcome>,
     attempts: Vec<u32>,
-    functional: Option<FunctionalExec<'a>>,
     /// Owning tenant per request id.
     tenant_of: Vec<u32>,
     /// Model index per tenant, roster order.

@@ -34,20 +34,20 @@
 //! accuracy-vs-load / tail-latency-vs-load curve.
 //!
 //! **Functional serving** ([`simulate_serving_functional`]) goes one step
-//! further: besides *timing* each batch, every instance owns an
-//! engine-backed prepared model
-//! ([`sconna_tensor::network::PreparedNetwork`] — weights DKV/LUT
-//! converted once at fleet bring-up, the weight-stationary load the
-//! hardware mapping assumes) and **executes** each dequeued batch through
-//! real `vdp_batch` tiles, the im2col patches of the whole batch stacked
-//! per layer. The fleet then reports per-request predictions and top-1
-//! **accuracy-under-load** alongside FPS/latency/energy. Request `r`
-//! runs under noise key `r`, so its prediction is a pure function of
-//! `(model, engine, sample, r)` — independent of batch packing, instance
-//! assignment, arrival ordering and worker count. Under
-//! [`AdmissionPolicy::Degrade`] the instances additionally hold a
-//! prepared copy of the low-precision fallback network and run degraded
-//! batches through it.
+//! further: besides *timing* each batch, the fleet reports per-request
+//! predictions and top-1 **accuracy-under-load** alongside
+//! FPS/latency/energy. Request `r` runs under noise key `r`, so its
+//! prediction is a pure function of `(model, tier, engine, sample, r)` —
+//! independent of batch packing, instance assignment, arrival ordering,
+//! kills, hedges and worker count. The event loop therefore never runs
+//! a network: [`Fleet::into_functional_report`] derives the predictions
+//! from the settled outcomes, preparing one engine-backed
+//! [`sconna_tensor::network::PreparedNetwork`] per (model, tier) in use
+//! (weights DKV/LUT converted once, the weight-stationary load the
+//! hardware mapping assumes) and running every response through real
+//! `vdp_batch` tiles, the im2col patches of a batch stacked per layer.
+//! Under [`AdmissionPolicy::Degrade`] degraded responses run on the
+//! low-precision fallback network.
 //!
 //! **Steppable fleet & fault injection.** The simulation itself is the
 //! [`Fleet`] state machine: the entry points here are thin
@@ -76,13 +76,13 @@
 //! **Multi-tenant serving.** A fleet can host several *tenants* —
 //! [`TenantSpec`] names a model (by index into the co-resident model
 //! slice), a fair-share weight, a [`LatencyClass`] and its own arrival
-//! process — built via [`Fleet::new_multi`] /
-//! [`Fleet::new_multi_functional`]. Each tenant owns a bounded FIFO of
-//! its own; a pluggable [`TenantScheduler`] picks which tenant's head
-//! batch dispatches next: weighted-fair queueing on a virtual clock
-//! (default), strict latency-class priority, or a naive shared FIFO
-//! baseline with no isolation at all. Every instance holds prepared
-//! copies of *all* models co-resident, so switching tenants costs
+//! process — built via [`Fleet::new_multi`] / [`Fleet::try_new`]. Each
+//! tenant owns a bounded FIFO of its own; a pluggable [`TenantScheduler`]
+//! picks which tenant's head batch dispatches next: weighted-fair
+//! queueing on a virtual clock (default), strict latency-class priority,
+//! or a naive shared FIFO baseline with no isolation at all. The timing
+//! model treats every model as co-resident on every instance, so
+//! switching tenants costs
 //! [`model_swap_time`](crate::perf::model_swap_time) — near-zero for
 //! SCONNA (repointing OSM LUT banks), reprogram-dominated for the analog
 //! baselines — not a cold reload. [`ServingReport::tenants`] carries a
@@ -140,10 +140,10 @@ pub fn simulate_serving(config: &ServingConfig, model: &CnnModel) -> ServingRepo
 
 /// Runs one **functional** serving simulation: the same queueing, timing
 /// and energy model as [`simulate_serving`] (the `serving` field is
-/// bit-identical to the analytic-only run of the same config), with every
-/// instance additionally executing its dequeued batches through real
-/// stacked `vdp_batch` tiles on a prepared model copy — the fallback copy
-/// for degraded batches. Equivalent to
+/// bit-identical to the analytic-only run of the same config), plus every
+/// response's prediction, computed at report time through real stacked
+/// `vdp_batch` tiles on a prepared model — the fallback model for
+/// degraded responses. Equivalent to
 /// `Fleet::new_functional(config, model, workload).into_functional_report()`.
 ///
 /// Request `r` serves `workload.samples[r % samples.len()]` under noise
@@ -1379,7 +1379,8 @@ mod tests {
             TenantSpec::new("a", 0, ArrivalProcess::ClosedLoop { clients: 3 }, 12),
             TenantSpec::new("b", 1, ArrivalProcess::ClosedLoop { clients: 2 }, 8),
         ]);
-        let r = Fleet::new_multi_functional(&cfg, &[&shuffle, &goog], &[&wa, &wb])
+        let r = Fleet::try_new(&cfg, &[&shuffle, &goog], &[&wa, &wb])
+            .expect("valid two-tenant functional fleet")
             .into_functional_report();
         assert_eq!(r.tenant_accuracy.len(), 2);
         assert_eq!(
@@ -1486,7 +1487,10 @@ mod tests {
             ),
         ];
         for (cfg, want) in cases {
-            let err = Fleet::try_new(&cfg, &model).err().expect(want).to_string();
+            let err = Fleet::try_new(&cfg, &[&model], &[])
+                .err()
+                .expect(want)
+                .to_string();
             assert!(err.contains(want), "{err:?} should contain {want:?}");
         }
         // A tenant naming a model outside the slice is only checkable at
@@ -1497,7 +1501,7 @@ mod tests {
             ArrivalProcess::ClosedLoop { clients: 1 },
             8,
         )]);
-        let err = Fleet::try_new_multi(&cfg, &[&model])
+        let err = Fleet::try_new(&cfg, &[&model], &[])
             .err()
             .expect("out-of-range model index")
             .to_string();
@@ -1523,7 +1527,7 @@ mod tests {
 
     #[test]
     fn try_new_multi_rejects_an_empty_model_list() {
-        let err = Fleet::try_new_multi(&small_closed(1, 4, 8), &[]).err();
+        let err = Fleet::try_new(&small_closed(1, 4, 8), &[], &[]).err();
         assert_eq!(err, Some(ServingConfigError::NoModels));
     }
 
@@ -1533,7 +1537,7 @@ mod tests {
         let engine = SconnaEngine::paper_default(1);
         let w = tiny_functional(&net, &samples, &engine, 1);
         let model = shufflenet_v2();
-        let err = Fleet::try_new_multi_functional(&small_closed(1, 4, 8), &[&model], &[&w, &w]);
+        let err = Fleet::try_new(&small_closed(1, 4, 8), &[&model], &[&w, &w]);
         assert_eq!(
             err.err(),
             Some(ServingConfigError::WorkloadCountMismatch {
@@ -1549,7 +1553,7 @@ mod tests {
         let engine = SconnaEngine::paper_default(1);
         let w = tiny_functional(&net, &[], &engine, 1);
         let model = shufflenet_v2();
-        let err = Fleet::try_new_functional(&small_closed(1, 4, 8), &model, &w).err();
+        let err = Fleet::try_new(&small_closed(1, 4, 8), &[&model], &[&w]).err();
         assert_eq!(err, Some(ServingConfigError::NoSamples { model: 0 }));
     }
 
@@ -1559,7 +1563,7 @@ mod tests {
         let engine = SconnaEngine::paper_default(1);
         let w = tiny_functional(&net, &samples, &engine, 0);
         let model = shufflenet_v2();
-        let err = Fleet::try_new_functional(&small_closed(1, 4, 8), &model, &w).err();
+        let err = Fleet::try_new(&small_closed(1, 4, 8), &[&model], &[&w]).err();
         assert_eq!(err, Some(ServingConfigError::NoWorkers { model: 0 }));
     }
 
@@ -1574,7 +1578,23 @@ mod tests {
             queue_cap: Some(4),
             ..small_closed(1, 4, 8)
         };
-        let err = Fleet::try_new_functional(&cfg, &model, &w).err();
+        let err = Fleet::try_new(&cfg, &[&model], &[&w]).err();
         assert_eq!(err, Some(ServingConfigError::MissingFallback { model: 0 }));
+    }
+
+    #[test]
+    fn try_new_rejects_a_bad_supervisor_without_panicking() {
+        let model = shufflenet_v2();
+        let cfg = small_closed(1, 4, 8).with_supervisor(Supervisor {
+            jitter: 1.5,
+            ..Supervisor::new(1)
+        });
+        let err = Fleet::try_new(&cfg, &[&model], &[]).err();
+        assert_eq!(
+            err,
+            Some(ServingConfigError::Supervisor(
+                "jitter must be in [0, 1), got 1.5".into()
+            ))
+        );
     }
 }

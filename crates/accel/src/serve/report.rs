@@ -261,8 +261,10 @@ pub struct ServingReport {
     pub tenants: Vec<TenantUsage>,
 }
 
-/// [`ServingReport`] plus the functional outputs: what the fleet actually
-/// computed while the queueing model timed it.
+/// [`ServingReport`] plus the functional outputs: the prediction each
+/// response carries. The queueing model times the run; the predictions
+/// are projected from its settled outcomes at report time
+/// ([`Fleet::into_functional_report`](super::Fleet::into_functional_report)).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FunctionalServingReport {
     /// The queueing/energy report (identical to the analytic-only
@@ -279,7 +281,8 @@ pub struct FunctionalServingReport {
     /// after kill-aborts, 0 for a request shed before ever dispatching.
     pub attempts: Vec<u32>,
     /// Responses (full-fidelity or degraded) whose prediction matched the
-    /// sample label.
+    /// sample label: the sum of [`TenantAccuracy::correct`] over
+    /// tenants.
     pub correct: u64,
     /// Top-1 accuracy over **admitted** traffic: `correct / responses`
     /// where `responses = completed + degraded` (0 when nothing was

@@ -118,34 +118,33 @@ impl Supervisor {
         self
     }
 
-    /// Panics on degenerate policies; called once at fleet bring-up.
-    pub(crate) fn validate(&self) {
-        assert!(
-            self.initial_backoff > SimTime::ZERO,
-            "initial backoff must be positive"
-        );
-        assert!(self.backoff_factor >= 1, "backoff factor must be >= 1");
-        assert!(
-            self.max_backoff >= self.initial_backoff,
-            "max backoff must be >= initial backoff"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.jitter),
-            "jitter must be in [0, 1), got {}",
-            self.jitter
-        );
-        assert!(
-            self.reset_after > SimTime::ZERO,
-            "ladder reset uptime must be positive"
-        );
-        assert!(
-            self.crash_loop_window > SimTime::ZERO,
-            "crash-loop window must be positive"
-        );
-        assert!(
-            self.crash_loop_limit >= 1,
-            "crash-loop limit must be >= 1 kill"
-        );
+    /// Checks the policy for degenerate values, returning the first
+    /// defect's diagnostic. [`ServingConfig::validate`](super::ServingConfig::validate)
+    /// surfaces it as
+    /// [`ServingConfigError::Supervisor`](super::ServingConfigError::Supervisor).
+    pub fn try_validate(&self) -> Result<(), String> {
+        if self.initial_backoff == SimTime::ZERO {
+            return Err("initial backoff must be positive".into());
+        }
+        if self.backoff_factor < 1 {
+            return Err("backoff factor must be >= 1".into());
+        }
+        if self.max_backoff < self.initial_backoff {
+            return Err("max backoff must be >= initial backoff".into());
+        }
+        if !(0.0..1.0).contains(&self.jitter) {
+            return Err(format!("jitter must be in [0, 1), got {}", self.jitter));
+        }
+        if self.reset_after == SimTime::ZERO {
+            return Err("ladder reset uptime must be positive".into());
+        }
+        if self.crash_loop_window == SimTime::ZERO {
+            return Err("crash-loop window must be positive".into());
+        }
+        if self.crash_loop_limit < 1 {
+            return Err("crash-loop limit must be >= 1 kill".into());
+        }
+        Ok(())
     }
 
     /// The delay before restart number `ordinal` of `instance`, which is
@@ -240,7 +239,7 @@ mod tests {
             .with_restart_mode(RestartMode::Cold);
         assert_eq!(sup.restart_budget, Some(7));
         assert_eq!(sup.restart_mode, RestartMode::Cold);
-        sup.validate();
+        assert_eq!(sup.try_validate(), Ok(()));
     }
 
     #[test]
@@ -250,7 +249,8 @@ mod tests {
             initial_backoff: SimTime::ZERO,
             ..Supervisor::new(0)
         }
-        .validate();
+        .try_validate()
+        .unwrap();
     }
 
     #[test]
@@ -260,7 +260,8 @@ mod tests {
             max_backoff: SimTime::from_ps(1),
             ..Supervisor::new(0)
         }
-        .validate();
+        .try_validate()
+        .unwrap();
     }
 
     #[test]
@@ -270,7 +271,8 @@ mod tests {
             jitter: 1.0,
             ..Supervisor::new(0)
         }
-        .validate();
+        .try_validate()
+        .unwrap();
     }
 
     #[test]
@@ -280,6 +282,7 @@ mod tests {
             crash_loop_limit: 0,
             ..Supervisor::new(0)
         }
-        .validate();
+        .try_validate()
+        .unwrap();
     }
 }

@@ -61,10 +61,10 @@ fn main() {
         top.fps / base.fps
     );
 
-    // Functional pass: the same scheduler, but every instance owns a
-    // prepared quantized model and executes its dequeued batches through
-    // real stacked vdp_batch tiles — accuracy under load, keyed per
-    // request id (invariant to fleet shape and worker count).
+    // Functional pass: the same scheduler, plus every response computed
+    // on a prepared quantized model through real stacked vdp_batch
+    // tiles — accuracy under load, keyed per request id (invariant to
+    // fleet shape and worker count).
     let (epochs, train_pc, test_pc, fn_requests) = if smoke {
         (8usize, 12usize, 6usize, 12usize)
     } else {

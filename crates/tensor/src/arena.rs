@@ -44,7 +44,7 @@ impl ConvScratch {
 /// Lock-free pools of reusable inference buffers, shared by every worker
 /// of a batched forward and across calls when threaded through
 /// [`PreparedNetwork::forward_batch`](crate::network::PreparedNetwork::forward_batch)
-/// (each serving instance owns one arena).
+/// (a serving fleet's functional report runs on one arena).
 #[derive(Default)]
 pub struct BatchArena {
     scratch: SegQueue<ConvScratch>,

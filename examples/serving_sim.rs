@@ -6,10 +6,10 @@
 //! 1. served FPS scales with instance count (≥ 1.8× from 1 → 2),
 //! 2. batching lowers energy per inference vs batch-1 dispatch,
 //! 3. reports are seed-deterministic regardless of sweep thread count,
-//! 4. **functional serving**: instances execute their dequeued batches
-//!    through real `vdp_batch` tiles on a weight-stationary prepared
-//!    model, and the fleet reports top-1 accuracy-under-load —
-//!    bit-identical across worker counts and arrival orderings.
+//! 4. **functional serving**: every response is computed through real
+//!    `vdp_batch` tiles on a weight-stationary prepared model, and the
+//!    fleet reports top-1 accuracy-under-load — bit-identical across
+//!    worker counts and arrival orderings.
 //!
 //! Run with: `cargo run --release --example serving_sim`
 
@@ -87,9 +87,9 @@ fn main() {
     );
 
     // 5. Functional serving: train a small CNN, quantize it, and let the
-    //    fleet *execute* the requests it schedules — real stacked
-    //    vdp_batch tiles on per-instance prepared (weight-stationary)
-    //    model copies, predictions keyed per request id.
+    //    fleet compute the responses it schedules — real stacked
+    //    vdp_batch tiles on a prepared (weight-stationary) model,
+    //    predictions keyed per request id.
     println!("\n--- functional serving: accuracy under load ---");
     let seed = 7u64;
     let data = SyntheticDataset::new(10, 16, 0.25, seed);

@@ -362,7 +362,7 @@ fn autoscale_max_must_equal_the_provisioned_pool() {
     let model = shufflenet_v2();
     let cfg = ServingConfig::saturation(AcceleratorConfig::sconna(), 4, 2, 8)
         .with_autoscale(AutoscalePolicy::new(1, 2));
-    let err = Fleet::try_new(&cfg, &model)
+    let err = Fleet::try_new(&cfg, &[&model], &[])
         .err()
         .expect("mismatched autoscale max must not build")
         .to_string();

@@ -9,15 +9,18 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sconna::accel::serve::{
-    simulate_serving_functional, AdmissionPolicy, ArrivalProcess, FunctionalWorkload, ServingConfig,
+    simulate_serving_functional, AdmissionPolicy, ArrivalProcess, FailureProcess, Fleet,
+    FunctionalServingReport, FunctionalWorkload, RequestOutcome, RetryPolicy, ServingConfig,
+    Supervisor, TenantSpec,
 };
 use sconna::accel::{AcceleratorConfig, SconnaEngine};
+use sconna::sc::Precision;
 use sconna::sim::time::SimTime;
 use sconna::tensor::arena::BatchArena;
 use sconna::tensor::dataset::Sample;
 use sconna::tensor::engine::{ExactEngine, VdpEngine};
 use sconna::tensor::layers::{MaxPool2d, QConv2d, QFc};
-use sconna::tensor::models::shufflenet_v2;
+use sconna::tensor::models::{googlenet, shufflenet_v2};
 use sconna::tensor::network::{QLayer, QuantizedNetwork};
 use sconna::tensor::quant::{ActivationQuant, Requant, WeightQuant};
 use sconna::tensor::Tensor;
@@ -278,13 +281,44 @@ fn overload_reports_are_worker_and_arrival_order_invariant() {
     }
 }
 
+/// Asserts every response of `r` equals the offline per-pair forward of
+/// its tenant's network at its tier — request `id` belongs to tenant
+/// `tenant_of[id]`, whose workload is `workloads[tenant_of[id]]` — and
+/// every drop reads `usize::MAX`.
+fn assert_matches_offline(
+    r: &FunctionalServingReport,
+    workloads: &[&FunctionalWorkload<'_>],
+    tenant_of: &[usize],
+) {
+    for (id, (&pred, &outcome)) in r.predictions.iter().zip(&r.outcomes).enumerate() {
+        let w = workloads[tenant_of[id]];
+        let (net, engine) = match outcome {
+            RequestOutcome::Served => (w.net, w.engine),
+            RequestOutcome::Degraded => (
+                w.fallback.expect("degraded responses need a fallback"),
+                w.fallback_engine.unwrap_or(w.engine),
+            ),
+            _ => {
+                assert_eq!(pred, usize::MAX, "dropped request {id} ({outcome:?})");
+                continue;
+            }
+        };
+        let s = &w.samples[id % w.samples.len()];
+        let offline =
+            sconna::tensor::layers::argmax(&net.forward_keyed(&s.image, engine, id as u64));
+        assert_eq!(pred, offline, "request {id} ({outcome:?})");
+    }
+}
+
 /// Degraded predictions are pure functions of `(fallback net, engine,
 /// sample, request id)`: whichever requests the schedule degrades, their
 /// responses equal the offline fallback forward — and the full-fidelity
-/// responses equal the offline primary forward.
+/// responses equal the offline primary forward. The second case holds
+/// that under chaos: two tenants with distinct networks, engines and
+/// fallback engines, stochastic kills under a supervisor, a retry budget
+/// and hedged dispatch.
 #[test]
 fn shed_and_degraded_responses_match_their_offline_references() {
-    use sconna::accel::serve::RequestOutcome;
     let (net, samples) = tiny_workload(29, 3);
     let fallback = net.with_weight_bits(4);
     let engine = SconnaEngine::paper_default(29);
@@ -315,15 +349,71 @@ fn shed_and_degraded_responses_match_their_offline_references() {
         "2.5x load against a 1-deep queue must degrade"
     );
     assert_eq!(r.serving.dropped, 0);
-    for (id, (&pred, &outcome)) in r.predictions.iter().zip(&r.outcomes).enumerate() {
-        let s = &samples[id % samples.len()];
-        let reference = match outcome {
-            RequestOutcome::Served => &net,
-            RequestOutcome::Degraded => &fallback,
-            _ => panic!("no drops under Degrade"),
-        };
-        let offline =
-            sconna::tensor::layers::argmax(&reference.forward_keyed(&s.image, &engine, id as u64));
-        assert_eq!(pred, offline, "request {id} ({outcome:?})");
+    assert_matches_offline(&r, &[&workload], &[0; 32]);
+
+    // Chaos: a second tenant on its own network, engine and fallback
+    // engine; both fallbacks run on B4 engines.
+    let (net_b, samples_b) = tiny_workload(31, 3);
+    let fallback_b = net_b.with_weight_bits(4);
+    let engine_b = SconnaEngine::paper_default(31);
+    let fb_engine = SconnaEngine::new(Precision::new(4), 176, None, 29);
+    let fb_engine_b = SconnaEngine::new(Precision::new(4), 176, None, 31);
+    let wa = FunctionalWorkload {
+        fallback_engine: Some(&fb_engine),
+        ..workload
+    };
+    let wb = FunctionalWorkload {
+        net: &net_b,
+        fallback: Some(&fallback_b),
+        fallback_engine: Some(&fb_engine_b),
+        samples: &samples_b,
+        engine: &engine_b,
+        workers: 2,
+    };
+    let goog = googlenet();
+    let requests = 160;
+    let base = ServingConfig::saturation(AcceleratorConfig::sconna(), 4, 2, requests);
+    // A bursty merged trace at distinct instants: blocks of 16 arrivals
+    // alternate between 3.2x and ~0.46x GoogleNet capacity. Ids follow
+    // global arrival order, so request `r` belongs to the tenant of the
+    // `r`-th arrival.
+    let mean_gap = 1.0 / (0.8 * base.estimated_capacity_fps(&goog));
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut t = SimTime::ZERO;
+    let mut times = [Vec::new(), Vec::new()];
+    let mut tenant_of = Vec::with_capacity(requests);
+    for r in 0..requests {
+        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let scale = if (r / 16) % 2 == 0 { 0.25 } else { 1.75 };
+        t = t + SimTime::from_secs_f64(-u.ln() * mean_gap * scale) + SimTime::from_ps(1);
+        let tenant = usize::from(rng.gen_range(0..3) == 0);
+        times[tenant].push(t);
+        tenant_of.push(tenant);
     }
+    let [ta, tb] = times;
+    let cfg = base
+        .with_queue_cap(1)
+        .with_admission(AdmissionPolicy::Degrade { fallback_bits: 4 })
+        .with_tenants(vec![
+            TenantSpec::new("a", 0, ArrivalProcess::trace(ta.clone()), ta.len()),
+            TenantSpec::new("b", 1, ArrivalProcess::trace(tb.clone()), tb.len()),
+        ])
+        .with_supervisor(Supervisor::new(1))
+        .with_retry(
+            RetryPolicy::default()
+                .with_retry_budget(16)
+                .with_hedge_after(SimTime::from_ns(20_000)),
+        );
+    let plan = FailureProcess::new(1, SimTime::from_ps(t.as_ps() / 8)).materialize(4, t);
+    let r = Fleet::try_new(&cfg, &[&model, &goog], &[&wa, &wb])
+        .expect("valid two-tenant functional fleet")
+        .with_faults(&plan)
+        .into_functional_report();
+    let a = &r.serving.availability;
+    assert!(a.incidents > 0, "no kills");
+    assert!(a.hedges_promoted > 0, "no hedge promoted");
+    assert!(a.retries > 0, "no retries");
+    assert!(r.serving.degraded > 0, "no degraded responses");
+    assert!(r.serving.dropped > 0, "no drops");
+    assert_matches_offline(&r, &[&wa, &wb], &tenant_of);
 }

@@ -870,8 +870,9 @@ fn multi_tenant_chaos_is_deterministic_across_workers() {
             workers,
         };
         let wb = FunctionalWorkload { workers, ..wa };
-        let mut fleet =
-            Fleet::new_multi_functional(&cfg, &[&shuffle, &goog], &[&wa, &wb]).with_faults(&plan);
+        let mut fleet = Fleet::try_new(&cfg, &[&shuffle, &goog], &[&wa, &wb])
+            .expect("valid two-tenant functional fleet")
+            .with_faults(&plan);
         let mut prev = fleet.snapshot();
         while fleet.step() {
             let snap = fleet.snapshot();
