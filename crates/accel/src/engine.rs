@@ -4,10 +4,12 @@
 //! the calibrated 1.3 % MAPE error (Sections IV and V-C).
 //!
 //! The engine is **lock-free**: ADC noise is derived from a counter-keyed
-//! deterministic stream seeded by `(engine seed, caller key, chunk index,
-//! rail)`, so every conversion's noise is a pure function of *what* is
-//! converted and *where* it sits in the computation — bit-identical
-//! across call orders, thread counts and interleavings.
+//! deterministic stream seeded by `(engine seed, caller key, chunk index)`,
+//! so every conversion's noise is a pure function of *what* is converted
+//! and *where* it sits in the computation — bit-identical across call
+//! orders, thread counts and interleavings. No rail index is keyed: the
+//! positive and negative rails take the `cos` and `sin` projections of
+//! the chunk's one Box-Muller draw.
 //!
 //! OSM products come from the precomputed weight-major [`OsmProductLut`]
 //! (the in-simulator mirror of the paper's offline DPU conversion LUT,
@@ -31,8 +33,11 @@ use sconna_tensor::engine::{
 const PATCH_BLOCK: usize = 64;
 
 /// Counter-based deterministic noise stream (SplitMix64): constructed
-/// per rail conversion from the conversion's coordinates, never shared,
-/// never locked.
+/// per chunk's rail-pair conversion from the chunk's coordinates, never
+/// shared, never locked. Both conversion paths draw the same two
+/// uniforms from it: the tile kernel's certified
+/// [`AdcModel::convert_pair`] and the oracle's
+/// [`AdcModel::convert_pair_reference`].
 struct KeyedAdcStream {
     state: u64,
 }
@@ -172,9 +177,11 @@ impl SconnaEngine {
 
     /// Converts one chunk's rail pair through the range-matched ADC (if
     /// the engine has one), noise keyed by `(engine seed, accumulator
-    /// key, chunk)`. The rails share one Box-Muller draw
-    /// ([`AdcModel::convert_pair`]) but receive its two independent
-    /// Gaussian projections.
+    /// key, chunk)`. The rails share one Box-Muller draw but receive its
+    /// two independent Gaussian projections. `convert` is the tile
+    /// kernel's certified [`AdcModel::convert_pair`] or the oracle's
+    /// plain [`AdcModel::convert_pair_reference`]; the two are
+    /// bit-identical.
     #[inline]
     fn convert_rails(
         &self,
@@ -183,11 +190,12 @@ impl SconnaEngine {
         neg: u64,
         key: u64,
         chunk: usize,
+        convert: impl Fn(&AdcModel, f64, f64, &mut KeyedAdcStream) -> (f64, f64),
     ) -> (f64, f64) {
         match ranged {
             Some(adc) => {
                 let mut stream = KeyedAdcStream::new(self.seed, key, chunk as u64);
-                adc.convert_pair(pos as f64, neg as f64, &mut stream)
+                convert(adc, pos as f64, neg as f64, &mut stream)
             }
             None => (pos as f64, neg as f64),
         }
@@ -221,9 +229,17 @@ impl SconnaEngine {
                 }),
             };
             // Each rail's PCA digitizes independently (independent noise
-            // projections of one keyed draw).
+            // projections of one keyed draw), through the plain
+            // Box-Muller transform.
             let ranged = self.adc.map(|adc| self.ranged_adc(&adc, ichunk.len()));
-            let (pos, neg) = self.convert_rails(ranged.as_ref(), pos, neg, key, chunk);
+            let (pos, neg) = self.convert_rails(
+                ranged.as_ref(),
+                pos,
+                neg,
+                key,
+                chunk,
+                AdcModel::convert_pair_reference,
+            );
             // Counts are Σ i·w / 2^B; rescale to integer-product units.
             total += (pos - neg) * scale;
         }
@@ -272,7 +288,8 @@ impl SconnaEngine {
     /// product row (rail by the sign bit, OSM parity by the index within
     /// the chunk) into per-patch u64 rail counters, then converts and
     /// accumulates each patch's rails exactly as [`SconnaEngine::vdp_core`]
-    /// does — same key, chunk index and ascending chunk order.
+    /// does — same key, chunk index and ascending chunk order — through
+    /// the certified [`AdcModel::convert_pair`].
     fn tile(
         &self,
         lut: &OsmProductLut,
@@ -311,8 +328,14 @@ impl SconnaEngine {
                     let ranged = prep.ranged.get(chunk);
                     for p in 0..pb {
                         let key = combine_keys(keys[p0 + p], k as u64);
-                        let (pos, neg) =
-                            self.convert_rails(ranged, rails[0][p], rails[1][p], key, chunk);
+                        let (pos, neg) = self.convert_rails(
+                            ranged,
+                            rails[0][p],
+                            rails[1][p],
+                            key,
+                            chunk,
+                            AdcModel::convert_pair,
+                        );
                         out[(p0 + p) * kernels + k] += (pos - neg) * scale;
                     }
                 }

@@ -163,18 +163,113 @@ pub struct AdcModel {
 /// `measured MAPE` test below).
 pub const DEFAULT_ADC_NOISE_SIGMA: f64 = 0.0145;
 
-/// One Box-Muller draw: two independent standard Gaussians from two
-/// uniforms (`r·cos θ`, `r·sin θ`). The single shared sampler behind
-/// [`AdcModel::convert`] and [`AdcModel::convert_pair`], so the MAPE
-/// calibration and the inference hot path can never drift apart.
+/// The two uniforms of one Box-Muller draw, `u1 ∈ [ε, 1)` and
+/// `u2 ∈ [0, 1)`, in the order every conversion path consumes them.
 /// Box-Muller from uniforms keeps us off `rand_distr` (not in the
 /// sanctioned dependency set).
-fn gaussian_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
+fn box_muller_uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
-    let r = (-2.0 * u1.ln()).sqrt();
-    let (sin_t, cos_t) = (2.0 * std::f64::consts::PI * u2).sin_cos();
+    (u1, u2)
+}
+
+/// Box-Muller radius `sqrt(−2 ln u1)`.
+fn radius(u1: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt()
+}
+
+/// Box-Muller angle `2π · u2`.
+fn angle(u2: f64) -> f64 {
+    2.0 * std::f64::consts::PI * u2
+}
+
+/// The Box-Muller transform: two independent standard Gaussians
+/// (`r·cos θ`, `r·sin θ`) from the two uniforms. The single transform
+/// behind [`AdcModel::convert`], [`AdcModel::convert_pair_reference`] and
+/// the fallback of [`AdcModel::convert_pair`], so the MAPE calibration,
+/// the oracle and the inference hot path can never drift apart.
+fn box_muller(u1: f64, u2: f64) -> (f64, f64) {
+    let r = radius(u1);
+    let (sin_t, cos_t) = angle(u2).sin_cos();
     (r * cos_t, r * sin_t)
+}
+
+/// One Box-Muller draw from `rng`, always through the transform: the
+/// sampler of [`AdcModel::convert`] and the oracle
+/// [`AdcModel::convert_pair_reference`].
+fn gaussian_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
+    let (u1, u2) = box_muller_uniforms(rng);
+    box_muller(u1, u2)
+}
+
+/// Buckets per Box-Muller uniform in [`BoxMullerBounds`]. A power of two
+/// (so bucketing is exact) and at least 4 (so no bucket holds an
+/// extremum of `cos` or `sin` inside it).
+const BUCKETS: usize = 1024;
+const _: () = assert!(BUCKETS.is_power_of_two() && BUCKETS >= 4);
+
+/// Absolute slack on every tabulated bound: far above libm's few-ulp
+/// error on `ln`, `sin` and `cos` (≤ 1e-14 at these magnitudes), far
+/// below the width of one ADC code.
+const SLACK: f64 = 1e-12;
+
+/// Per-bucket bounds of the Box-Muller factors, so a conversion can be
+/// certified from its uniforms alone (see [`AdcModel::convert_pair`]).
+/// Bucket `i` of a uniform covers `[i, i + 1) / BUCKETS`. 48 KB, built
+/// once per process.
+struct BoxMullerBounds {
+    /// `[lo, hi]` of [`radius`] per `u1` bucket.
+    radius: Vec<[f64; 2]>,
+    /// `[cos lo, cos hi, sin lo, sin hi]` of [`angle`] per `u2` bucket.
+    trig: Vec<[f64; 4]>,
+}
+
+impl BoxMullerBounds {
+    fn get() -> &'static Self {
+        static TABLE: std::sync::OnceLock<BoxMullerBounds> = std::sync::OnceLock::new();
+        TABLE.get_or_init(Self::build)
+    }
+
+    /// `ln` at the bucket ends ∓ [`SLACK`] bounds `ln u1` (upper bound
+    /// clamped at 0); `sqrt` is correctly rounded, hence monotone. `cos`
+    /// and `sin` are monotone within a bucket — their extrema, at
+    /// `u2 = k/4`, sit on bucket edges — so their values at
+    /// `angle(lo)` and `angle(hi)`, widened by [`SLACK`] and clamped to
+    /// `[−1, 1]`, bound them.
+    fn build() -> Self {
+        let edge = |i: usize| i as f64 / BUCKETS as f64;
+        let radius = (0..BUCKETS)
+            .map(|i| {
+                let ln_lo = edge(i).max(f64::EPSILON).ln() - SLACK;
+                let ln_hi = (edge(i + 1).ln() + SLACK).min(0.0);
+                [(-2.0 * ln_hi).sqrt(), (-2.0 * ln_lo).sqrt()]
+            })
+            .collect();
+        let trig = (0..BUCKETS)
+            .map(|i| {
+                let (sin_a, cos_a) = angle(edge(i)).sin_cos();
+                let (sin_b, cos_b) = angle(edge(i + 1)).sin_cos();
+                let bound =
+                    |x: f64, y: f64| [(x.min(y) - SLACK).max(-1.0), (x.max(y) + SLACK).min(1.0)];
+                let ([cos_lo, cos_hi], [sin_lo, sin_hi]) =
+                    (bound(cos_a, cos_b), bound(sin_a, sin_b));
+                [cos_lo, cos_hi, sin_lo, sin_hi]
+            })
+            .collect();
+        Self { radius, trig }
+    }
+
+    /// Bucket of a uniform in `[0, 1)` (exact: `BUCKETS` is a power of
+    /// two). Through `i64`, which converts in one instruction on baseline
+    /// x86-64; the index is bounds-checked.
+    fn bucket(u: f64) -> usize {
+        (u * BUCKETS as f64) as i64 as usize
+    }
+
+    /// Largest tabulated radius: `|g| ≤ r_max` for every draw.
+    fn r_max(&self) -> f64 {
+        self.radius[0][1]
+    }
 }
 
 impl AdcModel {
@@ -201,25 +296,86 @@ impl AdcModel {
         code * step
     }
 
+    /// The noisy reading of `ones` under standard Gaussian `gauss`.
+    fn noisy(&self, ones: f64, gauss: f64) -> f64 {
+        self.quantize(ones * (1.0 + self.relative_noise_sigma * gauss))
+    }
+
     /// Full conversion with noise: samples a Gaussian multiplicative
     /// error, then quantizes.
     pub fn convert<R: Rng + ?Sized>(&self, ones: f64, rng: &mut R) -> f64 {
-        let (gauss, _) = gaussian_pair(rng);
-        self.quantize(ones * (1.0 + self.relative_noise_sigma * gauss))
+        self.noisy(ones, gaussian_pair(rng).0)
     }
 
     /// Converts the two rail counts of one VDPE chunk with a single
     /// Box-Muller draw: the `cos` and `sin` projections of one `(r, θ)`
     /// pair are independent standard Gaussians, so the positive and
-    /// negative rails get independent noise at half the transcendental
-    /// cost of two [`AdcModel::convert`] calls — the dominant cost of a
-    /// noisy short-vector VDP.
+    /// negative rails get independent noise from one pair of uniforms.
+    ///
+    /// Bit-identical to [`AdcModel::convert_pair_reference`], but most
+    /// calls skip the transform: the uniforms' buckets bound each rail's
+    /// Gaussian to an interval, and when every value in it maps to one
+    /// ADC code (see `certify_pair`) that code is the answer. Otherwise
+    /// the same Box-Muller transform runs exactly.
     pub fn convert_pair<R: Rng + ?Sized>(&self, pos: f64, neg: f64, rng: &mut R) -> (f64, f64) {
+        let (u1, u2) = box_muller_uniforms(rng);
+        self.certify_pair(pos, neg, u1, u2).unwrap_or_else(|| {
+            let (g0, g1) = box_muller(u1, u2);
+            (self.noisy(pos, g0), self.noisy(neg, g1))
+        })
+    }
+
+    /// [`AdcModel::convert_pair`] through the plain Box-Muller transform,
+    /// with no certification: the oracle the certified path is tested
+    /// against, bit for bit.
+    pub fn convert_pair_reference<R: Rng + ?Sized>(
+        &self,
+        pos: f64,
+        neg: f64,
+        rng: &mut R,
+    ) -> (f64, f64) {
         let (g0, g1) = gaussian_pair(rng);
-        (
-            self.quantize(pos * (1.0 + self.relative_noise_sigma * g0)),
-            self.quantize(neg * (1.0 + self.relative_noise_sigma * g1)),
-        )
+        (self.noisy(pos, g0), self.noisy(neg, g1))
+    }
+
+    /// Both rails' codes from the uniforms' buckets alone, or `None` when
+    /// either rail needs the exact Gaussian. Every f64 op in
+    /// `quantize(x · (1 + σ·g))` is monotone in `g` (for `σ ≥ 0`, `x ≥ 0`
+    /// and `1 + σ·g > 0`), so when both ends of the bucket's `g` interval
+    /// give one code, the exact `g` gives it too. Outside that range —
+    /// negative or NaN `σ`, `σ · r_max ≥ 1`, a degenerate step — the
+    /// caller takes the exact path.
+    pub(crate) fn certify_pair(&self, pos: f64, neg: f64, u1: f64, u2: f64) -> Option<(f64, f64)> {
+        let sigma = self.relative_noise_sigma;
+        let step = self.step_ones();
+        let table = BoxMullerBounds::get();
+        if !(sigma >= 0.0 && sigma * table.r_max() < 1.0 && step.is_finite() && step > 0.0) {
+            return None;
+        }
+        let [r_lo, r_hi] = table.radius[BoxMullerBounds::bucket(u1)];
+        let [cos_lo, cos_hi, sin_lo, sin_hi] = table.trig[BoxMullerBounds::bucket(u2)];
+        let max_code = ((1u64 << self.bits) - 1) as f64;
+        // One rail under `c ∈ [c_lo, c_hi]`: whether it is certified, and
+        // its reading if so. Both rails are evaluated before either is
+        // tested, so the common case takes no branch.
+        let rail = |x: f64, c_lo: f64, c_hi: f64| {
+            // g = r·c with r ≥ 0: monotone in r for fixed c, increasing in c.
+            let g_lo = (r_lo * c_lo).min(r_hi * c_lo);
+            let g_hi = (r_lo * c_hi).max(r_hi * c_hi);
+            // `quantize`'s operation order, at both ends of the interval.
+            let v_lo = x * (1.0 + sigma * g_lo) / step;
+            let v_hi = x * (1.0 + sigma * g_hi) / step;
+            // Truncation, not `f64::round` (a libm call on baseline
+            // x86-64); through `i64`, which converts in one instruction
+            // there. Strict bounds exclude ties. The sign test rejects
+            // negative readings and `−0.0`, whose code keeps its sign.
+            let m = (v_lo + 0.5) as i64 as f64;
+            let certified = v_lo.is_sign_positive() & (m - 0.5 < v_lo) & (v_hi < m + 0.5);
+            (certified, m.min(max_code) * step)
+        };
+        let (pos_ok, pos) = rail(pos, cos_lo, cos_hi);
+        let (neg_ok, neg) = rail(neg, sin_lo, sin_hi);
+        (pos_ok & neg_ok).then_some((pos, neg))
     }
 
     /// Monte-Carlo estimate of the MAPE over a count distribution drawn
@@ -375,6 +531,100 @@ mod tests {
             (neg_mape - 1.3).abs() < 0.25,
             "neg rail MAPE {neg_mape:.3} %"
         );
+    }
+
+    /// Replays fixed words, so both conversion paths see one draw.
+    struct Replay([u64; 2], usize);
+
+    impl rand::RngCore for Replay {
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0[self.1 - 1]
+        }
+    }
+
+    #[test]
+    fn box_muller_bounds_contain_every_bucket() {
+        // libm's radius, cos and sin of every probed uniform must lie in
+        // its bucket's bounds: each bucket's smallest and largest f64,
+        // the draw's extremes ε and 1 − 2⁻⁵³, and seeded interior points.
+        let table = BoxMullerBounds::get();
+        let mut rng = StdRng::seed_from_u64(0xB0C);
+        let mut probes = vec![f64::EPSILON, 1.0 - f64::EPSILON / 2.0];
+        for i in 0..BUCKETS {
+            let (lo, hi) = (i as f64 / BUCKETS as f64, (i + 1) as f64 / BUCKETS as f64);
+            probes.extend([lo, hi.next_down()]);
+            probes.extend((0..8).map(|_| rng.gen_range(lo..hi)));
+        }
+        let within = |x: f64, lo: f64, hi: f64| lo <= x && x <= hi;
+        for u in probes {
+            let b = BoxMullerBounds::bucket(u);
+            if u >= f64::EPSILON {
+                let [r_lo, r_hi] = table.radius[b];
+                assert!(within(radius(u), r_lo, r_hi), "radius at u1 = {u:e}");
+            }
+            let [cos_lo, cos_hi, sin_lo, sin_hi] = table.trig[b];
+            let (sin_t, cos_t) = angle(u).sin_cos();
+            assert!(within(cos_t, cos_lo, cos_hi), "cos at u2 = {u:e}");
+            assert!(within(sin_t, sin_lo, sin_hi), "sin at u2 = {u:e}");
+        }
+    }
+
+    #[test]
+    fn certified_pair_is_bit_identical_to_box_muller() {
+        // A seeded sweep over ADC bits 4–12, σ from 0 to 0.1 (plus 0.2,
+        // past the guard), full scales from tiny to 176·2^12, and rails
+        // that are zero, uniform over full scale, exact half-code ties,
+        // above full scale or negative zero. Draws are random words,
+        // exact bucket edges or the extremes 0 and u64::MAX.
+        let mut rng = StdRng::seed_from_u64(0xCE27);
+        let (mut certified, mut fallback) = (0u64, 0u64);
+        let sigmas = [0.0, 0.5, 1.0, 4.0].map(|m| m * DEFAULT_ADC_NOISE_SIGMA);
+        for case in 0..1_000_000u32 {
+            let sigma = match case % 8 {
+                0..=3 => sigmas[case as usize % 4],
+                4 | 5 => rng.gen_range(0.0..=0.1),
+                6 => 0.1,
+                _ => 0.2,
+            };
+            let adc = AdcModel {
+                bits: rng.gen_range(4..=12),
+                full_scale_ones: rng.gen_range(1..=176 << 12),
+                relative_noise_sigma: sigma,
+            };
+            let step = adc.step_ones();
+            let full = adc.full_scale_ones as f64;
+            let mut rail = || match rng.gen_range(0..6) {
+                0 => 0.0,
+                1 => rng.gen_range(0..=adc.full_scale_ones) as f64,
+                2 => (rng.gen_range(0..1u64 << adc.bits) as f64 + 0.5) * step,
+                3 => full + rng.gen_range(0.0..=full),
+                4 => -0.0,
+                _ => rng.gen_range(0.0..=full),
+            };
+            let (pos, neg) = (rail(), rail());
+            let mut word = || match rng.gen_range(0..8) {
+                0 => rng.gen_range(0..BUCKETS as u64) << 54,
+                1 => 0,
+                2 => u64::MAX,
+                _ => rng.gen_range(0..=u64::MAX),
+            };
+            let words = [word(), word()];
+            let got = adc.convert_pair(pos, neg, &mut Replay(words, 0));
+            let want = adc.convert_pair_reference(pos, neg, &mut Replay(words, 0));
+            let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
+            assert_eq!(
+                bits(got),
+                bits(want),
+                "{adc:?} pos {pos} neg {neg} {words:?}"
+            );
+            let (u1, u2) = box_muller_uniforms(&mut Replay(words, 0));
+            match adc.certify_pair(pos, neg, u1, u2) {
+                Some(_) => certified += 1,
+                None => fallback += 1,
+            }
+        }
+        assert!(certified > 0 && fallback > 0, "{certified} / {fallback}");
     }
 
     #[test]

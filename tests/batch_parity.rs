@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use sconna::accel::SconnaEngine;
-use sconna::photonics::pca::AdcModel;
+use sconna::photonics::pca::{AdcModel, DEFAULT_ADC_NOISE_SIGMA};
 use sconna::sc::Precision;
 use sconna::tensor::arena::BatchArena;
 use sconna::tensor::engine::{combine_keys, ExactEngine, PatchMatrix, VdpEngine, WeightMatrix};
@@ -74,7 +74,10 @@ proptest! {
     /// 176-chunks over multi-chunk vectors), tiles up to 70 patches (so
     /// any internal patch blocking is crossed), operands the B-bit
     /// registers must clamp (inputs above `qmax`, weights beyond
-    /// ±`qmax` including `i32::MIN`) and ADC on/off.
+    /// ±`qmax` including `i32::MIN`) and ADC settings: none, σ = 0,
+    /// 0.5×, 1× and 4× the calibrated σ (the tile kernel's certified
+    /// conversion and its exact fallback), and σ = 0.2, past the
+    /// certification guard.
     #[test]
     fn prop_vdp_batch_matches_per_vector(
         bits in 1u8..=12,
@@ -85,10 +88,9 @@ proptest! {
         rows in 0usize..=70,
         kernels in 1usize..=6,
         seed in 0u64..=1000,
-        noisy in 0u8..=1,
+        adc_mode in 0usize..=5,
         out_of_range in 0u8..=1,
     ) {
-        let noisy = noisy == 1;
         // One case in four runs the paper's N = 176 over long vectors.
         let (vdpe, cols) = if paper_chunks == 0 {
             (176, long_cols)
@@ -117,7 +119,18 @@ proptest! {
         let wm = WeightMatrix::new(&wdata, kernels, cols);
         let keys: Vec<u64> = (0..rows as u64).map(|p| p.wrapping_mul(seed | 1)).collect();
 
-        let adc = noisy.then(AdcModel::sconna_default);
+        let sigma = [
+            None,
+            Some(0.0),
+            Some(0.5 * DEFAULT_ADC_NOISE_SIGMA),
+            Some(DEFAULT_ADC_NOISE_SIGMA),
+            Some(4.0 * DEFAULT_ADC_NOISE_SIGMA),
+            Some(0.2),
+        ][adc_mode];
+        let adc = sigma.map(|relative_noise_sigma| AdcModel {
+            relative_noise_sigma,
+            ..AdcModel::sconna_default()
+        });
         let sconna = SconnaEngine::new(precision, vdpe, adc, seed);
         assert_batch_parity(&sconna, &patches, &wm, &keys);
         assert_batch_parity(&ExactEngine, &patches, &wm, &keys);
