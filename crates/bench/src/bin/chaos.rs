@@ -32,7 +32,7 @@ use sconna_accel::serve::{
     chaos_sweep, simulate_serving, ChaosPoint, FailureProcess, ServingConfig, ServingReport,
     Supervisor,
 };
-use sconna_bench::banner;
+use sconna_bench::{banner, json_num, same_at_workers};
 use sconna_sim::stats::GoodputSamples;
 use sconna_sim::time::SimTime;
 use sconna_tensor::models::{googlenet, shufflenet_v2};
@@ -42,14 +42,6 @@ use sconna_tensor::models::{googlenet, shufflenet_v2};
 const PROCESS_SEED: u64 = 2023;
 /// Root of the supervisor's backoff-jitter stream.
 const SUPERVISOR_SEED: u64 = 31;
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
-}
 
 /// Responses (full-fidelity + degraded) over offered traffic — the
 /// served fraction a client population observes.
@@ -100,6 +92,7 @@ fn arm_json(r: &ServingReport, fault_free: &ServingReport) -> String {
 
 /// One accelerator's full curve: the fault-free baseline plus, at each
 /// MTBF, the unsupervised and supervised arms.
+#[derive(Debug)]
 struct AccelCurve {
     name: &'static str,
     fault_free: ServingReport,
@@ -206,22 +199,9 @@ fn main() {
             })
             .collect()
     };
-    let grid_debug = |grid: &[AccelCurve]| -> String {
-        grid.iter()
-            .map(|c| {
-                format!(
-                    "{:?}|{:?}|{:?}|{:?}",
-                    c.fault_free, c.mtbfs, c.unsupervised, c.supervised
-                )
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
     let grid = run_grid(1);
-    let worker_settings: &[usize] = if smoke { &[2] } else { &[2, 8] };
-    let invariant = worker_settings
-        .iter()
-        .all(|&w| grid_debug(&run_grid(w)) == grid_debug(&grid));
+    let workers: &[usize] = if smoke { &[2] } else { &[2, 8] };
+    let invariant = same_at_workers(&grid, workers, run_grid);
     assert!(invariant, "chaos sweep diverged across worker counts");
 
     let mut accel_json = Vec::new();

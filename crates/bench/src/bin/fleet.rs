@@ -25,20 +25,12 @@
 use sconna_accel::organization::AcceleratorConfig;
 use sconna_accel::serve::{sweep, AutoscalePolicy, Fleet, ServingConfig};
 use sconna_accel::serve::{ArrivalProcess, ServingReport};
-use sconna_bench::banner;
+use sconna_bench::{banner, json_num, same_at_workers};
 use sconna_sim::time::SimTime;
 use sconna_tensor::models::{shufflenet_v2, CnnModel};
 use std::time::Instant;
 
 const MAX_BATCH: usize = 4;
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
-}
 
 /// One scaling-grid measurement: a closed-loop saturation run at a fixed
 /// request-per-instance budget, timed on the wall clock.
@@ -282,12 +274,8 @@ fn main() {
         format!("{auto_report:?}"),
         "stepped run diverged from the sweep wrapper"
     );
-    let worker_invariant = [2usize, 8].iter().all(|&w| {
-        let grid = sweep(variants.clone(), &model, w);
-        grid.iter()
-            .zip(&baseline)
-            .all(|(a, b)| format!("{a:?}") == format!("{b:?}"))
-    });
+    let worker_invariant =
+        same_at_workers(&baseline, &[2, 8], |w| sweep(variants.clone(), &model, w));
     assert!(
         worker_invariant,
         "autoscale sweep diverged across worker counts"

@@ -29,7 +29,7 @@ use sconna_accel::serve::{
     overload_sweep, simulate_serving, AdmissionPolicy, FunctionalWorkload, OverloadPoint,
     ServingConfig,
 };
-use sconna_bench::banner;
+use sconna_bench::{banner, json_num, same_at_workers};
 use sconna_photonics::pca::AdcModel;
 use sconna_sc::Precision;
 use sconna_sim::time::SimTime;
@@ -40,14 +40,6 @@ use sconna_tensor::smallcnn::{SmallCnn, SmallCnnConfig};
 
 /// Precision of the degrade-policy fallback model and its engine.
 const FALLBACK_BITS: u8 = 4;
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
-}
 
 fn point_json(p: &OverloadPoint, capacity: f64) -> String {
     let s = &p.report.serving;
@@ -179,9 +171,10 @@ fn main() {
         ),
     ];
 
-    // The whole grid at three worker settings (sweep-level × in-instance
-    // parallelism): reports must be bit-identical.
-    let run_grid = |sweep_workers: usize, instance_workers: usize| -> Vec<Vec<OverloadPoint>> {
+    // The whole grid at three worker settings (each used for both
+    // sweep-level and in-instance parallelism): reports must be
+    // bit-identical.
+    let run_grid = |workers: usize| -> Vec<Vec<OverloadPoint>> {
         policies
             .iter()
             .map(|&(_, admission)| {
@@ -192,17 +185,15 @@ fn main() {
                     fallback_engine: Some(&fb_engine),
                     samples: &test,
                     engine: &engine,
-                    workers: instance_workers,
+                    workers,
                 };
-                overload_sweep(&cfg, &model, &workload, &rates, sweep_workers)
+                overload_sweep(&cfg, &model, &workload, &rates, workers)
             })
             .collect()
     };
-    let grid = run_grid(1, 1);
-    let worker_settings: &[(usize, usize)] = if smoke { &[(2, 2)] } else { &[(2, 2), (8, 8)] };
-    let invariant = worker_settings
-        .iter()
-        .all(|&(sw, iw)| format!("{:?}", run_grid(sw, iw)) == format!("{grid:?}"));
+    let grid = run_grid(1);
+    let workers: &[usize] = if smoke { &[2] } else { &[2, 8] };
+    let invariant = same_at_workers(&grid, workers, run_grid);
     assert!(invariant, "overload sweep diverged across worker counts");
 
     let mut policy_json = Vec::new();

@@ -26,19 +26,11 @@
 use sconna_accel::organization::AcceleratorConfig;
 use sconna_accel::serve::{sweep, ArrivalProcess, Fleet, ServingConfig, ServingReport};
 use sconna_accel::serve::{TenantScheduler, TenantSpec};
-use sconna_bench::banner;
+use sconna_bench::{banner, json_num, same_at_workers};
 use sconna_sim::time::SimTime;
 use sconna_tensor::models::{googlenet, shufflenet_v2};
 
 const SEED: u64 = 23;
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
-}
 
 fn us(t: SimTime) -> f64 {
     t.as_secs_f64() * 1e6
@@ -235,13 +227,7 @@ fn main() {
     // The whole isolation grid, swept at 1/2/8 workers, must reproduce
     // bit-identically: tenants add per-tenant queues and virtual
     // clocks, not nondeterminism.
-    let worker_invariant = [2usize, 8].iter().all(|&w| {
-        let again = sweep(grid.clone(), &model, w);
-        again
-            .iter()
-            .zip(&reports)
-            .all(|(a, b)| format!("{a:?}") == format!("{b:?}"))
-    });
+    let worker_invariant = same_at_workers(&reports, &[2, 8], |w| sweep(grid.clone(), &model, w));
     assert!(
         worker_invariant,
         "multi-tenant sweep diverged across worker counts"

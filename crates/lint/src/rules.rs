@@ -62,13 +62,9 @@ impl Rule {
     /// Whether this rule applies to the workspace-relative path `rel`
     /// (forward slashes). The carve-outs are part of the rule contract:
     ///
-    /// * `no-locked-rng` — everywhere except `crates/compat/` and the
-    ///   intentionally-legacy mutex baseline in
-    ///   `crates/bench/src/bin/inference.rs` (it *reproduces* the PR 2
-    ///   hot path as the before-measurement).
+    /// * `no-locked-rng` — everywhere except `crates/compat/`.
     /// * `no-wallclock` — everywhere except `crates/bench/` (real
-    ///   measurements need real clocks) and `crates/compat/criterion/`
-    ///   (the timing harness itself).
+    ///   measurements need real clocks).
     /// * `no-unordered-report-iteration` — the determinism-sensitive
     ///   crates whose output feeds reports: `accel`, `sim`, `sc`.
     /// * `no-unwrap-in-lib` — library source of the non-bench crates
@@ -77,10 +73,8 @@ impl Rule {
     pub fn applies_to(self, rel: &str) -> bool {
         let compat = rel.starts_with("crates/compat/");
         match self {
-            Rule::NoLockedRng => !compat && rel != "crates/bench/src/bin/inference.rs",
-            Rule::NoWallclock => {
-                !rel.starts_with("crates/bench/") && !rel.starts_with("crates/compat/criterion/")
-            }
+            Rule::NoLockedRng => !compat,
+            Rule::NoWallclock => !rel.starts_with("crates/bench/"),
             Rule::NoUnorderedReportIteration => {
                 rel.starts_with("crates/accel/src/")
                     || rel.starts_with("crates/sim/src/")
@@ -414,13 +408,15 @@ mod tests {
     }
 
     #[test]
-    fn locked_rng_exempts_legacy_bench_baseline() {
+    fn locked_rng_fires_in_every_bench_file() {
         let src = "struct Legacy { rng: Mutex<StdRng> }";
-        assert!(rules_fired("crates/bench/src/bin/inference.rs", src).is_empty());
-        assert_eq!(
-            rules_fired("crates/bench/src/lib.rs", src),
-            vec!["no-locked-rng"]
-        );
+        for rel in [
+            "crates/bench/src/bin/inference.rs",
+            "crates/bench/src/bin/overload.rs",
+            "crates/bench/src/lib.rs",
+        ] {
+            assert_eq!(rules_fired(rel, src), vec!["no-locked-rng"], "{rel}");
+        }
     }
 
     #[test]
@@ -433,13 +429,12 @@ mod tests {
             rules_fired(LIB, "use std::time::SystemTime;"),
             vec!["no-wallclock"]
         );
-        // Scoped out in bench and the criterion harness.
+        // Scoped out in bench only.
         assert!(rules_fired("crates/bench/src/lib.rs", "let t = Instant::now();").is_empty());
-        assert!(rules_fired(
-            "crates/compat/criterion/src/lib.rs",
-            "let t = Instant::now();"
-        )
-        .is_empty());
+        assert_eq!(
+            rules_fired("crates/compat/rand/src/lib.rs", "let t = Instant::now();"),
+            vec!["no-wallclock"]
+        );
         // `Instant` alone (e.g. stored as a field type in bench-only
         // structs) is not flagged — only the clock read.
         assert!(rules_fired(LIB, "fn f(t: Instant) {}").is_empty());
@@ -524,7 +519,7 @@ mod tests {
             rules_fired("tests/t.rs", "unsafe { x() }"),
             vec!["forbid-unsafe"]
         );
-        assert!(rules_fired("crates/compat/parking_lot/src/lib.rs", "unsafe { x() }").is_empty());
+        assert!(rules_fired("crates/compat/crossbeam/src/lib.rs", "unsafe { x() }").is_empty());
     }
 
     #[test]

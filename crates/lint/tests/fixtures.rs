@@ -51,15 +51,21 @@ fn locked_rng_fixture_fires_in_the_self_healing_modules() {
 }
 
 #[test]
-fn locked_rng_fixture_is_exempt_in_the_legacy_bench_baseline() {
-    let findings = lint_source(
+fn locked_rng_fixture_fires_in_the_bench_bins() {
+    // The bench crate has no carve-out: a locked RNG in any bin, the
+    // old legacy-baseline path included, is a finding.
+    for rel in [
         "crates/bench/src/bin/inference.rs",
-        include_str!("../fixtures/locked_rng.rs"),
-    );
-    assert!(
-        findings.is_empty(),
-        "legacy baseline is carved out: {findings:?}"
-    );
+        "crates/bench/src/bin/overload.rs",
+    ] {
+        let findings = lint_source(rel, include_str!("../fixtures/locked_rng.rs"));
+        assert_eq!(
+            lines_of(&findings, "no-locked-rng"),
+            vec![8, 12, 15, 16],
+            "{rel} fell out of the locked-rng scope"
+        );
+        assert_eq!(findings.len(), 4, "{rel}: {findings:?}");
+    }
 }
 
 #[test]
@@ -71,14 +77,10 @@ fn wallclock_fixture_fires() {
 }
 
 #[test]
-fn wallclock_fixture_is_exempt_in_bench_and_criterion() {
-    for rel in [
-        "crates/bench/src/bin/serving.rs",
-        "crates/compat/criterion/src/lib.rs",
-    ] {
-        let findings = lint_source(rel, include_str!("../fixtures/wallclock.rs"));
-        assert!(findings.is_empty(), "{rel} is carved out: {findings:?}");
-    }
+fn wallclock_fixture_is_exempt_in_bench() {
+    let rel = "crates/bench/src/bin/serving.rs";
+    let findings = lint_source(rel, include_str!("../fixtures/wallclock.rs"));
+    assert!(findings.is_empty(), "{rel} is carved out: {findings:?}");
 }
 
 #[test]
@@ -238,7 +240,7 @@ fn unsafe_fixture_fires() {
 #[test]
 fn unsafe_fixture_is_exempt_in_compat() {
     let findings = lint_source(
-        "crates/compat/parking_lot/src/lib.rs",
+        "crates/compat/crossbeam/src/lib.rs",
         include_str!("../fixtures/unsafe_code.rs"),
     );
     assert!(findings.is_empty(), "compat may use unsafe: {findings:?}");

@@ -4,9 +4,11 @@
 //! (Section VI-B describes a "custom, transaction-level, event-driven
 //! python-based simulator"): a deterministic discrete-event queue,
 //! picosecond simulated time, an energy/power/area ledger fed from
-//! Table IV-style component specs, a mesh NoC, memory models, counters and
-//! utilization statistics, plus a fork-join parallel map for parameter
-//! sweeps.
+//! Table IV-style component specs, utilization, latency, queue-depth and
+//! goodput statistics, plus a fork-join parallel map for parameter
+//! sweeps. Memory traffic is modelled analytically in `sconna-accel`'s
+//! `perf` module and the mesh routers appear there only as power/area
+//! entries (`peripherals`).
 //!
 //! The accelerator-specific models (SCONNA itself and the analog
 //! baselines) live in `sconna-accel`; this crate is architecture-neutral.
@@ -23,15 +25,11 @@
 
 pub mod energy;
 pub mod event;
-pub mod memory;
-pub mod noc;
 pub mod parallel;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use energy::{ComponentSpec, EnergyLedger};
 pub use event::EventQueue;
-pub use noc::MeshNoc;
-pub use stats::{gmean, Counters};
+pub use stats::gmean;
 pub use time::SimTime;

@@ -1,49 +1,8 @@
-//! Run statistics: counters and utilization tracking for simulation
-//! reports.
+//! Run statistics for simulation reports: utilization, latency
+//! percentiles, queue depth, goodput and the geometric mean.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-
-/// Named monotonic counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Counters {
-    values: BTreeMap<String, u64>,
-}
-
-impl Counters {
-    /// Creates an empty counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to a counter (creating it at zero).
-    pub fn add(&mut self, name: &str, n: u64) {
-        *self.values.entry(name.to_string()).or_default() += n;
-    }
-
-    /// Increments a counter by one.
-    pub fn bump(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Reads a counter (0 if never touched).
-    pub fn get(&self, name: &str) -> u64 {
-        self.values.get(name).copied().unwrap_or(0)
-    }
-
-    /// Iterates counters in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.values.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Merges another counter set into this one.
-    pub fn merge(&mut self, other: &Counters) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
-}
 
 /// Busy-time tracker for one resource: accumulates busy intervals and
 /// reports utilization against a makespan.
@@ -391,38 +350,6 @@ pub fn gmean(values: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn counters_accumulate() {
-        let mut c = Counters::new();
-        c.bump("vdp_ops");
-        c.add("vdp_ops", 9);
-        c.add("psum", 4);
-        assert_eq!(c.get("vdp_ops"), 10);
-        assert_eq!(c.get("psum"), 4);
-        assert_eq!(c.get("missing"), 0);
-    }
-
-    #[test]
-    fn counters_merge() {
-        let mut a = Counters::new();
-        a.add("x", 1);
-        let mut b = Counters::new();
-        b.add("x", 2);
-        b.add("y", 3);
-        a.merge(&b);
-        assert_eq!(a.get("x"), 3);
-        assert_eq!(a.get("y"), 3);
-    }
-
-    #[test]
-    fn counters_iterate_sorted() {
-        let mut c = Counters::new();
-        c.add("zeta", 1);
-        c.add("alpha", 1);
-        let names: Vec<&str> = c.iter().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["alpha", "zeta"]);
-    }
 
     #[test]
     fn utilization_ratio() {
