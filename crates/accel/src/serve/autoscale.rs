@@ -100,20 +100,11 @@ impl AutoscalePolicy {
         self
     }
 
-    /// Checks the policy is well-formed.
-    ///
-    /// # Panics
-    /// Panics on an empty pool range, an `initial` outside `[min, max]`,
-    /// a zero check interval, or a non-positive/non-finite headroom.
-    pub fn validate(&self) {
-        if let Err(msg) = self.try_validate() {
-            panic!("{msg}");
-        }
-    }
-
-    /// Non-panicking form of [`validate`](Self::validate): returns the
-    /// diagnostic instead of aborting, so `ServingConfig::validate` can
-    /// surface it as a [`ServingConfigError`](super::ServingConfigError).
+    /// Checks the policy is well-formed: returns the diagnostic for an
+    /// empty pool range, an `initial` outside `[min, max]`, a zero check
+    /// interval, or a non-positive/non-finite headroom, which
+    /// `ServingConfig::validate` surfaces as a
+    /// [`ServingConfigError`](super::ServingConfigError).
     pub fn try_validate(&self) -> Result<(), String> {
         if self.min < 1 {
             return Err("autoscale min must be at least 1".into());
@@ -179,7 +170,6 @@ pub(crate) struct AutoscaleCtl {
 
 impl AutoscaleCtl {
     pub fn new(policy: AutoscalePolicy, per_instance_fps: f64) -> Self {
-        policy.validate();
         assert!(
             per_instance_fps.is_finite() && per_instance_fps > 0.0,
             "per-instance capacity must be positive"
@@ -247,7 +237,7 @@ mod tests {
             .with_check_interval(SimTime::from_ns(500_000))
             .with_cooldown(SimTime::from_ns(1_000_000))
             .with_headroom(1.5);
-        p.validate();
+        assert!(p.try_validate().is_ok());
         assert_eq!(p.initial, 4);
         assert_eq!(p.check_interval, SimTime::from_ns(500_000));
         assert_eq!(p.cooldown, SimTime::from_ns(1_000_000));
@@ -267,15 +257,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "min")]
-    fn inverted_bounds_panic() {
-        AutoscalePolicy::new(4, 2).validate();
+    fn inverted_bounds_are_rejected() {
+        let err = AutoscalePolicy::new(4, 2).try_validate().unwrap_err();
+        assert!(err.contains("min"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "initial")]
-    fn out_of_range_initial_panics() {
-        AutoscalePolicy::new(2, 4).with_initial(8).validate();
+    fn out_of_range_initial_is_rejected() {
+        let err = AutoscalePolicy::new(2, 4)
+            .with_initial(8)
+            .try_validate()
+            .unwrap_err();
+        assert!(err.contains("initial"), "{err}");
     }
 
     #[test]

@@ -49,24 +49,21 @@
 
 use super::autoscale::{AutoscaleCtl, ScaleEvent};
 use super::config::{ServingConfigError, TenantScheduler, TenantSpec};
-use super::report::{TenantAccuracy, TenantUsage};
+use super::ledger::{ratio, FinishedRun, Ledger};
+use super::report::TenantAccuracy;
 use super::supervisor::{RestartMode, Supervisor};
 use super::{
-    AdmissionPolicy, ArrivalProcess, AvailabilityStats, FaultEvent, FaultPlan,
-    FunctionalServingReport, RequestOutcome, ServingConfig, ServingReport, ShedCounts,
+    AdmissionPolicy, ArrivalProcess, FaultEvent, FaultPlan, FunctionalServingReport,
+    RequestOutcome, ServingConfig, ServingReport, ShedCounts,
 };
 use crate::organization::AcceleratorConfig;
 use crate::perf::{
     analyze_layer_batched, model_reload_time, model_swap_time, model_warm_reload_time,
-    record_inference_ops, register_components, LayerPerf,
+    record_inference_ops, LayerPerf,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sconna_sim::energy::EnergyLedger;
 use sconna_sim::event::EventQueue;
-use sconna_sim::stats::{
-    GoodputSamples, LatencySamples, LatencySummary, QueueDepthSamples, Utilization,
-};
 use sconna_sim::time::SimTime;
 use sconna_tensor::arena::BatchArena;
 use sconna_tensor::dataset::Sample;
@@ -270,11 +267,22 @@ impl Instance {
     fn dispatchable(&self, now: SimTime) -> bool {
         self.up && !self.draining && self.in_flight.is_none() && self.stall_until <= now
     }
+
+    /// Parks the instance into autoscale standby. The epoch bump lapses
+    /// every timer of its retired life.
+    fn park(&mut self) {
+        self.epoch += 1;
+        self.up = false;
+        self.reloading = false;
+        self.draining = false;
+        self.standby = true;
+    }
 }
 
 /// Per-batch-size analysis cache: the batched layer walk is identical for
 /// every batch of the same size, so it is computed once per size.
 struct BatchProfiles<'a> {
+    /// The operating point the batches run (and record energy) at.
     cfg: AcceleratorConfig,
     model: &'a CnnModel,
     by_size: Vec<Option<(SimTime, Vec<LayerPerf>)>>,
@@ -327,12 +335,10 @@ struct ModelCtx<'a> {
     reload_time: SimTime,
 }
 
-/// Run-wide mutable state of one tenant: its spec, its weighted-fair
-/// virtual clock, its private arrival stream, and the usage counters
-/// that become its [`TenantUsage`] record. (The per-origin usage-record
-/// shape follows the traffic-accounting idiom: every counter the
-/// operator bills or SLO-audits lives on the tenant, and the fleet
-/// totals are provably the sum over tenants.)
+/// Run-wide scheduling state of one tenant: its spec, its weighted-fair
+/// virtual clock and its private arrival stream. Its usage counters
+/// live in the [`Ledger`]'s per-tenant tally, the only copy of each, so
+/// the fleet totals are the sum over tenants by construction.
 struct TenantRt {
     spec: TenantSpec,
     /// Weighted-fair virtual finish time: advanced `batch / weight` per
@@ -345,20 +351,6 @@ struct TenantRt {
     rng: StdRng,
     /// Requests issued into this tenant's arrival process so far.
     issued: usize,
-    offered: u64,
-    completed: u64,
-    degraded_done: u64,
-    dropped: u64,
-    shed: ShedCounts,
-    latency: LatencySamples,
-    batches: u64,
-    batched_requests: u64,
-    /// Model swaps instances paid to serve this tenant.
-    swaps: u64,
-    /// Total simulated time those swaps cost.
-    swap_time: SimTime,
-    /// Dynamic energy attributed to this tenant's dispatches, joules.
-    energy_j: f64,
 }
 
 impl TenantRt {
@@ -375,17 +367,6 @@ impl TenantRt {
                 seed.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
             }),
             issued: 0,
-            offered: 0,
-            completed: 0,
-            degraded_done: 0,
-            dropped: 0,
-            shed: ShedCounts::default(),
-            latency: LatencySamples::new(),
-            batches: 0,
-            batched_requests: 0,
-            swaps: 0,
-            swap_time: SimTime::ZERO,
-            energy_j: 0.0,
         }
     }
 }
@@ -471,25 +452,17 @@ struct Scheduler<'a> {
     /// synthesized tenant mirroring the config-level
     /// arrivals/requests/queue-cap for every legacy entry point.
     tenants: Vec<TenantRt>,
-    /// The reduced-precision operating point degraded batches record
-    /// their energy against.
-    degraded_accel: Option<AcceleratorConfig>,
-    ledger: EnergyLedger,
+    /// Every counter of the run; the scheduler only decides.
+    ledger: Ledger,
     /// Per-tenant bounded queues of requests waiting to be batched,
     /// arrival order within each queue. Ids are assigned in global
     /// arrival order, so id `r` always denotes the `r`-th request to
     /// enter the system regardless of the arrival process or tenant.
     pending: Vec<VecDeque<PendingReq>>,
-    /// Tenant index per request id.
-    tenant_of: Vec<u32>,
     /// The fleet's weighted-fair virtual clock: the virtual start time
     /// of the most recent dispatch, to which newly-backlogged tenants
     /// are synced.
     vclock: f64,
-    /// Next request id to assign.
-    next_id: u64,
-    /// Terminal state per request id (`None` while in flight).
-    outcomes: Vec<Option<RequestOutcome>>,
     /// Per-instance liveness + in-flight state.
     nodes: Vec<Instance>,
     /// Two-level dispatch bitmaps over `nodes` (racks of 64 under a
@@ -499,17 +472,6 @@ struct Scheduler<'a> {
     auto: Option<AutoscaleCtl>,
     /// The normalized fault schedule ([`Ev::Fault`] indexes into it).
     faults: Vec<FaultEvent>,
-    util: Vec<Utilization>,
-    latency: LatencySamples,
-    queue_depth: QueueDepthSamples,
-    offered: u64,
-    completed: u64,
-    dropped: u64,
-    degraded_done: u64,
-    shed: ShedCounts,
-    batches: u64,
-    batched_requests: u64,
-    last_completion: SimTime,
     /// Monotonic epoch invalidating stale flush timers.
     flush_epoch: u64,
     /// A flush timer for the current epoch is in flight.
@@ -519,24 +481,8 @@ struct Scheduler<'a> {
     force_flush: bool,
     /// Supervision state; `None` without a configured [`Supervisor`].
     sup: Option<SupCtl>,
-    /// Dispatch attempts per request id (bumped at dispatch; hedged
-    /// duplicates do not count).
-    attempts: Vec<u32>,
     /// Monotonic dispatch sequence (stamps [`InFlight::seq`]).
     next_seq: u64,
-    /// Self-healing counters, accumulated as events fire; the
-    /// per-instance downtime and MTTR summary are finalized in
-    /// `into_parts`.
-    avail: AvailabilityStats,
-    /// When each currently-down instance went down (first kill of the
-    /// outage, surviving kills-while-reloading).
-    down_since: Vec<Option<SimTime>>,
-    /// Accrued downtime per instance over completed outages.
-    downtime: Vec<SimTime>,
-    /// Sum of completed outage durations (mean MTTR numerator).
-    mttr_total: SimTime,
-    /// Windowed response series; `None` unless the config enables it.
-    goodput: Option<GoodputSamples>,
 }
 
 impl Scheduler<'_> {
@@ -579,14 +525,6 @@ impl Scheduler<'_> {
         self.pending.iter().map(VecDeque::len).sum()
     }
 
-    /// Records the (fleet-total) queue depth if it changed.
-    fn note_depth(&mut self, now: SimTime) {
-        let depth = self.total_queued();
-        if self.queue_depth.last_depth() != Some(depth) {
-            self.queue_depth.record(now, depth);
-        }
-    }
-
     /// Syncs tenant `t`'s virtual clock to the fleet's before it rejoins
     /// the backlog: an idle tenant earns no credit, so its next dispatch
     /// competes from the current virtual time, not from however long it
@@ -597,20 +535,6 @@ impl Scheduler<'_> {
             if tr.vtime < self.vclock {
                 tr.vtime = self.vclock;
             }
-        }
-    }
-
-    /// Unconditionally samples the queue depth — and extends the goodput
-    /// series — at fault *and supervisor* boundaries (kill, restart,
-    /// stall, reload-done, supervised restart, settle): healing
-    /// transients must be visible in the time series even when the depth
-    /// itself did not move, and an outage tail must show as empty
-    /// goodput windows rather than a truncated series.
-    fn note_fault_boundary(&mut self, now: SimTime) {
-        let depth = self.total_queued();
-        self.queue_depth.record(now, depth);
-        if let Some(g) = &mut self.goodput {
-            g.note(now);
         }
     }
 
@@ -629,96 +553,47 @@ impl Scheduler<'_> {
         q.schedule_in(SimTime::from_secs_f64(dt), Ev::Arrive(t as u32));
     }
 
-    /// Marks request `id` shed for `cause` (a drop, not a response),
-    /// on both the fleet ledger and its tenant's.
-    fn record_drop(&mut self, id: u64, cause: RequestOutcome) {
-        let t = self.tenant_of[id as usize] as usize;
-        let ts = &mut self.tenants[t];
-        match cause {
-            RequestOutcome::ShedNewest => {
-                self.shed.newest += 1;
-                ts.shed.newest += 1;
-            }
-            RequestOutcome::ShedOldest => {
-                self.shed.oldest += 1;
-                ts.shed.oldest += 1;
-            }
-            RequestOutcome::ShedDeadline => {
-                self.shed.deadline += 1;
-                ts.shed.deadline += 1;
-            }
-            RequestOutcome::ShedStranded => {
-                self.shed.stranded += 1;
-                ts.shed.stranded += 1;
-            }
-            RequestOutcome::ShedRetryBudget => {
-                self.shed.retry += 1;
-                ts.shed.retry += 1;
-            }
-            _ => unreachable!("record_drop takes shed causes only"),
-        }
-        ts.dropped += 1;
-        self.dropped += 1;
-        self.outcomes[id as usize] = Some(cause);
-    }
-
     /// Admits one fresh arrival of tenant `t` at `now` under the
     /// admission policy. Returns how many requests were shed in the
     /// process (0 or 1): the newcomer (`DropNewest`/`Deadline` at a full
     /// queue) or an evicted older waiter (`DropOldest`).
     fn admit(&mut self, now: SimTime, t: usize) -> usize {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.offered += 1;
-        self.tenants[t].offered += 1;
-        self.outcomes.push(None);
-        self.attempts.push(0);
-        self.tenant_of.push(t as u32);
+        let id = self.ledger.offer(t);
         let full = self
             .queue_bound(t)
             .is_some_and(|bound| self.pending[t].len() >= bound);
-        let shed = if !full {
-            self.backlog_vtime(t);
-            self.pending[t].push_back(PendingReq {
-                id,
-                arrived: now,
-                degraded: false,
-            });
-            0
-        } else {
+        // A no-op unless the queue is empty, so never when it is full.
+        self.backlog_vtime(t);
+        let (mut shed, mut degraded) = (0, false);
+        if full {
             match self.cfg.admission {
                 AdmissionPolicy::DropNewest | AdmissionPolicy::Deadline { .. } => {
-                    self.record_drop(id, RequestOutcome::ShedNewest);
-                    1
+                    self.ledger.shed(id, RequestOutcome::ShedNewest);
+                    self.ledger.depth(now, self.total_queued());
+                    return 1;
                 }
                 AdmissionPolicy::DropOldest => {
                     let old = self.pending[t]
                         .pop_front()
                         .expect("invariant: the queue is full here, so it has a head");
-                    self.record_drop(old.id, RequestOutcome::ShedOldest);
-                    self.pending[t].push_back(PendingReq {
-                        id,
-                        arrived: now,
-                        degraded: false,
-                    });
-                    1
+                    self.ledger.shed(old.id, RequestOutcome::ShedOldest);
+                    shed = 1;
                 }
                 AdmissionPolicy::Degrade { .. } => {
                     // Admit anyway, but onto the fallback tier: the
                     // request keeps its place in line and its client gets
                     // a (coarser) answer.
-                    self.shed.degraded += 1;
-                    self.tenants[t].shed.degraded += 1;
-                    self.pending[t].push_back(PendingReq {
-                        id,
-                        arrived: now,
-                        degraded: true,
-                    });
-                    0
+                    self.ledger.degrade(t);
+                    degraded = true;
                 }
             }
-        };
-        self.note_depth(now);
+        }
+        self.pending[t].push_back(PendingReq {
+            id,
+            arrived: now,
+            degraded,
+        });
+        self.ledger.depth(now, self.total_queued());
         shed
     }
 
@@ -756,6 +631,16 @@ impl Scheduler<'_> {
         let replacements = freed.min(tr.spec.requests.saturating_sub(tr.issued));
         self.tenants[t].issued += replacements;
         self.admit_arrivals(now, t, replacements);
+    }
+
+    /// `shed` of tenant `t`'s queued requests were just shed at `now`:
+    /// the queue depth moved, and each shed frees a closed-loop client
+    /// for its next request.
+    fn after_shed(&mut self, now: SimTime, t: usize, shed: usize) {
+        if shed > 0 {
+            self.ledger.depth(now, self.total_queued());
+            self.respawn_clients(now, t, shed);
+        }
     }
 
     /// Whether tenant `t` can form a batch right now: returns the batch
@@ -821,6 +706,34 @@ impl Scheduler<'_> {
         best
     }
 
+    /// Charges an `n`-request batch of tenant `t` on the `degraded` or
+    /// native tier to instance `inst` — its dispatch energy and, when
+    /// `inst` holds another model, the swap to the tenant's — and
+    /// returns how long the batch occupies the instance (swap +
+    /// makespan). Primary dispatches and hedged duplicates both pay
+    /// through here.
+    fn charge_batch(&mut self, inst: usize, t: usize, degraded: bool, n: usize) -> SimTime {
+        let midx = self.tenants[t].spec.model;
+        let m = &mut self.models[midx];
+        let profiles = if degraded {
+            m.degraded_profiles.as_mut().expect(
+                "invariant: the degraded tier is only entered after fallback profiles were built",
+            )
+        } else {
+            &mut m.profiles
+        };
+        let accel = profiles.cfg;
+        let (makespan, layers) = profiles.get(n);
+        // Co-resident weights: switching models repoints (SCONNA) or
+        // reprograms (analog) the arrays before the batch runs.
+        let swap = (self.nodes[inst].resident != midx).then_some(m.swap_time);
+        self.nodes[inst].resident = midx;
+        self.ledger.charge(t, swap, |energy| {
+            record_inference_ops(energy, &accel, layers, m.model, n);
+        });
+        swap.unwrap_or(SimTime::ZERO) + *makespan
+    }
+
     /// Dispatches as many batches as idle instances and pending requests
     /// allow, choosing tenants through [`Self::pick_tenant`]. Batches
     /// are single-tenant: one batch runs one resident model, and an
@@ -837,17 +750,13 @@ impl Scheduler<'_> {
                         let r = self.pending[t]
                             .pop_front()
                             .expect("invariant: front() returned Some above");
-                        self.record_drop(r.id, RequestOutcome::ShedDeadline);
+                        self.ledger.shed(r.id, RequestOutcome::ShedDeadline);
                         expired += 1;
                     } else {
                         break;
                     }
                 }
-                if expired > 0 {
-                    self.note_depth(now);
-                    // Each shed frees a client for its next request.
-                    self.respawn_clients(now, t, expired);
-                }
+                self.after_shed(now, t, expired);
             }
         }
         while let Some((t, take, tier_degraded)) = self.pick_tenant() {
@@ -865,44 +774,8 @@ impl Scheduler<'_> {
                 .drain(..take)
                 .map(|r| (r.id, r.arrived))
                 .collect();
-            let midx = self.tenants[t].spec.model;
-            let model = self.models[midx].model;
-            let energy_before = self.ledger.dynamic_energy_j();
-            let (makespan, layers) = if tier_degraded {
-                self.models[midx]
-                    .degraded_profiles
-                    .as_mut()
-                    .expect("invariant: the degraded tier is only entered after fallback profiles were built")
-                    .get(take)
-            } else {
-                self.models[midx].profiles.get(take)
-            };
-            let makespan = *makespan;
-            let accel = if tier_degraded {
-                self.degraded_accel.expect(
-                    "invariant: the degraded tier is only entered after fallback config was set",
-                )
-            } else {
-                self.cfg.accelerator
-            };
-            record_inference_ops(&mut self.ledger, &accel, layers, model, take);
-            self.tenants[t].energy_j += self.ledger.dynamic_energy_j() - energy_before;
-            let swap = if self.nodes[inst].resident != midx {
-                // Co-resident weights: switching models repoints (SCONNA)
-                // or reprograms (analog) the arrays before the batch runs.
-                self.nodes[inst].resident = midx;
-                let swap = self.models[midx].swap_time;
-                self.tenants[t].swaps += 1;
-                self.tenants[t].swap_time += swap;
-                swap
-            } else {
-                SimTime::ZERO
-            };
-            for &(id, _) in &reqs {
-                let a = &mut self.attempts[id as usize];
-                *a += 1;
-                self.avail.max_attempts_seen = self.avail.max_attempts_seen.max(*a);
-            }
+            let occupancy = self.charge_batch(inst, t, tier_degraded, take);
+            self.ledger.dispatch(t, &reqs);
             let seq = self.next_seq;
             self.next_seq += 1;
             let node = &mut self.nodes[inst];
@@ -915,12 +788,8 @@ impl Scheduler<'_> {
                 hedge: None,
                 hedge_of: None,
             });
-            self.batches += 1;
-            self.batched_requests += take as u64;
-            self.tenants[t].batches += 1;
-            self.tenants[t].batched_requests += take as u64;
             q.schedule_in(
-                swap + makespan,
+                occupancy,
                 Ev::BatchDone {
                     inst,
                     epoch: node.epoch,
@@ -932,7 +801,7 @@ impl Scheduler<'_> {
                 q.schedule_in(h, Ev::HedgeTimer { inst, seq });
             }
             self.sync_router(inst);
-            self.note_depth(now);
+            self.ledger.depth(now, self.total_queued());
         }
         if self.total_queued() == 0 {
             // Window satisfied; stale timers are invalidated by the epoch.
@@ -964,17 +833,12 @@ impl Scheduler<'_> {
             node.up = false;
             node.reloading = false;
             node.stall_until = SimTime::ZERO;
-            self.avail.incidents += 1;
-            // The outage clock starts at the first kill and survives
-            // kills-while-reloading: MTTR measures down-at → back-up.
-            if self.down_since[inst].is_none() {
-                self.down_since[inst] = Some(now);
-            }
+            self.ledger.down(now, inst);
             if let Some(fl) = self.nodes[inst].in_flight.take() {
                 // Wasted work is real work: the dispatch energy stays on
                 // the ledger, but only the busy time actually accrued
                 // counts toward utilization.
-                self.util[inst].add_busy(now - fl.started);
+                self.ledger.busy(inst, now - fl.started);
                 if let Some(primary) = fl.hedge_of {
                     // A dying *hedge* costs nothing but its energy: the
                     // primary still owns the requests — just unlink it.
@@ -985,7 +849,7 @@ impl Scheduler<'_> {
                     // The hedge pays off: promote the duplicate to
                     // primary — its request copy becomes authoritative
                     // and nothing is requeued.
-                    self.avail.hedges_promoted += 1;
+                    self.ledger.promote_hedge();
                     let tfl = self.nodes[twin].in_flight.as_mut().expect(
                         "invariant: a live hedge pointer names an instance running the duplicate",
                     );
@@ -997,51 +861,32 @@ impl Scheduler<'_> {
                     let mut refused = 0usize;
                     self.backlog_vtime(t);
                     for (id, arrived) in fl.reqs.into_iter().rev() {
-                        let over_attempts = self
-                            .cfg
-                            .retry
-                            .max_attempts
-                            .is_some_and(|m| self.attempts[id as usize] >= m);
-                        let budget_spent = self
-                            .cfg
-                            .retry
-                            .retry_budget
-                            .is_some_and(|b| self.avail.retries >= b);
-                        if over_attempts || budget_spent {
-                            // Retry-storm protection: the request is shed
-                            // instead of amplifying the overload.
-                            self.record_drop(id, RequestOutcome::ShedRetryBudget);
-                            refused += 1;
-                        } else {
-                            self.avail.retries += 1;
+                        if self.ledger.readmit(id, &self.cfg.retry) {
                             self.pending[t].push_front(PendingReq {
                                 id,
                                 arrived,
                                 degraded: tier_degraded,
                             });
+                        } else {
+                            refused += 1;
                         }
                     }
                     self.enforce_bound_after_requeue(now, t);
-                    if refused > 0 {
-                        self.note_depth(now);
-                        self.respawn_clients(now, t, refused);
-                    }
+                    self.after_shed(now, t, refused);
                 }
             }
             if self.nodes[inst].draining {
                 // The kill beat the drain: the instance was retiring
                 // anyway, so it parks into standby instead of entering
                 // the supervised-restart path.
-                let n = &mut self.nodes[inst];
-                n.draining = false;
-                n.standby = true;
+                self.nodes[inst].park();
             }
             if !self.nodes[inst].standby {
                 self.supervise_kill(q, now, inst);
             }
             self.sync_router(inst);
         }
-        self.note_fault_boundary(now);
+        self.ledger.boundary(now, self.total_queued());
         self.try_dispatch(q, now);
     }
 
@@ -1065,7 +910,7 @@ impl Scheduler<'_> {
         st.recent_kills.push_back(now);
         if st.recent_kills.len() as u32 >= sup.policy.crash_loop_limit {
             st.benched = true;
-            self.avail.benched += 1;
+            self.ledger.bench(true);
             return;
         }
         if let Some(budget) = sup.budget_left {
@@ -1077,7 +922,7 @@ impl Scheduler<'_> {
         let delay = sup.policy.backoff_for(inst, st.ordinal, st.ladder_attempt);
         st.ordinal += 1;
         st.ladder_attempt = st.ladder_attempt.saturating_add(1);
-        self.avail.restarts_issued += 1;
+        self.ledger.restart_issued();
         q.schedule_at(
             now + delay,
             Ev::SupRestart {
@@ -1098,39 +943,28 @@ impl Scheduler<'_> {
             return;
         };
         let mut freed = 0usize;
-        match self.cfg.admission {
-            AdmissionPolicy::DropNewest | AdmissionPolicy::Deadline { .. } => {
-                while self.pending[t].len() > bound {
-                    let r = self.pending[t]
-                        .pop_back()
-                        .expect("invariant: over-bound queue is non-empty");
-                    self.record_drop(r.id, RequestOutcome::ShedNewest);
-                    freed += 1;
+        if let AdmissionPolicy::Degrade { .. } = self.cfg.admission {
+            for r in self.pending[t].iter_mut().skip(bound) {
+                if !r.degraded {
+                    r.degraded = true;
+                    self.ledger.degrade(t);
                 }
             }
-            AdmissionPolicy::DropOldest => {
-                while self.pending[t].len() > bound {
-                    let r = self.pending[t]
-                        .pop_front()
-                        .expect("invariant: over-bound queue is non-empty");
-                    self.record_drop(r.id, RequestOutcome::ShedOldest);
-                    freed += 1;
-                }
-            }
-            AdmissionPolicy::Degrade { .. } => {
-                for r in self.pending[t].iter_mut().skip(bound) {
-                    if !r.degraded {
-                        r.degraded = true;
-                        self.shed.degraded += 1;
-                        self.tenants[t].shed.degraded += 1;
-                    }
-                }
+        } else {
+            let oldest = matches!(self.cfg.admission, AdmissionPolicy::DropOldest);
+            while self.pending[t].len() > bound {
+                let queue = &mut self.pending[t];
+                let (r, cause) = if oldest {
+                    (queue.pop_front(), RequestOutcome::ShedOldest)
+                } else {
+                    (queue.pop_back(), RequestOutcome::ShedNewest)
+                };
+                let r = r.expect("invariant: over-bound queue is non-empty");
+                self.ledger.shed(r.id, cause);
+                freed += 1;
             }
         }
-        if freed > 0 {
-            self.note_depth(now);
-            self.respawn_clients(now, t, freed);
-        }
+        self.after_shed(now, t, freed);
     }
 
     /// Begins rebooting instance `inst`: the reload completes — and the
@@ -1156,7 +990,7 @@ impl Scheduler<'_> {
         if self.nodes[inst].standby {
             // The autoscaler owns standby capacity: a scripted restart
             // targets failures, not deliberately-parked instances.
-            self.note_fault_boundary(now);
+            self.ledger.boundary(now, self.total_queued());
             return;
         }
         let node = &mut self.nodes[inst];
@@ -1167,13 +1001,13 @@ impl Scheduler<'_> {
                     st.benched = false;
                     st.recent_kills.clear();
                     st.ladder_attempt = 0;
-                    self.avail.benched -= 1;
+                    self.ledger.bench(false);
                 }
             }
             let reload = self.models[self.nodes[inst].resident].reload_time;
             self.begin_reload(q, now, inst, reload);
         }
-        self.note_fault_boundary(now);
+        self.ledger.boundary(now, self.total_queued());
     }
 
     /// Stalls instance `inst` until `now + duration`: its in-flight batch
@@ -1189,7 +1023,7 @@ impl Scheduler<'_> {
                 q.schedule_at(until, Ev::StallEnd(inst));
             }
         }
-        self.note_fault_boundary(now);
+        self.ledger.boundary(now, self.total_queued());
     }
 
     fn handle(&mut self, q: &mut EventQueue<Ev>, now: SimTime, ev: Ev) {
@@ -1227,54 +1061,29 @@ impl Scheduler<'_> {
                     // ledger) was genuinely spent.
                     if let Some(tfl) = self.nodes[twin].in_flight.take() {
                         debug_assert_eq!(tfl.hedge_of, Some(inst));
-                        self.util[twin].add_busy(now - tfl.started);
+                        self.ledger.busy(twin, now - tfl.started);
+                        self.ledger.cancel_hedge();
                         self.nodes[twin].epoch += 1;
-                        self.avail.hedges_cancelled += 1;
                         if self.nodes[twin].draining {
                             // The twin was marked for retirement while
                             // running the duplicate: with the hedge
-                            // cancelled (epoch already bumped) it parks.
-                            let t = &mut self.nodes[twin];
-                            t.draining = false;
-                            t.up = false;
-                            t.standby = true;
+                            // cancelled it parks.
+                            self.nodes[twin].park();
                         }
                         self.sync_router(twin);
                     }
                 }
-                self.util[inst].add_busy(now - fl.started);
+                self.ledger.busy(inst, now - fl.started);
                 if self.nodes[inst].draining {
                     // Drain complete: the batch it was finishing is done,
-                    // so the instance parks into standby; the epoch bump
-                    // lapses any timers of its retired life.
-                    let n = &mut self.nodes[inst];
-                    n.draining = false;
-                    n.up = false;
-                    n.epoch += 1;
-                    n.standby = true;
+                    // so the instance parks into standby.
+                    self.nodes[inst].park();
                 }
                 self.sync_router(inst);
-                self.last_completion = now;
                 let t = fl.tenant as usize;
-                let n_done = fl.reqs.len();
-                if let Some(g) = &mut self.goodput {
-                    g.record(now, n_done as u64);
-                }
-                for (id, arrival) in fl.reqs {
-                    self.latency.record(now - arrival);
-                    self.tenants[t].latency.record(now - arrival);
-                    if fl.degraded {
-                        self.degraded_done += 1;
-                        self.tenants[t].degraded_done += 1;
-                        self.outcomes[id as usize] = Some(RequestOutcome::Degraded);
-                    } else {
-                        self.completed += 1;
-                        self.tenants[t].completed += 1;
-                        self.outcomes[id as usize] = Some(RequestOutcome::Served);
-                    }
-                }
+                self.ledger.respond(now, t, &fl.reqs, fl.degraded);
                 // Each completed client immediately re-requests.
-                self.respawn_clients(now, t, n_done);
+                self.respawn_clients(now, t, fl.reqs.len());
                 self.try_dispatch(q, now);
             }
             Ev::Fault(idx) => match self.faults[idx] {
@@ -1290,7 +1099,7 @@ impl Scheduler<'_> {
                     // The window really is over (not extended meanwhile,
                     // not cut short by a kill): the instance is
                     // dispatchable again.
-                    self.note_fault_boundary(now);
+                    self.ledger.boundary(now, self.total_queued());
                     self.try_dispatch(q, now);
                 }
             }
@@ -1302,12 +1111,7 @@ impl Scheduler<'_> {
                 node.reloading = false;
                 node.up = true;
                 let boot_epoch = node.epoch;
-                self.avail.recoveries += 1;
-                if let Some(down_at) = self.down_since[inst].take() {
-                    let outage = now - down_at;
-                    self.downtime[inst] += outage;
-                    self.mttr_total += outage;
-                }
+                self.ledger.up(now, inst);
                 self.sync_router(inst);
                 if let Some(sup) = &self.sup {
                     // Sustained uptime earns the backoff ladder back.
@@ -1319,7 +1123,7 @@ impl Scheduler<'_> {
                         },
                     );
                 }
-                self.note_fault_boundary(now);
+                self.ledger.boundary(now, self.total_queued());
                 self.try_dispatch(q, now);
             }
             Ev::SupRestart { inst, epoch } => {
@@ -1335,7 +1139,7 @@ impl Scheduler<'_> {
                 self.begin_reload(q, now, inst, reload);
                 // Supervisor restart boundaries are sampled into the
                 // time series like every fault boundary.
-                self.note_fault_boundary(now);
+                self.ledger.boundary(now, self.total_queued());
             }
             Ev::BackoffReset { inst, epoch } => {
                 let node = &self.nodes[inst];
@@ -1371,7 +1175,9 @@ impl Scheduler<'_> {
     /// whole fleet is dead with nothing left to wake.
     fn handle_scale_tick(&mut self, q: &mut EventQueue<Ev>, now: SimTime) {
         let current = self.live_pool();
-        let offered = self.offered;
+        // Scaling admits, dispatches and completes nothing: these
+        // totals hold for the whole tick.
+        let total = self.ledger.totals();
         let queued = self.total_queued();
         let (interval, decision, cooled) = {
             let auto = self
@@ -1380,7 +1186,7 @@ impl Scheduler<'_> {
                 .expect("invariant: ScaleTick events are only scheduled with an autoscaler");
             (
                 auto.policy.check_interval,
-                auto.measure(now, offered, queued),
+                auto.measure(now, total.offered, queued),
                 auto.cooled_down(now),
             )
         };
@@ -1403,12 +1209,12 @@ impl Scheduler<'_> {
                         });
                     // Scale transitions are fault-boundary-like: the
                     // time series samples the instant the pool moves.
-                    self.note_fault_boundary(now);
+                    self.ledger.boundary(now, self.total_queued());
                 }
             }
         }
         let all_terminal =
-            self.completed + self.dropped + self.degraded_done >= self.cfg.requests as u64;
+            total.completed + total.dropped + total.degraded >= self.cfg.requests as u64;
         let fleet_dead = self
             .nodes
             .iter()
@@ -1471,11 +1277,8 @@ impl Scheduler<'_> {
             if n.in_flight.is_some() {
                 n.draining = true;
             } else {
-                n.epoch += 1;
-                n.up = false;
-                n.reloading = false;
                 n.stall_until = SimTime::ZERO;
-                n.standby = true;
+                n.park();
             }
             self.sync_router(i);
             delta -= 1;
@@ -1503,62 +1306,28 @@ impl Scheduler<'_> {
         let Some(twin) = self.idle_instance(now) else {
             return;
         };
-        let tenant = fl.tenant;
-        let t = tenant as usize;
-        let degraded = fl.degraded;
-        let reqs = fl.reqs.clone();
-        let midx = self.tenants[t].spec.model;
-        let model = self.models[midx].model;
-        let energy_before = self.ledger.dynamic_energy_j();
-        let (makespan, layers) = if degraded {
-            self.models[midx]
-                .degraded_profiles
-                .as_mut()
-                .expect("invariant: degraded batches only exist with fallback profiles")
-                .get(reqs.len())
-        } else {
-            self.models[midx].profiles.get(reqs.len())
-        };
-        let makespan = *makespan;
-        let accel = if degraded {
-            self.degraded_accel
-                .expect("invariant: degraded batches only exist with a fallback config")
-        } else {
-            self.cfg.accelerator
-        };
-        record_inference_ops(&mut self.ledger, &accel, layers, model, reqs.len());
-        self.tenants[t].energy_j += self.ledger.dynamic_energy_j() - energy_before;
-        let swap = if self.nodes[twin].resident != midx {
-            // The duplicate needs the tenant's model resident too.
-            self.nodes[twin].resident = midx;
-            let swap = self.models[midx].swap_time;
-            self.tenants[t].swaps += 1;
-            self.tenants[t].swap_time += swap;
-            swap
-        } else {
-            SimTime::ZERO
-        };
-        let hedge_seq = self.next_seq;
-        self.next_seq += 1;
-        let twin_epoch = self.nodes[twin].epoch;
-        self.nodes[twin].in_flight = Some(InFlight {
-            tenant,
-            degraded,
+        let hedge = InFlight {
+            tenant: fl.tenant,
+            degraded: fl.degraded,
             started: now,
-            reqs,
-            seq: hedge_seq,
+            reqs: fl.reqs.clone(),
+            seq: self.next_seq,
             hedge: None,
             hedge_of: Some(inst),
-        });
+        };
+        self.next_seq += 1;
+        let occupancy = self.charge_batch(twin, fl.tenant as usize, fl.degraded, fl.reqs.len());
+        self.ledger.hedge();
+        let twin_epoch = self.nodes[twin].epoch;
+        self.nodes[twin].in_flight = Some(hedge);
         self.nodes[inst]
             .in_flight
             .as_mut()
             .expect("invariant: checked in flight above")
             .hedge = Some(twin);
-        self.avail.hedges_dispatched += 1;
         self.sync_router(twin);
         q.schedule_in(
-            swap + makespan,
+            occupancy,
             Ev::BatchDone {
                 inst: twin,
                 epoch: twin_epoch,
@@ -1823,11 +1592,6 @@ impl<'a> Fleet<'a> {
             }
         }
 
-        let mut ledger = EnergyLedger::new();
-        for _ in 0..config.instances {
-            register_components(&mut ledger, &config.accelerator);
-        }
-
         let auto = config.autoscale.map(|policy| {
             // With one tenant the per-instance estimate is the legacy
             // formula verbatim; a mixed roster takes the weighted
@@ -1882,15 +1646,10 @@ impl<'a> Fleet<'a> {
 
         let mut sched = Scheduler {
             models: model_ctxs,
-            degraded_accel,
-            ledger,
+            ledger: Ledger::new(config, roster.len()),
             pending: (0..roster.len()).map(|_| VecDeque::new()).collect(),
             tenants,
-            tenant_of: Vec::with_capacity(config.requests),
             vclock: 0.0,
-            next_id: 0,
-            outcomes: Vec::with_capacity(config.requests),
-            attempts: Vec::with_capacity(config.requests),
             nodes: (0..config.instances)
                 // Round-robin bring-up residency: instance i starts
                 // holding the model of tenant i mod roster. One tenant →
@@ -1902,22 +1661,6 @@ impl<'a> Fleet<'a> {
             faults: Vec::new(),
             sup,
             next_seq: 0,
-            avail: AvailabilityStats::default(),
-            down_since: vec![None; config.instances],
-            downtime: vec![SimTime::ZERO; config.instances],
-            mttr_total: SimTime::ZERO,
-            goodput: config.goodput_window.map(GoodputSamples::new),
-            util: vec![Utilization::new(); config.instances],
-            latency: LatencySamples::new(),
-            queue_depth: QueueDepthSamples::new(),
-            offered: 0,
-            completed: 0,
-            dropped: 0,
-            degraded_done: 0,
-            shed: ShedCounts::default(),
-            batches: 0,
-            batched_requests: 0,
-            last_completion: SimTime::ZERO,
             flush_epoch: 0,
             flush_armed: false,
             force_flush: false,
@@ -2080,85 +1823,76 @@ impl<'a> Fleet<'a> {
     pub fn snapshot(&self) -> FleetSnapshot {
         let now = self.q.now();
         let s = &self.sched;
-        // Hedged duplicates hold a *copy* of their primary's requests;
-        // counting primaries only keeps the conservation invariant exact.
-        let in_flight: u64 = s
+        // Per-tenant in-flight counts, gathered in the instance pass.
+        let mut tin = vec![0u64; s.tenants.len()];
+        let instances = s
             .nodes
             .iter()
-            .map(|n| {
-                n.in_flight
-                    .as_ref()
-                    .filter(|f| f.hedge_of.is_none())
-                    .map_or(0, |f| f.reqs.len() as u64)
+            .enumerate()
+            .map(|(i, n)| {
+                // Hedged duplicates hold a *copy* of their primary's
+                // requests; counting primaries only keeps the
+                // conservation invariant exact.
+                let primary = n.in_flight.as_ref().filter(|f| f.hedge_of.is_none());
+                if let Some(f) = primary {
+                    tin[f.tenant as usize] += f.reqs.len() as u64;
+                }
+                let benched = s.sup.as_ref().is_some_and(|sup| sup.states[i].benched);
+                InstanceSnapshot {
+                    health: if n.standby {
+                        InstanceHealth::Standby
+                    } else if n.reloading {
+                        InstanceHealth::Reloading
+                    } else if !n.up {
+                        if benched {
+                            InstanceHealth::Benched
+                        } else {
+                            InstanceHealth::Down
+                        }
+                    } else if n.in_flight.is_some() {
+                        if n.draining {
+                            InstanceHealth::Draining
+                        } else {
+                            InstanceHealth::Busy
+                        }
+                    } else if n.stall_until > now {
+                        InstanceHealth::Stalled
+                    } else {
+                        InstanceHealth::Idle
+                    },
+                    in_flight: primary.map_or(0, |f| f.reqs.len()),
+                    degraded_batch: n.in_flight.as_ref().is_some_and(|f| f.degraded),
+                    hedge_batch: n.in_flight.as_ref().is_some_and(|f| f.hedge_of.is_some()),
+                }
             })
-            .sum();
-        let mut tin = vec![0u64; s.tenants.len()];
-        for n in &s.nodes {
-            if let Some(f) = n.in_flight.as_ref().filter(|f| f.hedge_of.is_none()) {
-                tin[f.tenant as usize] += f.reqs.len() as u64;
-            }
-        }
+            .collect();
+        let total = s.ledger.totals();
         FleetSnapshot {
             now,
             events_processed: self.q.processed(),
             is_complete: self.done,
-            offered: s.offered,
-            completed: s.completed,
-            dropped: s.dropped,
-            degraded: s.degraded_done,
-            shed: s.shed,
+            offered: total.offered,
+            completed: total.completed,
+            dropped: total.dropped,
+            degraded: total.degraded,
+            shed: total.shed,
             queued: s.total_queued() as u64,
-            in_flight,
-            batches: s.batches,
-            instances: s
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| {
-                    let benched = s.sup.as_ref().is_some_and(|sup| sup.states[i].benched);
-                    InstanceSnapshot {
-                        health: if n.standby {
-                            InstanceHealth::Standby
-                        } else if n.reloading {
-                            InstanceHealth::Reloading
-                        } else if !n.up {
-                            if benched {
-                                InstanceHealth::Benched
-                            } else {
-                                InstanceHealth::Down
-                            }
-                        } else if n.in_flight.is_some() {
-                            if n.draining {
-                                InstanceHealth::Draining
-                            } else {
-                                InstanceHealth::Busy
-                            }
-                        } else if n.stall_until > now {
-                            InstanceHealth::Stalled
-                        } else {
-                            InstanceHealth::Idle
-                        },
-                        in_flight: n
-                            .in_flight
-                            .as_ref()
-                            .filter(|f| f.hedge_of.is_none())
-                            .map_or(0, |f| f.reqs.len()),
-                        degraded_batch: n.in_flight.as_ref().is_some_and(|f| f.degraded),
-                        hedge_batch: n.in_flight.as_ref().is_some_and(|f| f.hedge_of.is_some()),
-                    }
-                })
-                .collect(),
+            in_flight: tin.iter().sum(),
+            batches: total.batches,
+            instances,
             tenants: s
-                .tenants
+                .ledger
+                .tallies()
                 .iter()
-                .enumerate()
-                .map(|(t, tr)| TenantSnapshot {
-                    offered: tr.offered,
-                    completed: tr.completed,
-                    dropped: tr.dropped,
-                    degraded: tr.degraded_done,
-                    queued: s.pending[t].len() as u64,
-                    in_flight: tin[t],
+                .zip(&s.pending)
+                .zip(tin)
+                .map(|((tally, queue), in_flight)| TenantSnapshot {
+                    offered: tally.offered,
+                    completed: tally.completed,
+                    dropped: tally.dropped,
+                    degraded: tally.degraded,
+                    queued: queue.len() as u64,
+                    in_flight,
                 })
                 .collect(),
         }
@@ -2172,34 +1906,33 @@ impl<'a> Fleet<'a> {
     /// as [`RequestOutcome::ShedStranded`] (in the closed loop, the
     /// freed clients' remaining request budget strands the same way).
     fn settle(&mut self) {
-        if self.sched.total_queued() == 0 && self.sched.offered as usize == self.sched.cfg.requests
-        {
+        let (s, now) = (&mut self.sched, self.q.now());
+        if s.total_queued() == 0 && s.ledger.totals().offered as usize == s.cfg.requests {
             return;
         }
         assert!(
-            self.sched.nodes.iter().all(|n| !n.up && !n.reloading),
+            s.nodes.iter().all(|n| !n.up && !n.reloading),
             "invariant: the queue only drains with work outstanding when the whole fleet is dead"
         );
-        let now = self.q.now();
         loop {
             let mut any = false;
-            for t in 0..self.sched.tenants.len() {
+            for t in 0..s.tenants.len() {
                 let mut freed = 0usize;
-                while let Some(r) = self.sched.pending[t].pop_front() {
-                    self.sched.record_drop(r.id, RequestOutcome::ShedStranded);
+                while let Some(r) = s.pending[t].pop_front() {
+                    s.ledger.shed(r.id, RequestOutcome::ShedStranded);
                     freed += 1;
                 }
                 // Closed-loop clients freed by the strand fire their next
                 // requests — into the same dead fleet, stranding in turn,
                 // until the tenant's request budget is spent.
-                self.sched.respawn_clients(now, t, freed);
+                s.respawn_clients(now, t, freed);
                 any |= freed > 0;
             }
             if !any {
                 break;
             }
         }
-        self.sched.note_fault_boundary(now);
+        s.ledger.boundary(now, s.total_queued());
     }
 
     /// Runs to completion (if not already settled) and builds the
@@ -2229,6 +1962,7 @@ impl<'a> Fleet<'a> {
         self.run_to_completion();
         let workloads = std::mem::take(&mut self.workloads);
         let max_batch = self.sched.cfg.max_batch;
+        let tenant_models: Vec<usize> = self.sched.tenants.iter().map(|tr| tr.spec.model).collect();
         let fin = self.into_parts();
         // Response ids of model `m` on the primary tier at slot `2m`, on
         // the fallback tier at slot `2m + 1`, each in id order.
@@ -2239,11 +1973,11 @@ impl<'a> Fleet<'a> {
                 RequestOutcome::Degraded => 1,
                 _ => continue,
             };
-            let model = fin.tenant_models[fin.tenant_of[id] as usize];
+            let model = tenant_models[fin.tenant_of[id] as usize];
             groups[2 * model + tier].push(id as u64);
         }
         let mut predictions = vec![usize::MAX; fin.outcomes.len()];
-        let mut t_correct = vec![0u64; fin.tenant_models.len()];
+        let mut t_correct = vec![0u64; tenant_models.len()];
         let arena = BatchArena::new();
         for (slot, ids) in groups.iter().enumerate().filter(|(_, ids)| !ids.is_empty()) {
             let w = workloads[slot / 2];
@@ -2272,40 +2006,23 @@ impl<'a> Fleet<'a> {
         }
         let correct: u64 = t_correct.iter().sum();
         let serving = fin.report;
-        let responses = serving.completed + serving.degraded;
         let tenant_accuracy: Vec<TenantAccuracy> = serving
             .tenants
             .iter()
             .zip(&t_correct)
-            .map(|(tu, &correct)| {
-                let responses = tu.completed + tu.degraded;
-                TenantAccuracy {
-                    name: tu.name.clone(),
-                    correct,
-                    accuracy_under_load: if responses == 0 {
-                        0.0
-                    } else {
-                        correct as f64 / responses as f64
-                    },
-                    accuracy_offered: if tu.offered == 0 {
-                        0.0
-                    } else {
-                        correct as f64 / tu.offered as f64
-                    },
-                }
+            .map(|(tu, &correct)| TenantAccuracy {
+                name: tu.name.clone(),
+                correct,
+                accuracy_under_load: ratio(correct as f64, (tu.completed + tu.degraded) as f64),
+                accuracy_offered: ratio(correct as f64, tu.offered as f64),
             })
             .collect();
         FunctionalServingReport {
-            accuracy_under_load: if responses == 0 {
-                0.0
-            } else {
-                correct as f64 / responses as f64
-            },
-            accuracy_offered: if serving.offered == 0 {
-                0.0
-            } else {
-                correct as f64 / serving.offered as f64
-            },
+            accuracy_under_load: ratio(
+                correct as f64,
+                (serving.completed + serving.degraded) as f64,
+            ),
+            accuracy_offered: ratio(correct as f64, serving.offered as f64),
             predictions,
             outcomes: fin.outcomes,
             attempts: fin.attempts,
@@ -2315,192 +2032,14 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// Final accounting: terminal asserts plus report construction.
+    /// Final accounting: the settled [`Ledger`]'s projection.
     fn into_parts(self) -> FinishedRun {
         assert!(self.done, "into_parts only after the simulation settled");
-        let final_now = self.q.now();
-        let mut sched = self.sched;
-        // Close the availability books: an instance still down at the
-        // end accrues downtime up to the final event time (but not MTTR
-        // — it never recovered), and capacity is re-estimated over the
-        // instances still serving.
-        for (i, since) in sched.down_since.iter_mut().enumerate() {
-            if let Some(at) = since.take() {
-                sched.downtime[i] += final_now.saturating_sub(at);
-            }
-        }
-        sched.avail.downtime = std::mem::take(&mut sched.downtime);
-        sched.avail.active_instances = sched.nodes.iter().filter(|n| n.up || n.reloading).count();
-        sched.avail.mean_mttr = sched
-            .mttr_total
-            .as_ps()
-            .checked_div(sched.avail.recoveries)
-            .map_or(SimTime::ZERO, SimTime::from_ps);
-        let config = &sched.cfg;
-        assert_eq!(
-            sched.offered as usize, config.requests,
-            "every request must enter the system"
-        );
-        assert_eq!(
-            sched.completed + sched.dropped + sched.degraded_done,
-            sched.offered,
-            "served + dropped + degraded must account every offered request"
-        );
-        let outcomes: Vec<RequestOutcome> = sched
-            .outcomes
-            .iter()
-            .map(|o| {
-                o.expect(
-                    "invariant: every request reaches a terminal state before the queue drains",
-                )
-            })
-            .collect();
-        let responses = sched.completed + sched.degraded_done;
-        // Stale flush timers may fire after the last completion, so the
-        // serving makespan is the last completion time, not the queue's
-        // final clock. ZERO (degenerate all-shed runs) zeroes the rate
-        // metrics.
-        let makespan = sched.last_completion;
-        let secs = makespan.as_secs_f64();
-        let energy_j = sched.ledger.total_energy_j(makespan);
-        let model_names: Vec<&str> = sched.models.iter().map(|m| m.model.name.as_str()).collect();
-        let tenants: Vec<TenantUsage> = sched
-            .tenants
-            .iter()
-            .map(|tr| {
-                let responses = tr.completed + tr.degraded_done;
-                TenantUsage {
-                    name: tr.spec.name.clone(),
-                    model: model_names[tr.spec.model].to_string(),
-                    weight: tr.spec.weight,
-                    latency_class: tr.spec.latency_class,
-                    offered: tr.offered,
-                    completed: tr.completed,
-                    dropped: tr.dropped,
-                    degraded: tr.degraded_done,
-                    shed: tr.shed,
-                    drop_rate: if tr.offered == 0 {
-                        0.0
-                    } else {
-                        tr.dropped as f64 / tr.offered as f64
-                    },
-                    latency: summarize(&tr.latency),
-                    served_fps: if secs > 0.0 {
-                        tr.completed as f64 / secs
-                    } else {
-                        0.0
-                    },
-                    goodput_fps: if secs > 0.0 {
-                        responses as f64 / secs
-                    } else {
-                        0.0
-                    },
-                    batches: tr.batches,
-                    mean_batch_fill: if tr.batches == 0 {
-                        0.0
-                    } else {
-                        tr.batched_requests as f64 / tr.batches as f64
-                    },
-                    model_swaps: tr.swaps,
-                    swap_time: tr.swap_time,
-                    energy_j: tr.energy_j,
-                    energy_per_inference_j: if responses > 0 {
-                        tr.energy_j / responses as f64
-                    } else {
-                        0.0
-                    },
-                }
-            })
-            .collect();
-        let report = ServingReport {
-            accelerator: config.accelerator.name,
-            model: model_names.join("+"),
-            instances: config.instances,
-            max_batch: config.max_batch,
-            offered: sched.offered,
-            completed: sched.completed,
-            dropped: sched.dropped,
-            degraded: sched.degraded_done,
-            shed: sched.shed,
-            drop_rate: if sched.offered == 0 {
-                0.0
-            } else {
-                sched.dropped as f64 / sched.offered as f64
-            },
-            batches: sched.batches,
-            mean_batch_fill: if sched.batches == 0 {
-                0.0
-            } else {
-                sched.batched_requests as f64 / sched.batches as f64
-            },
-            makespan,
-            fps: if secs > 0.0 {
-                sched.completed as f64 / secs
-            } else {
-                0.0
-            },
-            goodput_fps: if secs > 0.0 {
-                responses as f64 / secs
-            } else {
-                0.0
-            },
-            latency: summarize(&sched.latency),
-            queue_depth: sched.queue_depth,
-            utilization: if makespan > SimTime::ZERO {
-                sched.util.iter().map(|u| u.ratio(makespan)).collect()
-            } else {
-                vec![0.0; config.instances]
-            },
-            energy_j,
-            energy_per_inference_j: if responses > 0 {
-                energy_j / responses as f64
-            } else {
-                0.0
-            },
-            avg_power_w: if secs > 0.0 {
-                sched.ledger.average_power_w(makespan)
-            } else {
-                0.0
-            },
-            availability: sched.avail,
-            goodput_series: sched.goodput,
-            tenants,
-        };
-        FinishedRun {
-            report,
-            outcomes,
-            attempts: sched.attempts,
-            tenant_of: sched.tenant_of,
-            tenant_models: sched.tenants.iter().map(|tr| tr.spec.model).collect(),
-        }
-    }
-}
-
-/// Everything a settled run yields, before report-flavour packaging.
-struct FinishedRun {
-    report: ServingReport,
-    outcomes: Vec<RequestOutcome>,
-    attempts: Vec<u32>,
-    /// Owning tenant per request id.
-    tenant_of: Vec<u32>,
-    /// Model index per tenant, roster order.
-    tenant_models: Vec<usize>,
-}
-
-/// [`LatencySummary`] of possibly-empty samples: the all-zero summary
-/// when nothing was recorded (degenerate all-shed runs), the real one
-/// otherwise.
-fn summarize(samples: &LatencySamples) -> LatencySummary {
-    if samples.is_empty() {
-        LatencySummary {
-            count: 0,
-            p50: SimTime::ZERO,
-            p95: SimTime::ZERO,
-            p99: SimTime::ZERO,
-            mean: SimTime::ZERO,
-            max: SimTime::ZERO,
-        }
-    } else {
-        samples.summary()
+        let s = self.sched;
+        let specs: Vec<&TenantSpec> = s.tenants.iter().map(|tr| &tr.spec).collect();
+        let models: Vec<&str> = s.models.iter().map(|m| m.model.name.as_str()).collect();
+        let active = s.nodes.iter().filter(|n| n.up || n.reloading).count();
+        s.ledger
+            .into_finished(&s.cfg, &specs, &models, active, self.q.now())
     }
 }

@@ -105,6 +105,7 @@ mod config;
 mod failure;
 mod fault;
 mod fleet;
+mod ledger;
 mod report;
 mod supervisor;
 

@@ -47,7 +47,8 @@ pub struct LatencySamples {
 
 /// Fixed summary of a latency distribution: the percentiles a serving
 /// report quotes plus mean and max.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// The default is the all-zero summary of an empty sample set.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: usize,
@@ -72,6 +73,13 @@ impl LatencySamples {
     /// Records one latency sample.
     pub fn record(&mut self, latency: SimTime) {
         self.samples.push(latency);
+    }
+
+    /// Records every sample of `other`. Summaries are order-free, so a
+    /// merged set summarizes exactly as if each sample had been recorded
+    /// into it directly.
+    pub fn append(&mut self, other: &LatencySamples) {
+        self.samples.extend_from_slice(&other.samples);
     }
 
     /// Number of samples recorded.

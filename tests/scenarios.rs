@@ -109,16 +109,21 @@ fn check_step(prev: &FleetSnapshot, snap: &FleetSnapshot, cfg: &ServingConfig) {
     assert!(snap.degraded >= prev.degraded, "degraded went backwards");
     assert!(snap.batches >= prev.batches, "batches went backwards");
     // Degrade admits overflow onto the queue at the fallback tier, so the
-    // bound applies to the other policies only.
+    // bound applies to the other policies only. Each tenant queue has a
+    // bound of its own (the tenant's cap, else the config's); a
+    // single-tenant run's one queue is the whole fleet's.
     if !matches!(cfg.admission, AdmissionPolicy::Degrade { .. }) {
-        if let Some(cap) = cfg.queue_cap {
-            let bound = (cap * cfg.instances) as u64;
-            assert!(
-                snap.queued <= bound,
-                "queued {} exceeds bound {bound} at {:?}",
-                snap.queued,
-                snap.now
-            );
+        for (t, ts) in snap.tenants.iter().enumerate() {
+            let cap = cfg.tenants.get(t).and_then(|spec| spec.queue_cap);
+            if let Some(cap) = cap.or(cfg.queue_cap) {
+                let bound = (cap * cfg.instances) as u64;
+                assert!(
+                    ts.queued <= bound,
+                    "tenant {t} queued {} exceeds bound {bound} at {:?}",
+                    ts.queued,
+                    snap.now
+                );
+            }
         }
     }
     assert_eq!(
@@ -774,14 +779,16 @@ proptest! {
     }
 
     /// Multi-tenant rosters uphold the per-tenant conservation invariant
-    /// at every step under every scheduler, arbitrary weight mixes and
-    /// request splits — and the final per-tenant report columns sum to
-    /// the fleet totals.
+    /// at every step under every scheduler, shedding admission policy,
+    /// arbitrary weight mixes and request splits — and the final
+    /// per-tenant report columns (per-cause sheds and worst latency
+    /// included) sum, or max, to the fleet totals.
     #[test]
     fn prop_multi_tenant_split_conserves_per_tenant(
         split in 1usize..=19,
         weight_a in 1u32..=8,
         sched_idx in 0usize..=2,
+        policy_idx in 0usize..=2,
         clients_a in 1usize..=4,
         clients_b in 1usize..=4,
         cap in 0usize..=3, // 0 = unbounded
@@ -794,7 +801,15 @@ proptest! {
             TenantScheduler::StrictPriority,
             TenantScheduler::SharedFifo,
         ][sched_idx];
+        // Short SLOs: below the 100 us batching window, so waiting for a
+        // flush alone can blow them.
+        let admission = [
+            AdmissionPolicy::DropNewest,
+            AdmissionPolicy::DropOldest,
+            AdmissionPolicy::Deadline { slo: SimTime::from_ns(25_000 * (1 + seed % 4)) },
+        ][policy_idx];
         let mut cfg = ServingConfig::saturation(AcceleratorConfig::sconna(), 2, 2, requests)
+            .with_admission(admission)
             .with_seed(seed)
             .with_tenants(vec![
                 TenantSpec::new("a", 0, ArrivalProcess::ClosedLoop { clients: clients_a }, split)
@@ -825,6 +840,19 @@ proptest! {
             r.tenants.iter().map(|t| t.latency.count).sum::<usize>(),
             r.latency.count
         );
+        prop_assert_eq!(
+            r.tenants.iter().map(|t| t.latency.max).max().unwrap_or_default(),
+            r.latency.max
+        );
+        let shed_sum = |f: fn(&sconna::accel::serve::ShedCounts) -> u64| {
+            r.tenants.iter().map(|t| f(&t.shed)).sum::<u64>()
+        };
+        prop_assert_eq!(shed_sum(|s| s.newest), r.shed.newest);
+        prop_assert_eq!(shed_sum(|s| s.oldest), r.shed.oldest);
+        prop_assert_eq!(shed_sum(|s| s.deadline), r.shed.deadline);
+        prop_assert_eq!(shed_sum(|s| s.degraded), r.shed.degraded);
+        prop_assert_eq!(shed_sum(|s| s.stranded), r.shed.stranded);
+        prop_assert_eq!(shed_sum(|s| s.retry), r.shed.retry);
         // Same model for both tenants: co-residency means no swaps ever.
         prop_assert_eq!(r.tenants.iter().map(|t| t.model_swaps).sum::<u64>(), 0);
     }
