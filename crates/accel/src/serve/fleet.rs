@@ -64,6 +64,7 @@ use crate::perf::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sconna_sim::event::EventQueue;
+use sconna_sim::parallel::parallel_map_with;
 use sconna_sim::time::SimTime;
 use sconna_tensor::arena::BatchArena;
 use sconna_tensor::dataset::Sample;
@@ -101,9 +102,9 @@ pub struct FunctionalWorkload<'a> {
     pub samples: &'a [Sample],
     /// Engine the prepared primary network executes on.
     pub engine: &'a dyn VdpEngine,
-    /// Worker threads for the row-block parallelism inside one batch
-    /// forward. Results are worker-count invariant; this only changes
-    /// host wall time.
+    /// Worker threads the functional report predicts `max_batch` chunks
+    /// on, each chunk a single-threaded batch forward. Results are
+    /// worker-count invariant; this only changes host wall time.
     pub workers: usize,
 }
 
@@ -1946,11 +1947,13 @@ impl<'a> Fleet<'a> {
     /// a projection of the settled outcomes. Response ids are grouped by
     /// (model, tier); one [`PreparedNetwork`] per group in use — the
     /// primary network for `Served`, the fallback for `Degraded` —
-    /// predicts each id once, in chunks of `max_batch` through one
-    /// [`BatchArena`]. A prediction is a pure function of
-    /// `(net, engine, sample, request id)`, so it is the one the serving
-    /// instance would have computed, whatever the packing, kills or
-    /// hedges; drops read `usize::MAX`.
+    /// predicts each id once. The group's `max_batch` chunks are spread
+    /// over the workload's `workers` threads, each chunk one
+    /// single-threaded batch forward on a shared [`BatchArena`], and the
+    /// predictions are written back in id order. A prediction is a pure
+    /// function of `(net, engine, sample, request id)`, so it is the one
+    /// the serving instance would have computed, whatever the packing,
+    /// chunk schedule, kills or hedges; drops read `usize::MAX`.
     ///
     /// # Panics
     /// Panics if the fleet was built without functional workloads.
@@ -1989,18 +1992,18 @@ impl<'a> Fleet<'a> {
                     .expect("invariant: try_new checked a fallback network under Degrade");
                 PreparedNetwork::new(fallback, w.fallback_engine.unwrap_or(w.engine))
             };
-            for chunk in ids.chunks(max_batch) {
+            let chunks = parallel_map_with(ids.chunks(max_batch).collect(), w.workers, |chunk| {
                 let images: Vec<&Tensor<f32>> = chunk
                     .iter()
                     .map(|&id| &w.samples[id as usize % w.samples.len()].image)
                     .collect();
-                let preds = net.predict_batch(&images, chunk, w.workers, &arena);
-                for (&id, pred) in chunk.iter().zip(preds) {
-                    let id = id as usize;
-                    predictions[id] = pred;
-                    if pred == w.samples[id % w.samples.len()].label {
-                        t_correct[fin.tenant_of[id] as usize] += 1;
-                    }
+                net.predict_batch(&images, chunk, &arena)
+            });
+            for (&id, pred) in ids.iter().zip(chunks.into_iter().flatten()) {
+                let id = id as usize;
+                predictions[id] = pred;
+                if pred == w.samples[id % w.samples.len()].label {
+                    t_correct[fin.tenant_of[id] as usize] += 1;
                 }
             }
         }

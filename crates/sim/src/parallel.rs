@@ -32,9 +32,9 @@ where
         return Vec::new();
     }
     if workers == 1 || n == 1 {
-        // Inline fast path: no thread spawn, no queue. Matters on the
-        // inference hot path, where conv layers call in with one worker
-        // per image while an outer sweep owns the parallelism.
+        // Inline fast path: no thread spawn, no queue. Matters when a
+        // caller has a single item (one chunk, one sweep point) or runs
+        // nested inside an outer map that already owns the threads.
         return items.into_iter().map(f).collect();
     }
     // Index queue: workers steal the next unprocessed index.

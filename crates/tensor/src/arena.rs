@@ -2,9 +2,9 @@
 //!
 //! At datacenter scale every serving batch used to pay a fresh round of
 //! heap traffic: one im2col [`PatchMatrix`] + key vector per (row block,
-//! layer) and one activation tensor per (image, layer). A [`BatchArena`]
-//! recycles both — worker threads check scratch out of lock-free pools
-//! and return it after the tile, so steady-state serving allocates only
+//! layer) and one activation tensor per (image, conv layer). A
+//! [`BatchArena`] recycles both — threads check buffers out of lock-free
+//! pools and return them once consumed, so the conv path allocates only
 //! on high-water-mark growth.
 //!
 //! Reuse is **observationally pure**: recycled buffers are re-zeroed to
@@ -41,10 +41,11 @@ impl ConvScratch {
     }
 }
 
-/// Lock-free pools of reusable inference buffers, shared by every worker
-/// of a batched forward and across calls when threaded through
+/// Lock-free pools of reusable inference buffers, shared across calls
+/// when threaded through
 /// [`PreparedNetwork::forward_batch`](crate::network::PreparedNetwork::forward_batch)
-/// (a serving fleet's functional report runs on one arena).
+/// and by every thread that runs batches concurrently (a serving
+/// fleet's functional report predicts all its chunks on one arena).
 #[derive(Default)]
 pub struct BatchArena {
     scratch: SegQueue<ConvScratch>,
@@ -80,6 +81,11 @@ impl BatchArena {
     /// Recycles an activation tensor's storage into the pool.
     pub fn recycle(&self, tensor: Tensor<u32>) {
         self.tensors.push(tensor.into_vec());
+    }
+
+    /// Activation buffers currently pooled for reuse.
+    pub fn pooled_tensors(&self) -> usize {
+        self.tensors.len()
     }
 }
 

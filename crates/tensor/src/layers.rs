@@ -16,12 +16,15 @@
 //! [`PatchMatrix`](crate::engine::PatchMatrix) per (block, group) —
 //! scratch and output tensors drawn from a [`BatchArena`] — and sends
 //! each tile to [`VdpEngine::vdp_batch_prepared`], so a layer's weights
-//! are fetched once per tile for the whole batch. Blocks are independent,
-//! so they evaluate in parallel (`sconna_sim::parallel`), and because
-//! every accumulator's noise key is derived from its (image, layer,
-//! group, output position, kernel) coordinates — never from execution
-//! order or batch composition — the result is bit-identical for any
-//! worker count and any batch. [`QConv2d::forward`],
+//! are fetched once per tile for the whole batch. The blocks bound the
+//! im2col scratch and run one after another on the calling thread;
+//! parallelism lives a level up, over whole images or batches
+//! ([`crate::network::PreparedNetwork::evaluate`], a serving fleet's
+//! report). Every accumulator's noise key is derived from its (image,
+//! layer, group, output position, kernel) coordinates — never from
+//! execution order or batch composition — so the result is
+//! bit-identical for any batch and any outer parallelism.
+//! [`QConv2d::forward`],
 //! [`QConv2d::forward_preactivation`] and [`QFc::forward_logits`] are
 //! single-image conveniences over the same path, preparing the weights on
 //! the fly (bit-identical by the `vdp_batch_prepared` contract).
@@ -36,14 +39,12 @@ use crate::arena::{BatchArena, ConvScratch};
 use crate::engine::{combine_keys, mix_key, PreparedWeights, VdpEngine, WeightMatrix};
 use crate::quant::Requant;
 use crate::tensor::Tensor;
-use sconna_sim::parallel::{block_ranges, parallel_map_with};
+use sconna_sim::parallel::block_ranges;
 
 /// Target patch count per im2col block: large enough that the GEMM tile
-/// amortizes gather, dispatch and buffer setup, small enough that
-/// row-parallel layers still expose work to every worker. The row count
-/// per block derives from this and the output width alone — never from
-/// the worker count — so the block decomposition (and with it every
-/// noise key) is identical for any parallelism.
+/// amortizes gather, dispatch and buffer setup, small enough to bound
+/// the im2col scratch of a batch. The row count per block derives from
+/// this and the output width alone.
 const CONV_BLOCK_PATCHES: usize = 128;
 
 /// Re-fits signed weight codes onto the symmetric `bits`-bit grid:
@@ -159,11 +160,11 @@ impl QConv2d {
         self.forward_one(input, engine, Requant::apply_signed)
     }
 
-    fn forward_one<T: Copy + Default + Send>(
+    fn forward_one<T: Copy + Default>(
         &self,
         input: &Tensor<u32>,
         engine: &dyn VdpEngine,
-        convert: impl Fn(&Requant, f64) -> T + Sync,
+        convert: impl Fn(&Requant, f64) -> T,
     ) -> Tensor<T> {
         let prepared = self.prepare(engine);
         let arena = BatchArena::new();
@@ -173,7 +174,6 @@ impl QConv2d {
             engine,
             &prepared,
             &[key],
-            1,
             &arena,
             Tensor::zeros,
             convert,
@@ -229,7 +229,7 @@ impl QConv2d {
     /// entire batch — the weight-stationary amortization the hardware
     /// mapping assumes. Image `b`'s accumulators are keyed from
     /// `base_keys[b]`, so its output is independent of the batch
-    /// composition and of `workers`, and bit-identical to
+    /// composition, and bit-identical to
     /// [`QConv2d::forward_reference`] under the same key
     /// (property-tested). im2col scratch and output tensors come from
     /// `arena` (recycled buffers are re-zeroed), so the forward is
@@ -246,7 +246,6 @@ impl QConv2d {
         engine: &dyn VdpEngine,
         prepared: &[PreparedWeights],
         base_keys: &[u64],
-        workers: usize,
         arena: &BatchArena,
     ) -> Vec<Tensor<u32>> {
         let alloc = |dims: &[usize]| arena.tensor(dims);
@@ -255,7 +254,6 @@ impl QConv2d {
             engine,
             prepared,
             base_keys,
-            workers,
             arena,
             alloc,
             Requant::apply,
@@ -415,9 +413,9 @@ impl QConv2d {
 
     /// The tile kernel behind every conv forward: row blocks → im2col
     /// gather (all images of the batch stacked) → one
-    /// `vdp_batch_prepared` tile per group → `convert`, blocks evaluated
-    /// in parallel. im2col scratch is checked out of `arena` per row block;
-    /// output tensors come from `alloc`.
+    /// `vdp_batch_prepared` tile per group → `convert` into the output
+    /// tensors, one block after another. im2col scratch is checked out of
+    /// `arena`; output tensors come from `alloc`.
     #[allow(clippy::too_many_arguments)]
     fn forward_blocks<T>(
         &self,
@@ -425,13 +423,12 @@ impl QConv2d {
         engine: &dyn VdpEngine,
         prepared: &[PreparedWeights],
         base_keys: &[u64],
-        workers: usize,
         arena: &BatchArena,
         alloc: impl Fn(&[usize]) -> Tensor<T>,
-        convert: impl Fn(&Requant, f64) -> T + Sync,
+        convert: impl Fn(&Requant, f64) -> T,
     ) -> Vec<Tensor<T>>
     where
-        T: Copy + Default + Send,
+        T: Copy + Default,
     {
         assert_eq!(base_keys.len(), inputs.len(), "one base key per image");
         let Some(first) = inputs.first() else {
@@ -462,104 +459,61 @@ impl QConv2d {
             );
         }
         let rows_per_block = (CONV_BLOCK_PATCHES / geo.w_out.max(1)).clamp(1, 16);
-        let blocks = block_ranges(geo.h_out, rows_per_block);
-        let slabs: Vec<Vec<T>> = parallel_map_with(blocks.clone(), workers, |rows| {
-            self.eval_rows(
-                inputs, engine, prepared, &geo, base_keys, rows, arena, &convert,
-            )
-        });
-
-        // Assemble the row slabs (laid out [image][k][block row][x]) into
-        // one output tensor per image.
+        let kpg = geo.kernels_per_group;
         let mut outs: Vec<Tensor<T>> = inputs
             .iter()
             .map(|_| alloc(&[geo.l, geo.h_out, geo.w_out]))
             .collect();
-        for (rows, slab) in blocks.into_iter().zip(slabs) {
-            let bh = rows.len();
-            let n_local = bh * geo.w_out;
-            for (b, out) in outs.iter_mut().enumerate() {
-                let od = out.as_mut_slice();
-                for k in 0..geo.l {
-                    for (by, oy) in rows.clone().enumerate() {
-                        let src = (b * geo.l + k) * n_local + by * geo.w_out;
-                        let dst = (k * geo.h_out + oy) * geo.w_out;
-                        od[dst..dst + geo.w_out].copy_from_slice(&slab[src..src + geo.w_out]);
-                    }
-                }
-            }
-        }
-        outs
-    }
-
-    /// Evaluates output rows `rows` of every kernel for every image of
-    /// the batch: one im2col gather + one batched-VDP tile per group,
-    /// patches of all images stacked image-major.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_rows<T>(
-        &self,
-        inputs: &[&Tensor<u32>],
-        engine: &dyn VdpEngine,
-        prepared: &[PreparedWeights],
-        geo: &ConvGeometry,
-        base_keys: &[u64],
-        rows: std::ops::Range<usize>,
-        arena: &BatchArena,
-        convert: &(impl Fn(&Requant, f64) -> T + Sync),
-    ) -> Vec<T>
-    where
-        T: Copy + Default,
-    {
-        let bh = rows.len();
-        let n_local = bh * geo.w_out;
-        let n_patches = inputs.len() * n_local;
-        let mut slab = vec![T::default(); inputs.len() * geo.l * n_local];
-        // The im2col gather buffers are checked out of the arena per row
-        // block (zeroed) and returned after the tile.
+        // The im2col gather buffers are checked out of the arena once and
+        // re-zeroed per row block.
         let mut scratch = arena.scratch();
-        scratch.prepare(n_patches, geo.patch_len);
-        let ConvScratch { patches, keys } = &mut scratch;
-        let kpg = geo.kernels_per_group;
-
-        for (g, handle) in prepared.iter().enumerate() {
-            for (b, input) in inputs.iter().enumerate() {
-                for (by, oy) in rows.clone().enumerate() {
-                    for ox in 0..geo.w_out {
-                        let pi = b * n_local + by * geo.w_out + ox;
-                        self.gather_patch_fast(
-                            input.as_slice(),
-                            geo,
-                            g,
-                            oy,
-                            ox,
-                            patches.row_mut(pi),
-                        );
-                        // Key layout mirrors forward_reference exactly:
-                        // the key of an accumulator depends only on its
-                        // (image, layer, group, output position)
-                        // coordinates — never on the block decomposition
-                        // or on which other images share the tile.
-                        keys[pi] = combine_keys(
-                            base_keys[b],
-                            ((g * geo.h_out + oy) * geo.w_out + ox) as u64,
-                        );
+        for rows in block_ranges(geo.h_out, rows_per_block) {
+            let n_local = rows.len() * geo.w_out;
+            scratch.prepare(inputs.len() * n_local, geo.patch_len);
+            let ConvScratch { patches, keys } = &mut scratch;
+            for (g, handle) in prepared.iter().enumerate() {
+                for (b, input) in inputs.iter().enumerate() {
+                    for (by, oy) in rows.clone().enumerate() {
+                        for ox in 0..geo.w_out {
+                            let pi = b * n_local + by * geo.w_out + ox;
+                            self.gather_patch_fast(
+                                input.as_slice(),
+                                &geo,
+                                g,
+                                oy,
+                                ox,
+                                patches.row_mut(pi),
+                            );
+                            // Key layout mirrors forward_reference exactly:
+                            // the key of an accumulator depends only on its
+                            // (image, layer, group, output position)
+                            // coordinates — never on the block decomposition
+                            // or on which other images share the tile.
+                            keys[pi] = combine_keys(
+                                base_keys[b],
+                                ((g * geo.h_out + oy) * geo.w_out + ox) as u64,
+                            );
+                        }
                     }
                 }
-            }
-            let accs = engine.vdp_batch_prepared(patches, handle, keys);
-            for b in 0..inputs.len() {
-                for li in 0..n_local {
-                    let pi = b * n_local + li;
+                // Patches are stacked image-major, and a block's rows are
+                // contiguous in each output plane.
+                let accs = engine.vdp_batch_prepared(patches, handle, keys);
+                for (b, out) in outs.iter_mut().enumerate() {
+                    let od = out.as_mut_slice();
                     for kg in 0..kpg {
                         let k = g * kpg + kg;
-                        let acc = accs[pi * kpg + kg] + self.bias[k];
-                        slab[(b * geo.l + k) * n_local + li] = convert(&self.requant, acc);
+                        let dst = (k * geo.h_out + rows.start) * geo.w_out;
+                        for li in 0..n_local {
+                            let acc = accs[(b * n_local + li) * kpg + kg] + self.bias[k];
+                            od[dst + li] = convert(&self.requant, acc);
+                        }
                     }
                 }
             }
         }
         arena.release_scratch(scratch);
-        slab
+        outs
     }
 }
 
@@ -1060,7 +1014,7 @@ mod tests {
             requant: unit_requant(),
         };
         let prepared = conv.prepare(&ExactEngine);
-        let out = conv.forward_batch(&[], &ExactEngine, &prepared, &[], 4, &BatchArena::new());
+        let out = conv.forward_batch(&[], &ExactEngine, &prepared, &[], &BatchArena::new());
         assert!(out.is_empty());
     }
 
@@ -1084,9 +1038,12 @@ mod tests {
     }
 
     #[test]
-    fn forward_is_worker_count_invariant() {
+    fn multi_block_forward_matches_reference() {
+        // 40 output rows of width 9 span three row blocks (14 + 14 + 12),
+        // so the per-block slabs must reassemble into the reference
+        // output for every image of the batch.
         let conv = QConv2d {
-            name: "workers".into(),
+            name: "blocks".into(),
             weights: Tensor::from_fn(&[3, 2, 3, 3], |i| (i % 13) as i32 - 6),
             bias: vec![0.0; 3],
             stride: 1,
@@ -1094,21 +1051,14 @@ mod tests {
             groups: 1,
             requant: unit_requant(),
         };
-        let input = Tensor::<u32>::from_fn(&[2, 11, 9], |i| (i % 200) as u32);
-        let (key, prepared) = (conv.layer_key(), conv.prepare(&ExactEngine));
-        let arena = BatchArena::new();
-        let run = |workers| {
-            conv.forward_batch(&[&input], &ExactEngine, &prepared, &[key], workers, &arena)
-                .pop()
-                .expect("one output")
-        };
-        let baseline = run(1);
-        for workers in [2usize, 3, 8] {
-            assert_eq!(
-                baseline.as_slice(),
-                run(workers).as_slice(),
-                "{workers} workers"
-            );
+        let a = Tensor::<u32>::from_fn(&[2, 40, 9], |i| (i % 200) as u32);
+        let b = Tensor::<u32>::from_fn(&[2, 40, 9], |i| (i * 7 % 251) as u32);
+        let keys = [conv.layer_key(), conv.layer_key() ^ 1];
+        let (prepared, arena) = (conv.prepare(&ExactEngine), BatchArena::new());
+        let out = conv.forward_batch(&[&a, &b], &ExactEngine, &prepared, &keys, &arena);
+        for ((input, key), got) in [&a, &b].into_iter().zip(keys).zip(&out) {
+            let want = conv.forward_reference(input, &ExactEngine, key);
+            assert_eq!(got.as_slice(), want.as_slice());
         }
     }
 

@@ -302,7 +302,7 @@ enum PreparedLayer {
 /// let prepared = net.prepare(&engine); // once, at model load
 /// let arena = BatchArena::new();       // once per serving instance
 /// let image = Tensor::from_fn(&[1, 4, 4], |_| 0.5);
-/// let logits = prepared.forward_batch(&[&image], &[7], 1, &arena); // per batch
+/// let logits = prepared.forward_batch(&[&image], &[7], &arena); // per batch
 /// assert_eq!(logits[0], net.forward_keyed(&image, &engine, 7)); // the oracle
 /// ```
 pub struct PreparedNetwork<'a> {
@@ -346,14 +346,18 @@ impl<'a> PreparedNetwork<'a> {
     /// layer's prepared weights are fetched once per row block for the
     /// entire batch. Image `b` runs under `image_keys[b]`; the result is
     /// bit-identical to the [`QuantizedNetwork::forward_keyed`] oracle for
-    /// any batch composition and any `workers` count.
+    /// any batch composition. The forward runs on the calling thread;
+    /// callers parallelize over images or batches (as
+    /// [`PreparedNetwork::evaluate`] does), sharing one `arena`.
     ///
-    /// Every im2col scratch tile and activation tensor is drawn from
-    /// `arena`, and each layer's inputs are recycled as soon as the layer
-    /// completes (recycled buffers are re-zeroed; noise keys are pure
-    /// coordinate functions): in steady state a serving instance that
-    /// keeps one arena runs whole batches without touching the allocator.
-    /// Callers with no long-lived arena pass `&BatchArena::new()`.
+    /// Every im2col scratch tile and conv activation tensor is drawn from
+    /// `arena`, and conv outputs go back to it as soon as the next layer
+    /// has consumed them (recycled buffers are re-zeroed; noise keys are
+    /// pure coordinate functions). Pooling layers allocate their own
+    /// small outputs, which are dropped, so the pool never holds more
+    /// than one batch's conv activations per concurrent caller, however
+    /// many batches run through it. Callers with no long-lived arena pass
+    /// `&BatchArena::new()`.
     ///
     /// # Panics
     /// Panics if `image_keys` is not one key per image, the images
@@ -362,7 +366,6 @@ impl<'a> PreparedNetwork<'a> {
         &self,
         images: &[&Tensor<f32>],
         image_keys: &[u64],
-        workers: usize,
         arena: &BatchArena,
     ) -> Vec<Vec<f32>> {
         assert_eq!(image_keys.len(), images.len(), "one image key per image");
@@ -373,11 +376,15 @@ impl<'a> PreparedNetwork<'a> {
             .iter()
             .map(|im| self.net.input_quant.quantize_tensor(im))
             .collect();
-        // Replaces the current activations and recycles the old set into
-        // the arena for the next layer to draw on.
-        let swap = |acts: &mut Vec<Tensor<u32>>, next: Vec<Tensor<u32>>| {
-            for old in std::mem::replace(acts, next) {
-                arena.recycle(old);
+        // Replaces the current activations; the old set goes back to the
+        // arena for the next conv to draw on if it came from there.
+        let mut pooled = false;
+        let mut swap = |acts: &mut Vec<Tensor<u32>>, next: Vec<Tensor<u32>>, next_pooled: bool| {
+            let old = std::mem::replace(acts, next);
+            if std::mem::replace(&mut pooled, next_pooled) {
+                for t in old {
+                    arena.recycle(t);
+                }
             }
         };
         let last = self.net.last_index();
@@ -389,17 +396,16 @@ impl<'a> PreparedNetwork<'a> {
                         .map(|&k| combine_keys(k, conv.layer_key()))
                         .collect();
                     let refs: Vec<&Tensor<u32>> = acts.iter().collect();
-                    let next =
-                        conv.forward_batch(&refs, self.engine, handles, &base_keys, workers, arena);
-                    swap(&mut acts, next);
+                    let next = conv.forward_batch(&refs, self.engine, handles, &base_keys, arena);
+                    swap(&mut acts, next, true);
                 }
                 (QLayer::MaxPool(pool), _) => {
                     let next = acts.iter().map(|a| pool.forward(a)).collect();
-                    swap(&mut acts, next);
+                    swap(&mut acts, next, false);
                 }
                 (QLayer::GlobalAvgPool, _) => {
                     let next = acts.iter().map(|a| GlobalAvgPool.forward(a)).collect();
-                    swap(&mut acts, next);
+                    swap(&mut acts, next, false);
                 }
                 (QLayer::Fc(fc), PreparedLayer::Fc(handle)) => {
                     assert_eq!(i, last, "FC must be the final layer");
@@ -410,7 +416,7 @@ impl<'a> PreparedNetwork<'a> {
                     let refs: Vec<&Tensor<u32>> = acts.iter().collect();
                     let logits =
                         fc.forward_logits_batch(&refs, self.engine, handle, &base_keys, arena);
-                    swap(&mut acts, Vec::new());
+                    swap(&mut acts, Vec::new(), false);
                     return logits;
                 }
                 _ => unreachable!("prepared layers are aligned by construction"),
@@ -426,10 +432,9 @@ impl<'a> PreparedNetwork<'a> {
         &self,
         images: &[&Tensor<f32>],
         image_keys: &[u64],
-        workers: usize,
         arena: &BatchArena,
     ) -> Vec<usize> {
-        self.forward_batch(images, image_keys, workers, arena)
+        self.forward_batch(images, image_keys, arena)
             .iter()
             .map(|logits| crate::layers::argmax(logits))
             .collect()
@@ -449,7 +454,7 @@ impl<'a> PreparedNetwork<'a> {
         let hits = parallel_map_with((0..samples.len()).collect(), workers, |i: usize| {
             let s = &samples[i];
             let logits = self
-                .forward_batch(&[&s.image], &[i as u64], 1, &BatchArena::new())
+                .forward_batch(&[&s.image], &[i as u64], &BatchArena::new())
                 .pop()
                 .expect("invariant: forward_batch yields one logit row per image");
             let top1 = crate::layers::argmax(&logits) == s.label;
@@ -548,7 +553,7 @@ mod tests {
         for key in [0u64, 7, 9999] {
             let image = Tensor::from_fn(&[1, 4, 4], |i| ((i as u64 * 13 + key) % 16) as f32 / 16.0);
             assert_eq!(
-                prepared.forward_batch(&[&image], &[key], 1, &arena),
+                prepared.forward_batch(&[&image], &[key], &arena),
                 vec![net.forward_keyed(&image, &ExactEngine, key)]
             );
         }
@@ -557,7 +562,7 @@ mod tests {
     #[test]
     fn batch_forward_matches_per_image_forwards() {
         // Stacked whole-batch tiles must be bit-identical to running the
-        // images one by one, for any worker count.
+        // images one by one.
         let net = tiny_network();
         let prepared = net.prepare(&ExactEngine);
         let images: Vec<Tensor<f32>> = (0..5)
@@ -569,20 +574,32 @@ mod tests {
         let singles: Vec<Vec<f32>> = refs
             .iter()
             .zip(&keys)
-            .flat_map(|(im, &k)| prepared.forward_batch(&[im], &[k], 1, &arena))
+            .flat_map(|(im, &k)| prepared.forward_batch(&[im], &[k], &arena))
             .collect();
-        for workers in [1usize, 2, 8] {
-            assert_eq!(
-                prepared.forward_batch(&refs, &keys, workers, &arena),
-                singles,
-                "{workers} workers"
-            );
-        }
+        assert_eq!(prepared.forward_batch(&refs, &keys, &arena), singles);
         // Predictions come straight off the batch logits.
-        let preds = prepared.predict_batch(&refs, &keys, 2, &arena);
+        let preds = prepared.predict_batch(&refs, &keys, &arena);
         assert_eq!(preds.len(), 5);
-        let empty = prepared.forward_batch(&[], &[], 1, &arena);
+        let empty = prepared.forward_batch(&[], &[], &arena);
         assert_eq!(empty, Vec::<Vec<f32>>::new());
+    }
+
+    #[test]
+    fn arena_pool_stays_bounded_across_batches() {
+        // Only arena-drawn conv outputs go back to the pool, so any number
+        // of batches through one arena leaves at most one batch of
+        // tensors pooled.
+        let net = tiny_network();
+        let prepared = net.prepare(&ExactEngine);
+        let images: Vec<Tensor<f32>> = (0..3)
+            .map(|b| Tensor::from_fn(&[1, 4, 4], |i| ((b * 5 + i) % 16) as f32 / 16.0))
+            .collect();
+        let refs: Vec<&Tensor<f32>> = images.iter().collect();
+        let arena = BatchArena::new();
+        for _ in 0..10 {
+            prepared.forward_batch(&refs, &[1, 2, 3], &arena);
+        }
+        assert!(arena.pooled_tensors() <= refs.len());
     }
 
     #[test]
@@ -723,6 +740,6 @@ mod tests {
         let image = Tensor::from_fn(&[1, 4, 4], |_| 0.5);
         let _ = net
             .prepare(&ExactEngine)
-            .forward_batch(&[&image], &[0], 1, &BatchArena::new());
+            .forward_batch(&[&image], &[0], &BatchArena::new());
     }
 }

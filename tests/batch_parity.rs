@@ -1,5 +1,5 @@
 //! Parity guarantees of the batched inference path: `vdp_batch` tiles,
-//! the im2col patch gather, and block-parallel conv forward must all be
+//! the im2col patch gather, and the row-blocked conv forward must all be
 //! bit-identical to their single-vector / per-pixel references — for the
 //! exact engine, the noiseless stochastic engine, and the noisy engine
 //! with keyed ADC error. The prepared, arena-backed forward obeys the
@@ -138,7 +138,7 @@ proptest! {
 
     /// im2col + batched tiles ≡ per-pixel gather + single-vector calls on
     /// random conv geometries (stride / padding / groups / kernel size),
-    /// and the block-parallel forward is worker-count invariant — all
+    /// and the prepared batch forward agrees with both — all
     /// checked on the *noisy* engine, where any key or gather mismatch
     /// shows up as a bit difference.
     #[test]
@@ -181,17 +181,15 @@ proptest! {
         prop_assert_eq!(reference.as_slice(), batched.as_slice());
 
         let prepared = conv.prepare(engine.as_ref());
-        for workers in [2usize, 8] {
-            let parallel = conv.forward_batch(
-                &[&input], engine.as_ref(), &prepared, &[key], workers, &BatchArena::new());
-            prop_assert_eq!(batched.as_slice(), parallel[0].as_slice(), "workers {}", workers);
-        }
+        let prepared_out = conv.forward_batch(
+            &[&input], engine.as_ref(), &prepared, &[key], &BatchArena::new());
+        prop_assert_eq!(batched.as_slice(), prepared_out[0].as_slice());
     }
 
     /// The weight-stationary serving path — prepared per-group handles +
     /// the im2col patches of a whole request batch stacked into one tile
     /// — must be bit-equal to running each request through the per-pair
-    /// `forward_reference` oracle, for every worker count, on random
+    /// `forward_reference` oracle, on random
     /// conv geometries and batch compositions, with and without ADC
     /// noise.
     #[test]
@@ -239,17 +237,17 @@ proptest! {
             .collect();
 
         // Arena-reused scratch is observationally pure: running the same
-        // batch repeatedly through one (increasingly dirty) arena, at any
-        // worker count, must reproduce the oracle bit-for-bit.
+        // batch repeatedly through one (increasingly dirty) arena must
+        // reproduce the oracle bit-for-bit.
         let prepared = conv.prepare(engine.as_ref());
         let refs: Vec<&Tensor<u32>> = images.iter().collect();
         let arena = BatchArena::new();
-        for workers in [1usize, 2, 8] {
+        for round in 0..3 {
             let pooled = conv.forward_batch(
-                &refs, engine.as_ref(), &prepared, &base_keys, workers, &arena);
+                &refs, engine.as_ref(), &prepared, &base_keys, &arena);
             prop_assert_eq!(pooled.len(), singles.len());
             for (b, (got, want)) in pooled.iter().zip(&singles).enumerate() {
-                prop_assert_eq!(got.as_slice(), want.as_slice(), "arena image {} workers {}", b, workers);
+                prop_assert_eq!(got.as_slice(), want.as_slice(), "arena image {} round {}", b, round);
             }
             // Recycle the outputs so the next round draws dirty buffers.
             for t in pooled {
@@ -257,7 +255,7 @@ proptest! {
             }
         }
         // A batch of one is the same contract.
-        let one = conv.forward_batch(&refs[..1], engine.as_ref(), &prepared, &base_keys[..1], 2, &arena);
+        let one = conv.forward_batch(&refs[..1], engine.as_ref(), &prepared, &base_keys[..1], &arena);
         prop_assert_eq!(one[0].as_slice(), singles[0].as_slice());
     }
 
@@ -318,9 +316,8 @@ proptest! {
     }
 }
 
-/// Runs `images` through one long-lived arena, three rounds at 1, 2 and 8
-/// workers, and requires every batch's logits to equal the per-image
-/// oracle exactly.
+/// Runs `images` through one long-lived arena three times and requires
+/// every batch's logits to equal the per-image oracle exactly.
 fn assert_network_matches_oracle(
     net: &sconna::tensor::network::QuantizedNetwork,
     engine: &dyn VdpEngine,
@@ -336,16 +333,7 @@ fn assert_network_matches_oracle(
     let refs: Vec<&Tensor<f32>> = images.iter().collect();
     let arena = BatchArena::new();
     for round in 0..3 {
-        for workers in [1usize, 2, 8] {
-            let got = prepared.forward_batch(&refs, keys, workers, &arena);
-            assert_eq!(
-                &got,
-                &want,
-                "{} round {} workers {}",
-                engine.name(),
-                round,
-                workers
-            );
-        }
+        let got = prepared.forward_batch(&refs, keys, &arena);
+        assert_eq!(&got, &want, "{} round {}", engine.name(), round);
     }
 }

@@ -2,8 +2,8 @@
 //! must compute exactly what the offline per-request forward computes —
 //! predictions keyed per request id, invariant under fleet size, batch
 //! packing, arrival ordering (closed-loop vs Poisson, any seed) and
-//! worker count — and the whole-network prepared/stacked forward must be
-//! bit-equal to the per-request path.
+//! report worker count — and the whole-network prepared/stacked forward
+//! must be bit-equal to the per-request path.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -14,6 +14,7 @@ use sconna::accel::serve::{
     Supervisor, TenantSpec,
 };
 use sconna::accel::{AcceleratorConfig, SconnaEngine};
+use sconna::photonics::pca::AdcModel;
 use sconna::sc::Precision;
 use sconna::sim::time::SimTime;
 use sconna::tensor::arena::BatchArena;
@@ -167,9 +168,50 @@ proptest! {
         }
     }
 
+    /// Report-time chunk parallelism: a degrading fleet's whole report —
+    /// primary and fallback tiers on separate engines — is identical at
+    /// 1, 2 and 3 chunk workers (3, so chunk counts need not divide
+    /// evenly among workers), and every response equals its offline
+    /// per-request forward.
+    #[test]
+    fn prop_functional_report_is_chunk_worker_invariant(
+        seed in 0u64..=200,
+        requests in 1usize..=40,
+        max_batch in 1usize..=8,
+        load_tenths in 15u32..=30,
+    ) {
+        let (net, samples) = tiny_workload(seed, 3);
+        let fallback = net.with_weight_bits(4);
+        let engine = SconnaEngine::paper_default(seed);
+        let fb_engine =
+            SconnaEngine::new(Precision::new(4), 176, Some(AdcModel::sconna_default()), seed ^ 1);
+        let model = shufflenet_v2();
+        let base = ServingConfig::saturation(AcceleratorConfig::sconna(), 2, max_batch, requests);
+        let rate = f64::from(load_tenths) / 10.0 * base.estimated_capacity_fps(&model);
+        let cfg = base
+            .with_queue_cap(1)
+            .with_admission(AdmissionPolicy::Degrade { fallback_bits: 4 })
+            .with_arrivals(ArrivalProcess::trace(poisson_times(requests, rate, seed)));
+        let workload = |workers| FunctionalWorkload {
+            net: &net,
+            fallback: Some(&fallback),
+            fallback_engine: Some(&fb_engine),
+            samples: &samples,
+            engine: &engine,
+            workers,
+        };
+        let one = simulate_serving_functional(&cfg, &model, &workload(1));
+        assert_matches_offline(&one, &[&workload(1)], &vec![0; requests]);
+        let debug = format!("{one:?}");
+        for workers in [2usize, 3] {
+            let run = simulate_serving_functional(&cfg, &model, &workload(workers));
+            prop_assert_eq!(format!("{run:?}"), debug.clone(), "{} workers", workers);
+        }
+    }
+
     /// The prepared whole-network stacked forward is bit-equal to the
-    /// per-pair network oracle for any batch composition and worker
-    /// count — the network-level half of the serving guarantee.
+    /// per-pair network oracle for any batch composition — the
+    /// network-level half of the serving guarantee.
     #[test]
     fn prop_prepared_network_batch_matches_per_request(
         seed in 0u64..=300,
@@ -188,10 +230,8 @@ proptest! {
             .map(|(im, &k)| net.forward_keyed(im, engine, k))
             .collect();
         let prepared = net.prepare(engine);
-        for workers in [1usize, 2, 8] {
-            let stacked = prepared.forward_batch(&images, &keys, workers, &BatchArena::new());
-            prop_assert_eq!(&stacked, &singles, "{} workers", workers);
-        }
+        let stacked = prepared.forward_batch(&images, &keys, &BatchArena::new());
+        prop_assert_eq!(&stacked, &singles);
     }
 }
 
