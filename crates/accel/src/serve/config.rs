@@ -94,9 +94,8 @@ pub enum AdmissionPolicy {
 }
 
 /// The cluster retry layer: what happens to requests whose batch was
-/// aborted by a kill. The default (`all None`) is PR 7 behavior
-/// bit-exactly: aborted requests rejoin the queue with no attempt
-/// ceiling, no global budget, and no hedging.
+/// aborted by a kill. The default (`all None`) re-admits every aborted
+/// request: no attempt ceiling and no global budget.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Maximum *dispatch* attempts per request (so `Some(1)` means no
@@ -109,22 +108,14 @@ pub struct RetryPolicy {
     /// ([`RequestOutcome::ShedRetryBudget`](super::RequestOutcome::ShedRetryBudget))
     /// instead of amplifying the overload. `None` is unlimited.
     pub retry_budget: Option<u64>,
-    /// Hedged dispatch for tail latency: if a batch is still in flight
-    /// this long after dispatch, a duplicate is issued on an idle
-    /// instance (when one exists and no traffic is waiting); first
-    /// completion wins, the loser is cancelled. Costs duplicate energy,
-    /// insures against a kill or stall of the primary. `None` disables.
-    pub hedge_after: Option<SimTime>,
 }
 
 impl RetryPolicy {
-    /// Limits each request to `n` dispatch attempts.
-    ///
-    /// # Panics
-    /// Panics if `n` is zero — a request needs one attempt to exist.
+    /// Limits each request to `n` dispatch attempts. Zero is rejected
+    /// by [`ServingConfig::validate`]
+    /// ([`ServingConfigError::ZeroMaxAttempts`]).
     #[must_use]
     pub fn with_max_attempts(mut self, n: u32) -> Self {
-        assert!(n >= 1, "a request needs at least one dispatch attempt");
         self.max_attempts = Some(n);
         self
     }
@@ -134,47 +125,6 @@ impl RetryPolicy {
     pub fn with_retry_budget(mut self, budget: u64) -> Self {
         self.retry_budget = Some(budget);
         self
-    }
-
-    /// Enables hedged dispatch after `delay` of in-flight time.
-    ///
-    /// # Panics
-    /// Panics if `delay` is zero (hedging at dispatch time would always
-    /// double every batch).
-    #[must_use]
-    pub fn with_hedge_after(mut self, delay: SimTime) -> Self {
-        assert!(delay > SimTime::ZERO, "hedge delay must be positive");
-        self.hedge_after = Some(delay);
-        self
-    }
-}
-
-/// Latency class of a tenant: how urgently its traffic must turn
-/// around. Under [`TenantScheduler::StrictPriority`] a more urgent
-/// class overtakes a less urgent one at every batch-formation decision;
-/// under the other schedulers the class is recorded in the usage
-/// report but does not move scheduling.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum LatencyClass {
-    /// User-facing traffic: overtakes everything else under
-    /// strict-priority scheduling.
-    Interactive,
-    /// The default class.
-    #[default]
-    Standard,
-    /// Throughput-oriented background traffic: yields to both other
-    /// classes under strict-priority scheduling.
-    Batch,
-}
-
-impl LatencyClass {
-    /// Scheduling rank: lower overtakes higher.
-    pub(crate) fn rank(self) -> u8 {
-        match self {
-            LatencyClass::Interactive => 0,
-            LatencyClass::Standard => 1,
-            LatencyClass::Batch => 2,
-        }
     }
 }
 
@@ -194,10 +144,6 @@ pub enum TenantScheduler {
     /// default.
     #[default]
     WeightedFair,
-    /// Strict priority by [`LatencyClass`] rank, weighted-fair within a
-    /// class: an interactive tenant's formable batch overtakes standard
-    /// and batch-class traffic at every batch-formation decision.
-    StrictPriority,
     /// The naive shared-queue baseline: tenants' queues are drained in
     /// global arrival order (earliest waiting head request dispatches
     /// first), exactly as if everyone shared one FIFO. No isolation —
@@ -207,7 +153,7 @@ pub enum TenantScheduler {
 }
 
 /// One tenant of a multi-tenant serving fleet: a model, a fair-share
-/// weight, a latency class and a private arrival process. Registered on
+/// weight and a private arrival process. Registered on
 /// [`ServingConfig::with_tenants`]; requests of different tenants wait
 /// in per-tenant bounded queues and are batched per tenant (a batch
 /// never mixes models).
@@ -223,9 +169,6 @@ pub struct TenantSpec {
     /// Weighted-fair share. Service under contention converges on
     /// `weight / Σ weights`; must be positive and finite.
     pub weight: f64,
-    /// Latency class ([`TenantScheduler::StrictPriority`] overtake
-    /// order).
-    pub latency_class: LatencyClass,
     /// This tenant's private arrival process.
     pub arrivals: ArrivalProcess,
     /// Requests this tenant offers over the run. The config-level
@@ -238,7 +181,7 @@ pub struct TenantSpec {
 }
 
 impl TenantSpec {
-    /// A standard-class, weight-1 tenant of `model` offering `requests`
+    /// A weight-1 tenant of `model` offering `requests`
     /// requests through `arrivals`.
     pub fn new(
         name: impl Into<String>,
@@ -250,7 +193,6 @@ impl TenantSpec {
             name: name.into(),
             model,
             weight: 1.0,
-            latency_class: LatencyClass::Standard,
             arrivals,
             requests,
             queue_cap: None,
@@ -261,13 +203,6 @@ impl TenantSpec {
     #[must_use]
     pub fn with_weight(mut self, weight: f64) -> Self {
         self.weight = weight;
-        self
-    }
-
-    /// Replaces the latency class.
-    #[must_use]
-    pub fn with_latency_class(mut self, class: LatencyClass) -> Self {
-        self.latency_class = class;
         self
     }
 
@@ -320,8 +255,6 @@ pub enum ServingConfigError {
     Supervisor(String),
     /// A retry policy allowing zero dispatch attempts per request.
     ZeroMaxAttempts,
-    /// A retry policy hedging after a zero delay.
-    ZeroHedgeDelay,
     /// Autoscale `max` disagrees with the provisioned pool.
     AutoscalePoolMismatch {
         /// The policy's `max`.
@@ -414,7 +347,6 @@ impl std::fmt::Display for ServingConfigError {
             Self::ZeroMaxAttempts => {
                 write!(f, "a request needs at least one dispatch attempt")
             }
-            Self::ZeroHedgeDelay => write!(f, "hedge delay must be positive"),
             Self::AutoscalePoolMismatch { max, instances } => write!(
                 f,
                 "autoscale max ({max}) must equal the provisioned instance pool ({instances})"
@@ -513,7 +445,7 @@ pub struct ServingConfig {
     /// unless a scripted [`FaultEvent::Restart`](super::FaultEvent::Restart)
     /// revives the instance (PR 7 behavior).
     pub supervisor: Option<Supervisor>,
-    /// Cluster retry/hedging policy for kill-aborted requests.
+    /// Cluster retry policy for kill-aborted requests.
     pub retry: RetryPolicy,
     /// Window of the availability goodput series
     /// ([`ServingReport::goodput_series`](super::ServingReport::goodput_series));
@@ -621,9 +553,6 @@ impl ServingConfig {
         }
         if self.retry.max_attempts == Some(0) {
             return Err(ServingConfigError::ZeroMaxAttempts);
-        }
-        if self.retry.hedge_after == Some(SimTime::ZERO) {
-            return Err(ServingConfigError::ZeroHedgeDelay);
         }
         if self.tenants.is_empty() {
             validate_arrivals(&self.arrivals, self.requests)?;
@@ -945,29 +874,18 @@ mod tests {
 
     #[test]
     fn validate_rejects_a_zero_attempt_retry_literal() {
-        // The literal skips `with_max_attempts`' assert; validation
-        // catches it instead of serving with no dispatch ceiling.
-        let cfg = base().with_retry(RetryPolicy {
-            max_attempts: Some(0),
-            ..RetryPolicy::default()
-        });
+        // The builder accepts zero; validation and fleet construction
+        // reject it instead of serving with no dispatch ceiling.
+        let cfg = base().with_retry(RetryPolicy::default().with_max_attempts(0));
         let err = cfg.validate().unwrap_err();
         assert_eq!(err, ServingConfigError::ZeroMaxAttempts);
         assert_eq!(
             err.to_string(),
             "a request needs at least one dispatch attempt"
         );
-    }
-
-    #[test]
-    fn validate_rejects_a_zero_hedge_delay_literal() {
-        let cfg = base().with_retry(RetryPolicy {
-            hedge_after: Some(SimTime::ZERO),
-            ..RetryPolicy::default()
-        });
-        let err = cfg.validate().unwrap_err();
-        assert_eq!(err, ServingConfigError::ZeroHedgeDelay);
-        assert_eq!(err.to_string(), "hedge delay must be positive");
+        let model = sconna_tensor::models::shufflenet_v2();
+        let built = crate::serve::Fleet::try_new(&cfg, &[&model], &[]);
+        assert!(matches!(built, Err(ServingConfigError::ZeroMaxAttempts)));
     }
 
     #[test]
@@ -1019,8 +937,8 @@ mod tests {
         assert_eq!(cfg.requests, 32);
         assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(cfg.tenant_scheduler, TenantScheduler::WeightedFair);
-        let strict = cfg.with_tenant_scheduler(TenantScheduler::StrictPriority);
-        assert_eq!(strict.tenant_scheduler, TenantScheduler::StrictPriority);
+        let fifo = cfg.with_tenant_scheduler(TenantScheduler::SharedFifo);
+        assert_eq!(fifo.tenant_scheduler, TenantScheduler::SharedFifo);
     }
 
     #[test]
@@ -1050,12 +968,5 @@ mod tests {
             .with_admission(AdmissionPolicy::DropOldest)
             .estimated_capacity_fps(&model);
         assert_eq!(native.to_bits(), drop_oldest.to_bits());
-    }
-
-    #[test]
-    fn latency_classes_rank_interactive_first() {
-        assert!(LatencyClass::Interactive.rank() < LatencyClass::Standard.rank());
-        assert!(LatencyClass::Standard.rank() < LatencyClass::Batch.rank());
-        assert_eq!(LatencyClass::default(), LatencyClass::Standard);
     }
 }

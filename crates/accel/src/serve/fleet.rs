@@ -83,7 +83,7 @@ use std::collections::VecDeque;
 /// (`samples[r % samples.len()]`) and runs under image noise key `r`, so
 /// each response's prediction is a pure function of this workload, its
 /// tier and `r` — independent of fleet size, batch packing, arrival
-/// process, kills, hedges and `workers`. That purity is why the event
+/// process, kills and `workers`. That purity is why the event
 /// loop never runs the network: [`Fleet::into_functional_report`]
 /// derives every prediction from the settled outcomes.
 pub struct FunctionalWorkload<'a> {
@@ -134,12 +134,6 @@ enum Ev {
     /// supervised reload finished: its backoff ladder resets. Stale if
     /// the boot epoch moved on (killed again first).
     BackoffReset { inst: usize, epoch: u64 },
-    /// The batch dispatched as sequence number `seq` on instance `inst`
-    /// has been in flight [`RetryPolicy::hedge_after`](super::RetryPolicy):
-    /// issue a hedged duplicate if the batch is still running, unhedged,
-    /// no traffic is waiting and an idle instance exists. Stale if the
-    /// batch completed (the sequence number no longer matches).
-    HedgeTimer { inst: usize, seq: u64 },
     /// The autoscale controller's periodic decision point: measure
     /// demand since the last tick and retarget the active pool. Only
     /// scheduled when the config carries an
@@ -166,21 +160,9 @@ struct InFlight {
     /// Dispatch time (busy time accrues `completion - started`, or
     /// `kill - started` for an aborted batch).
     started: SimTime,
-    /// `(request id, arrival time)` in queue order. A hedge holds a
-    /// *copy* of its primary's requests (authoritative only after
-    /// promotion); fleet-level in-flight accounting counts primaries
-    /// only.
+    /// `(request id, arrival time)` in queue order: the only owner of
+    /// these requests while the batch runs.
     reqs: Vec<(u64, SimTime)>,
-    /// Dispatch sequence number, the [`Ev::HedgeTimer`] staleness guard:
-    /// unlike the boot epoch it changes on every dispatch, so a timer
-    /// armed for one batch can never fire against a later batch on the
-    /// same instance.
-    seq: u64,
-    /// Instance running this batch's hedged duplicate, if any.
-    hedge: Option<usize>,
-    /// This batch *is* the hedged duplicate of the primary running on
-    /// the named instance. Cleared on promotion (primary killed).
-    hedge_of: Option<usize>,
 }
 
 /// Per-instance supervision state (only allocated when the config has a
@@ -482,8 +464,6 @@ struct Scheduler<'a> {
     force_flush: bool,
     /// Supervision state; `None` without a configured [`Supervisor`].
     sup: Option<SupCtl>,
-    /// Monotonic dispatch sequence (stamps [`InFlight::seq`]).
-    next_seq: u64,
 }
 
 impl Scheduler<'_> {
@@ -502,7 +482,7 @@ impl Scheduler<'_> {
     }
 
     /// Recomputes instance `inst`'s candidate bit after a liveness or
-    /// occupancy transition (dispatch, completion, kill, reload, hedge,
+    /// occupancy transition (dispatch, completion, kill, reload,
     /// scale). Stall windows are deliberately not tracked — the router
     /// over-approximates and [`Self::idle_instance`] filters lazily.
     fn sync_router(&mut self, inst: usize) {
@@ -667,17 +647,17 @@ impl Scheduler<'_> {
 
     /// Picks the next tenant to serve under the configured
     /// [`TenantScheduler`], among tenants that can form a batch.
-    /// Weighted-fair: smallest virtual finish time. Strict-priority:
-    /// best latency class first, virtual time as the tiebreak within a
-    /// class. Shared-FIFO: oldest head-of-line request fleet-wide, as if
-    /// all tenants fed one queue. Every tie falls to the lowest tenant
-    /// index, keeping the choice deterministic.
+    /// Weighted-fair: smallest virtual finish time. Shared-FIFO: oldest
+    /// head-of-line request fleet-wide, as if all tenants fed one queue.
+    /// Every tie falls to the lowest tenant index, keeping the choice
+    /// deterministic.
     fn pick_tenant(&self) -> Option<(usize, usize, bool)> {
-        let strict = matches!(self.cfg.tenant_scheduler, TenantScheduler::StrictPriority);
         let shared = matches!(self.cfg.tenant_scheduler, TenantScheduler::SharedFifo);
         let mut best: Option<(usize, usize, bool)> = None;
         let mut fifo_key: Option<(SimTime, u64)> = None;
-        let mut wfq_key: (u8, f64) = (u8::MAX, f64::INFINITY);
+        // No sentinel: a virtual time may itself be +inf (a subnormal
+        // weight), and the first formable tenant must still win then.
+        let mut wfq_key: Option<f64> = None;
         for t in 0..self.tenants.len() {
             let Some((take, tier)) = self.formable(t) else {
                 continue;
@@ -692,14 +672,9 @@ impl Scheduler<'_> {
                     best = Some((t, take, tier));
                 }
             } else {
-                let rank = if strict {
-                    self.tenants[t].spec.latency_class.rank()
-                } else {
-                    0
-                };
                 let vt = self.tenants[t].vtime;
-                if rank < wfq_key.0 || (rank == wfq_key.0 && vt.total_cmp(&wfq_key.1).is_lt()) {
-                    wfq_key = (rank, vt);
+                if wfq_key.is_none_or(|k| vt.total_cmp(&k).is_lt()) {
+                    wfq_key = Some(vt);
                     best = Some((t, take, tier));
                 }
             }
@@ -711,8 +686,7 @@ impl Scheduler<'_> {
     /// native tier to instance `inst` — its dispatch energy and, when
     /// `inst` holds another model, the swap to the tenant's — and
     /// returns how long the batch occupies the instance (swap +
-    /// makespan). Primary dispatches and hedged duplicates both pay
-    /// through here.
+    /// makespan).
     fn charge_batch(&mut self, inst: usize, t: usize, degraded: bool, n: usize) -> SimTime {
         let midx = self.tenants[t].spec.model;
         let m = &mut self.models[midx];
@@ -777,17 +751,12 @@ impl Scheduler<'_> {
                 .collect();
             let occupancy = self.charge_batch(inst, t, tier_degraded, take);
             self.ledger.dispatch(t, &reqs);
-            let seq = self.next_seq;
-            self.next_seq += 1;
             let node = &mut self.nodes[inst];
             node.in_flight = Some(InFlight {
                 tenant: t as u32,
                 degraded: tier_degraded,
                 started: now,
                 reqs,
-                seq,
-                hedge: None,
-                hedge_of: None,
             });
             q.schedule_in(
                 occupancy,
@@ -796,11 +765,6 @@ impl Scheduler<'_> {
                     epoch: node.epoch,
                 },
             );
-            if let Some(h) = self.cfg.retry.hedge_after {
-                // Armed per dispatch; a timer outliving its batch finds
-                // a different sequence number and lapses.
-                q.schedule_in(h, Ev::HedgeTimer { inst, seq });
-            }
             self.sync_router(inst);
             self.ledger.depth(now, self.total_queued());
         }
@@ -820,9 +784,7 @@ impl Scheduler<'_> {
     /// at the kill instant, and re-admit the aborted batch's requests at
     /// the **front** of the pending queue in their original order
     /// through the [`RetryPolicy`](super::RetryPolicy) — then let the
-    /// admission policy settle any overflow. A batch with a live hedge
-    /// skips the requeue entirely: the hedge is promoted to primary and
-    /// carries the requests to completion. A kill against a dead idle
+    /// admission policy settle any overflow. A kill against a dead idle
     /// instance is a no-op; a kill mid-reload cancels the reload. When a
     /// supervisor is configured, the kill feeds crash-loop detection and
     /// (unless the instance is benched or the budget is spent) schedules
@@ -840,41 +802,22 @@ impl Scheduler<'_> {
                 // the ledger, but only the busy time actually accrued
                 // counts toward utilization.
                 self.ledger.busy(inst, now - fl.started);
-                if let Some(primary) = fl.hedge_of {
-                    // A dying *hedge* costs nothing but its energy: the
-                    // primary still owns the requests — just unlink it.
-                    if let Some(pfl) = self.nodes[primary].in_flight.as_mut() {
-                        pfl.hedge = None;
+                let t = fl.tenant as usize;
+                let mut refused = 0usize;
+                self.backlog_vtime(t);
+                for (id, arrived) in fl.reqs.into_iter().rev() {
+                    if self.ledger.readmit(id, &self.cfg.retry) {
+                        self.pending[t].push_front(PendingReq {
+                            id,
+                            arrived,
+                            degraded: fl.degraded,
+                        });
+                    } else {
+                        refused += 1;
                     }
-                } else if let Some(twin) = fl.hedge {
-                    // The hedge pays off: promote the duplicate to
-                    // primary — its request copy becomes authoritative
-                    // and nothing is requeued.
-                    self.ledger.promote_hedge();
-                    let tfl = self.nodes[twin].in_flight.as_mut().expect(
-                        "invariant: a live hedge pointer names an instance running the duplicate",
-                    );
-                    debug_assert_eq!(tfl.hedge_of, Some(inst));
-                    tfl.hedge_of = None;
-                } else {
-                    let tier_degraded = fl.degraded;
-                    let t = fl.tenant as usize;
-                    let mut refused = 0usize;
-                    self.backlog_vtime(t);
-                    for (id, arrived) in fl.reqs.into_iter().rev() {
-                        if self.ledger.readmit(id, &self.cfg.retry) {
-                            self.pending[t].push_front(PendingReq {
-                                id,
-                                arrived,
-                                degraded: tier_degraded,
-                            });
-                        } else {
-                            refused += 1;
-                        }
-                    }
-                    self.enforce_bound_after_requeue(now, t);
-                    self.after_shed(now, t, refused);
                 }
+                self.enforce_bound_after_requeue(now, t);
+                self.after_shed(now, t, refused);
             }
             if self.nodes[inst].draining {
                 // The kill beat the drain: the instance was retiring
@@ -1050,30 +993,6 @@ impl Scheduler<'_> {
                 let fl = self.nodes[inst].in_flight.take().expect(
                     "invariant: a current-epoch BatchDone matches a stored in-flight batch",
                 );
-                // An unpromoted hedge can never get here: it started
-                // strictly after its primary with the same makespan, so
-                // the primary's completion cancelled it (epoch bump)
-                // first.
-                debug_assert!(fl.hedge_of.is_none());
-                if let Some(twin) = fl.hedge {
-                    // The primary won: cancel the duplicate. The epoch
-                    // bump invalidates its scheduled BatchDone; its busy
-                    // time (and its dispatch energy, long since on the
-                    // ledger) was genuinely spent.
-                    if let Some(tfl) = self.nodes[twin].in_flight.take() {
-                        debug_assert_eq!(tfl.hedge_of, Some(inst));
-                        self.ledger.busy(twin, now - tfl.started);
-                        self.ledger.cancel_hedge();
-                        self.nodes[twin].epoch += 1;
-                        if self.nodes[twin].draining {
-                            // The twin was marked for retirement while
-                            // running the duplicate: with the hedge
-                            // cancelled it parks.
-                            self.nodes[twin].park();
-                        }
-                        self.sync_router(twin);
-                    }
-                }
                 self.ledger.busy(inst, now - fl.started);
                 if self.nodes[inst].draining {
                     // Drain complete: the batch it was finishing is done,
@@ -1151,7 +1070,6 @@ impl Scheduler<'_> {
                     sup.states[inst].ladder_attempt = 0;
                 }
             }
-            Ev::HedgeTimer { inst, seq } => self.maybe_hedge(q, now, inst, seq),
             Ev::ScaleTick => self.handle_scale_tick(q, now),
         }
     }
@@ -1287,54 +1205,6 @@ impl Scheduler<'_> {
         }
         parked
     }
-
-    /// Issues a hedged duplicate of the batch dispatched as `seq` on
-    /// `inst`, if it is still in flight, unhedged, not itself a hedge,
-    /// nothing is waiting in the queue (spare capacity goes to real
-    /// traffic first), and an idle instance exists. The duplicate pays
-    /// real dispatch energy but is not counted in `batches`/attempts: it
-    /// is insurance, not traffic.
-    fn maybe_hedge(&mut self, q: &mut EventQueue<Ev>, now: SimTime, inst: usize, seq: u64) {
-        if self.total_queued() != 0 {
-            return;
-        }
-        let Some(fl) = self.nodes[inst].in_flight.as_ref() else {
-            return;
-        };
-        if fl.seq != seq || fl.hedge.is_some() || fl.hedge_of.is_some() {
-            return;
-        }
-        let Some(twin) = self.idle_instance(now) else {
-            return;
-        };
-        let hedge = InFlight {
-            tenant: fl.tenant,
-            degraded: fl.degraded,
-            started: now,
-            reqs: fl.reqs.clone(),
-            seq: self.next_seq,
-            hedge: None,
-            hedge_of: Some(inst),
-        };
-        self.next_seq += 1;
-        let occupancy = self.charge_batch(twin, fl.tenant as usize, fl.degraded, fl.reqs.len());
-        self.ledger.hedge();
-        let twin_epoch = self.nodes[twin].epoch;
-        self.nodes[twin].in_flight = Some(hedge);
-        self.nodes[inst]
-            .in_flight
-            .as_mut()
-            .expect("invariant: checked in flight above")
-            .hedge = Some(twin);
-        self.sync_router(twin);
-        q.schedule_in(
-            occupancy,
-            Ev::BatchDone {
-                inst: twin,
-                epoch: twin_epoch,
-            },
-        );
-    }
 }
 
 /// Liveness of one instance at a step boundary.
@@ -1367,15 +1237,10 @@ pub enum InstanceHealth {
 pub struct InstanceSnapshot {
     /// Liveness at the snapshot instant.
     pub health: InstanceHealth,
-    /// Requests in this instance's in-flight batch (0 when idle — and 0
-    /// for a hedged duplicate: its requests are accounted to the
-    /// primary).
+    /// Requests in this instance's in-flight batch (0 when idle).
     pub in_flight: usize,
     /// The in-flight batch is on the degraded (fallback-model) tier.
     pub degraded_batch: bool,
-    /// The in-flight batch is a hedged duplicate of a batch running on
-    /// another instance.
-    pub hedge_batch: bool,
 }
 
 /// One tenant's request accounting at a step boundary. The per-tenant
@@ -1661,7 +1526,6 @@ impl<'a> Fleet<'a> {
             auto,
             faults: Vec::new(),
             sup,
-            next_seq: 0,
             flush_epoch: 0,
             flush_armed: false,
             force_flush: false,
@@ -1831,11 +1695,7 @@ impl<'a> Fleet<'a> {
             .iter()
             .enumerate()
             .map(|(i, n)| {
-                // Hedged duplicates hold a *copy* of their primary's
-                // requests; counting primaries only keeps the
-                // conservation invariant exact.
-                let primary = n.in_flight.as_ref().filter(|f| f.hedge_of.is_none());
-                if let Some(f) = primary {
+                if let Some(f) = &n.in_flight {
                     tin[f.tenant as usize] += f.reqs.len() as u64;
                 }
                 let benched = s.sup.as_ref().is_some_and(|sup| sup.states[i].benched);
@@ -1861,9 +1721,8 @@ impl<'a> Fleet<'a> {
                     } else {
                         InstanceHealth::Idle
                     },
-                    in_flight: primary.map_or(0, |f| f.reqs.len()),
+                    in_flight: n.in_flight.as_ref().map_or(0, |f| f.reqs.len()),
                     degraded_batch: n.in_flight.as_ref().is_some_and(|f| f.degraded),
-                    hedge_batch: n.in_flight.as_ref().is_some_and(|f| f.hedge_of.is_some()),
                 }
             })
             .collect();
@@ -1953,7 +1812,7 @@ impl<'a> Fleet<'a> {
     /// predictions are written back in id order. A prediction is a pure
     /// function of `(net, engine, sample, request id)`, so it is the one
     /// the serving instance would have computed, whatever the packing,
-    /// chunk schedule, kills or hedges; drops read `usize::MAX`.
+    /// chunk schedule or kills; drops read `usize::MAX`.
     ///
     /// # Panics
     /// Panics if the fleet was built without functional workloads.

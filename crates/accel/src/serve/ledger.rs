@@ -30,8 +30,7 @@ pub(crate) struct Tally {
     pub degraded: u64,
     pub dropped: u64,
     pub shed: ShedCounts,
-    /// Batches dispatched (re-dispatches after a kill recount; hedged
-    /// duplicates do not count).
+    /// Batches dispatched (re-dispatches after a kill recount).
     pub batches: u64,
     batched_requests: u64,
     latency: LatencySamples,
@@ -104,7 +103,7 @@ pub(crate) struct Ledger {
     tenant_of: Vec<u32>,
     /// Terminal state per request id (`None` while not yet terminal).
     outcomes: Vec<Option<RequestOutcome>>,
-    /// Dispatch attempts per request id (hedged duplicates do not count).
+    /// Dispatch attempts per request id.
     attempts: Vec<u32>,
     energy: EnergyLedger,
     util: Vec<Utilization>,
@@ -188,7 +187,7 @@ impl Ledger {
         self.tallies[t].shed.degraded += 1;
     }
 
-    /// A primary batch of tenant `t` is dispatched with `reqs`.
+    /// A batch of tenant `t` is dispatched with `reqs`.
     pub fn dispatch(&mut self, t: usize, reqs: &[(u64, SimTime)]) {
         for &(id, _) in reqs {
             self.attempts[id as usize] += 1;
@@ -196,12 +195,6 @@ impl Ledger {
         let tally = &mut self.tallies[t];
         tally.batches += 1;
         tally.batched_requests += reqs.len() as u64;
-    }
-
-    /// A hedged duplicate batch is dispatched (insurance, not traffic:
-    /// no batch or attempt is counted).
-    pub fn hedge(&mut self) {
-        self.avail.hedges_dispatched += 1;
     }
 
     /// Books one batch of tenant `t`: the dynamic energy `ops` records
@@ -238,8 +231,8 @@ impl Ledger {
         }
     }
 
-    /// Instance `inst` spent `time` running a batch (completed,
-    /// cancelled or aborted: wasted work is real work).
+    /// Instance `inst` spent `time` running a batch (completed or
+    /// aborted: wasted work is real work).
     pub fn busy(&mut self, inst: usize, time: SimTime) {
         self.util[inst].add_busy(time);
     }
@@ -293,16 +286,6 @@ impl Ledger {
         }
         self.avail.retries += 1;
         true
-    }
-
-    /// A hedge is promoted to primary after its primary was killed.
-    pub fn promote_hedge(&mut self) {
-        self.avail.hedges_promoted += 1;
-    }
-
-    /// A hedge is cancelled because its primary completed first.
-    pub fn cancel_hedge(&mut self) {
-        self.avail.hedges_cancelled += 1;
     }
 
     /// The supervisor schedules a restart.
@@ -382,7 +365,6 @@ impl Ledger {
                     name: spec.name.clone(),
                     model: models[spec.model].to_string(),
                     weight: spec.weight,
-                    latency_class: spec.latency_class,
                     offered: tally.offered,
                     completed: tally.completed,
                     dropped: tally.dropped,

@@ -39,7 +39,7 @@
 //! FPS/latency/energy. Request `r` runs under noise key `r`, so its
 //! prediction is a pure function of `(model, tier, engine, sample, r)` —
 //! independent of batch packing, instance assignment, arrival ordering,
-//! kills, hedges and worker count. The event loop therefore never runs
+//! kills and worker count. The event loop therefore never runs
 //! a network: [`Fleet::into_functional_report`] derives the predictions
 //! from the settled outcomes, preparing one engine-backed
 //! [`sconna_tensor::network::PreparedNetwork`] per (model, tier) in use
@@ -66,8 +66,7 @@
 //! restarts killed instances with exponentially backed-off, jittered
 //! delays (benching crash-looping instances permanently), and a
 //! [`RetryPolicy`] re-admits kill-aborted requests under per-request
-//! attempt ceilings and a global retry budget, optionally hedging slow
-//! batches onto idle instances. What a restart costs is the
+//! attempt ceilings and a global retry budget. What a restart costs is the
 //! accelerator's to answer — SCONNA's zero-reprogram warm reload
 //! ([`RestartMode::Warm`]) heals faster than the analog baselines, and
 //! the gap is measured as MTTR in [`AvailabilityStats`]. [`chaos_sweep`]
@@ -75,12 +74,10 @@
 //!
 //! **Multi-tenant serving.** A fleet can host several *tenants* —
 //! [`TenantSpec`] names a model (by index into the co-resident model
-//! slice), a fair-share weight, a [`LatencyClass`] and its own arrival
-//! process — built via [`Fleet::new_multi`] / [`Fleet::try_new`]. Each
+//! slice), a fair-share weight and its own arrival process — built via [`Fleet::new_multi`] / [`Fleet::try_new`]. Each
 //! tenant owns a bounded FIFO of its own; a pluggable [`TenantScheduler`]
 //! picks which tenant's head batch dispatches next: weighted-fair
-//! queueing on a virtual clock (default), strict latency-class priority,
-//! or a naive shared FIFO baseline with no isolation at all. The timing
+//! queueing on a virtual clock (default) or a naive shared FIFO baseline with no isolation at all. The timing
 //! model treats every model as co-resident on every instance, so
 //! switching tenants costs
 //! [`model_swap_time`](crate::perf::model_swap_time) — near-zero for
@@ -111,7 +108,7 @@ mod supervisor;
 
 pub use autoscale::{AutoscalePolicy, ScaleEvent};
 pub use config::{
-    AdmissionPolicy, ArrivalProcess, LatencyClass, RetryPolicy, ServingConfig, ServingConfigError,
+    AdmissionPolicy, ArrivalProcess, RetryPolicy, ServingConfig, ServingConfigError,
     TenantScheduler, TenantSpec,
 };
 pub use failure::FailureProcess;
@@ -205,7 +202,7 @@ pub struct ChaosPoint {
     pub mtbf: sconna_sim::time::SimTime,
     /// The serving report under that failure stream, with
     /// [`ServingReport::availability`] carrying incidents, recoveries,
-    /// measured MTTR and retry/hedge counters.
+    /// measured MTTR and retry counters.
     pub report: ServingReport,
 }
 
@@ -1042,64 +1039,6 @@ mod tests {
     }
 
     #[test]
-    fn hedged_batch_is_cancelled_when_the_primary_wins() {
-        // 3 requests flush as one batch onto instance 0 while instance 1
-        // idles; the hedge duplicates it 5 µs later, loses the race, and
-        // is cancelled. Nothing is double-counted.
-        let model = shufflenet_v2();
-        let cfg = ServingConfig {
-            arrivals: ArrivalProcess::ClosedLoop { clients: 3 },
-            ..small_closed(2, 8, 3)
-        }
-        .with_retry(RetryPolicy::default().with_hedge_after(SimTime::from_ns(5_000)));
-        let r = simulate_serving(&cfg, &model);
-        assert_eq!(r.completed, 3);
-        assert_eq!(r.batches, 1, "hedges are duplicates, not batches");
-        let a = &r.availability;
-        assert_eq!(a.hedges_dispatched, 1);
-        assert_eq!(a.hedges_cancelled, 1);
-        assert_eq!(a.hedges_promoted, 0);
-        assert_eq!(a.retries, 0);
-        // The duplicate dispatch costs real energy.
-        let base = simulate_serving(
-            &ServingConfig {
-                arrivals: ArrivalProcess::ClosedLoop { clients: 3 },
-                ..small_closed(2, 8, 3)
-            },
-            &model,
-        );
-        assert_eq!(base.availability.hedges_dispatched, 0);
-        assert!(r.energy_j > base.energy_j, "hedging must cost energy");
-        assert_eq!(r.completed, base.completed);
-        assert_eq!(r.makespan, base.makespan, "losing hedge changes nothing");
-    }
-
-    #[test]
-    fn kill_of_hedged_primary_promotes_the_hedge() {
-        // The insurance pays out: the primary dies mid-flight, but its
-        // hedge is already running on the other instance — the requests
-        // complete there with no re-queue and no retry.
-        let model = shufflenet_v2();
-        let cfg = ServingConfig {
-            arrivals: ArrivalProcess::ClosedLoop { clients: 3 },
-            ..small_closed(2, 8, 3)
-        }
-        .with_retry(RetryPolicy::default().with_hedge_after(SimTime::from_ns(5_000)));
-        // Batch flushes at the 100 µs window onto instance 0; hedge at
-        // 105 µs on instance 1; kill the primary at 110 µs.
-        let plan = FaultPlan::new().kill(SimTime::from_ns(110_000), 0);
-        let r = Fleet::new(&cfg, &model).with_faults(&plan).into_report();
-        assert_eq!(r.completed, 3);
-        assert_eq!(r.dropped, 0);
-        let a = &r.availability;
-        assert_eq!(a.hedges_dispatched, 1);
-        assert_eq!(a.hedges_promoted, 1);
-        assert_eq!(a.hedges_cancelled, 0);
-        assert_eq!(a.retries, 0, "promotion is not a retry");
-        assert_eq!(a.incidents, 1);
-    }
-
-    #[test]
     fn crash_loop_benches_a_flapping_instance() {
         // Two kills inside the window bench instance 0 permanently; the
         // survivor drains the queue and the report re-estimates capacity.
@@ -1330,35 +1269,27 @@ mod tests {
     }
 
     #[test]
-    fn strict_priority_serves_interactive_ahead_of_batch() {
-        // Same model, same load, opposite latency classes: under
-        // StrictPriority the Interactive tenant's p99 must beat the
-        // Batch tenant's; under SharedFifo the two are symmetric.
+    fn weighted_fair_ties_go_to_the_lowest_tenant_index() {
+        // Two weight-1 tenants with identical closed loops share one
+        // instance one request at a time. Every second dispatch finds
+        // their virtual clocks tied; the lowest index must win each tie,
+        // so service strictly alternates, tenant 0 first.
         let model = shufflenet_v2();
-        let mk = |sched: TenantScheduler| {
-            let cfg = ServingConfig {
-                queue_cap: Some(4),
-                ..small_closed(1, 2, 48)
+        let cfg = small_closed(1, 1, 12).with_tenants(vec![
+            TenantSpec::new("a", 0, ArrivalProcess::ClosedLoop { clients: 2 }, 6),
+            TenantSpec::new("b", 0, ArrivalProcess::ClosedLoop { clients: 2 }, 6),
+        ]);
+        let mut fleet = Fleet::new_multi(&cfg, &[&model]);
+        let (mut order, mut served) = (Vec::new(), [0u64; 2]);
+        while fleet.step() {
+            for (t, ts) in fleet.snapshot().tenants.iter().enumerate() {
+                if ts.completed > served[t] {
+                    order.push(t);
+                    served[t] = ts.completed;
+                }
             }
-            .with_tenants(vec![
-                TenantSpec::new("fg", 0, ArrivalProcess::ClosedLoop { clients: 4 }, 24)
-                    .with_latency_class(LatencyClass::Interactive),
-                TenantSpec::new("bg", 0, ArrivalProcess::ClosedLoop { clients: 4 }, 24)
-                    .with_latency_class(LatencyClass::Batch),
-            ])
-            .with_tenant_scheduler(sched);
-            Fleet::new_multi(&cfg, &[&model]).into_report()
-        };
-        let strict = mk(TenantScheduler::StrictPriority);
-        assert!(
-            strict.tenants[0].latency.p99 < strict.tenants[1].latency.p99,
-            "interactive p99 {:?} must beat batch p99 {:?}",
-            strict.tenants[0].latency.p99,
-            strict.tenants[1].latency.p99
-        );
-        // One model, both tenants resident everywhere: never a swap.
-        assert_eq!(strict.tenants[0].model_swaps, 0);
-        assert_eq!(strict.tenants[1].model_swaps, 0);
+        }
+        assert_eq!(order, [0, 1].repeat(6));
     }
 
     #[test]

@@ -7,8 +7,6 @@ use sconna_sim::stats::{GoodputSamples, LatencySummary, QueueDepthSamples};
 use sconna_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
 
-use super::config::LatencyClass;
-
 /// The terminal state of one offered request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RequestOutcome {
@@ -98,12 +96,6 @@ pub struct AvailabilityStats {
     pub retries: u64,
     /// Highest per-request dispatch-attempt count observed.
     pub max_attempts_seen: u32,
-    /// Hedged duplicate batches dispatched.
-    pub hedges_dispatched: u64,
-    /// Hedges promoted to primary after their primary was killed.
-    pub hedges_promoted: u64,
-    /// Hedges cancelled because their primary completed first.
-    pub hedges_cancelled: u64,
 }
 
 /// Per-tenant usage record of one serving run — the accounting a
@@ -125,8 +117,6 @@ pub struct TenantUsage {
     pub model: String,
     /// Weighted-fair share weight.
     pub weight: f64,
-    /// SLO tier used by the strict-priority scheduler.
-    pub latency_class: LatencyClass,
     /// Requests this tenant offered (`= completed + dropped + degraded`).
     pub offered: u64,
     /// Requests served to completion at full fidelity.
@@ -246,7 +236,7 @@ pub struct ServingReport {
     /// Average fleet power, watts.
     pub avg_power_w: f64,
     /// Self-healing accounting: incidents, recoveries, measured MTTR,
-    /// per-instance downtime, retry and hedge counters. All-default for
+    /// per-instance downtime and retry counters. All-default for
     /// a fault-free run.
     pub availability: AvailabilityStats,
     /// Responses binned into fixed windows

@@ -36,14 +36,6 @@ fn us(t: SimTime) -> f64 {
     t.as_secs_f64() * 1e6
 }
 
-fn scheduler_name(s: TenantScheduler) -> &'static str {
-    match s {
-        TenantScheduler::WeightedFair => "WeightedFair",
-        TenantScheduler::StrictPriority => "StrictPriority",
-        TenantScheduler::SharedFifo => "SharedFifo",
-    }
-}
-
 /// The aggressor's arithmetic arrival trace: the first `instances`
 /// arrivals are staggered evenly across one frame time, then the stream
 /// runs at `rate_fps`. The stagger spreads instance completion phases
@@ -176,7 +168,7 @@ fn main() {
         us(victim_row(r).latency.p99) / us(solo_p99)
     };
     for (si, &s) in schedulers.iter().enumerate() {
-        println!("  scheduler: {}", scheduler_name(s));
+        println!("  scheduler: {s:?}");
         let mut points = Vec::new();
         for (mi, &m) in multiples.iter().enumerate() {
             let r = &reports[1 + si * multiples.len() + mi];
@@ -214,8 +206,7 @@ fn main() {
             ));
         }
         sched_json.push(format!(
-            "      {{\"scheduler\": \"{}\",\n        \"points\": [\n{}\n      ]}}",
-            scheduler_name(s),
+            "      {{\"scheduler\": \"{s:?}\",\n        \"points\": [\n{}\n      ]}}",
             points.join(",\n"),
         ));
     }

@@ -64,12 +64,11 @@ fn check_autoscale_step(snap: &FleetSnapshot, cfg: &ServingConfig) {
         // Standby instances are admin-down: nothing in flight, ever.
         if inst.health == InstanceHealth::Standby {
             assert_eq!(inst.in_flight, 0, "standby instance holds a batch");
-            assert!(!inst.hedge_batch, "standby instance holds a hedge");
         }
         // A draining instance is still finishing a real batch.
         if inst.health == InstanceHealth::Draining {
             assert!(
-                inst.in_flight > 0 || inst.hedge_batch,
+                inst.in_flight > 0,
                 "draining instance with nothing in flight"
             );
         }

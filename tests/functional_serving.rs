@@ -355,8 +355,8 @@ fn assert_matches_offline(
 /// responses equal the offline fallback forward — and the full-fidelity
 /// responses equal the offline primary forward. The second case holds
 /// that under chaos: two tenants with distinct networks, engines and
-/// fallback engines, stochastic kills under a supervisor, a retry budget
-/// and hedged dispatch.
+/// fallback engines, stochastic kills under a supervisor and a retry
+/// budget.
 #[test]
 fn shed_and_degraded_responses_match_their_offline_references() {
     let (net, samples) = tiny_workload(29, 3);
@@ -439,19 +439,14 @@ fn shed_and_degraded_responses_match_their_offline_references() {
             TenantSpec::new("b", 1, ArrivalProcess::trace(tb.clone()), tb.len()),
         ])
         .with_supervisor(Supervisor::new(1))
-        .with_retry(
-            RetryPolicy::default()
-                .with_retry_budget(16)
-                .with_hedge_after(SimTime::from_ns(20_000)),
-        );
-    let plan = FailureProcess::new(1, SimTime::from_ps(t.as_ps() / 8)).materialize(4, t);
+        .with_retry(RetryPolicy::default().with_retry_budget(16));
+    let plan = FailureProcess::new(1, SimTime::from_ps(t.as_ps() / 10)).materialize(4, t);
     let r = Fleet::try_new(&cfg, &[&model, &goog], &[&wa, &wb])
         .expect("valid two-tenant functional fleet")
         .with_faults(&plan)
         .into_functional_report();
     let a = &r.serving.availability;
     assert!(a.incidents > 0, "no kills");
-    assert!(a.hedges_promoted > 0, "no hedge promoted");
     assert!(a.retries > 0, "no retries");
     assert!(r.serving.degraded > 0, "no degraded responses");
     assert!(r.serving.dropped > 0, "no drops");

@@ -135,9 +135,6 @@ fn check_step(prev: &FleetSnapshot, snap: &FleetSnapshot, cfg: &ServingConfig) {
         snap.dropped,
         "shed breakdown does not sum to the drop total"
     );
-    // Hedged duplicates report in_flight = 0 (their requests are
-    // accounted to the primary), so the per-instance sum still matches
-    // the fleet total exactly.
     let per_instance: u64 = snap.instances.iter().map(|i| i.in_flight as u64).sum();
     assert_eq!(per_instance, snap.in_flight, "per-instance in-flight sum");
     // Per-tenant conservation mirrors the fleet-wide invariant (a
@@ -176,18 +173,12 @@ fn check_step(prev: &FleetSnapshot, snap: &FleetSnapshot, cfg: &ServingConfig) {
         // A draining instance (autoscale scale-down) is the one other
         // health that carries an in-flight batch.
         assert_eq!(
-            inst.in_flight > 0 || inst.hedge_batch,
+            inst.in_flight > 0,
             matches!(inst.health, InstanceHealth::Busy | InstanceHealth::Draining),
             "in-flight/health mismatch: {inst:?}"
         );
         if inst.degraded_batch {
-            assert!(
-                inst.in_flight > 0 || inst.hedge_batch,
-                "degraded flag on an empty batch"
-            );
-        }
-        if inst.hedge_batch {
-            assert_eq!(inst.in_flight, 0, "hedge requests belong to the primary");
+            assert!(inst.in_flight > 0, "degraded flag on an empty batch");
         }
     }
 }
@@ -537,7 +528,7 @@ fn killing_every_instance_strands_queued_work_without_losing_it() {
 }
 
 /// The full self-healing stack at once — stochastic failures, a warm
-/// supervisor, a bounded retry policy and hedged dispatch — on a
+/// supervisor and a bounded retry policy — on a
 /// functional fleet: conservation at every step, and the whole report
 /// (predictions included) bit-identical across 1 / 2 / 8 workers.
 #[test]
@@ -553,8 +544,7 @@ fn supervised_stochastic_chaos_is_deterministic_across_workers() {
         .with_retry(
             RetryPolicy::default()
                 .with_max_attempts(3)
-                .with_retry_budget(24)
-                .with_hedge_after(SimTime::from_ns(30_000)),
+                .with_retry_budget(24),
         )
         .with_goodput_window(SimTime::from_ns(50_000));
     let plan = FailureProcess::new(41, SimTime::from_ps(horizon.as_ps() / 6))
@@ -787,7 +777,7 @@ proptest! {
     fn prop_multi_tenant_split_conserves_per_tenant(
         split in 1usize..=19,
         weight_a in 1u32..=8,
-        sched_idx in 0usize..=2,
+        sched_idx in 0usize..=1,
         policy_idx in 0usize..=2,
         clients_a in 1usize..=4,
         clients_b in 1usize..=4,
@@ -798,7 +788,6 @@ proptest! {
         let requests = 20usize;
         let scheduler = [
             TenantScheduler::WeightedFair,
-            TenantScheduler::StrictPriority,
             TenantScheduler::SharedFifo,
         ][sched_idx];
         // Short SLOs: below the 100 us batching window, so waiting for a
