@@ -34,8 +34,12 @@
 use sconna_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
 
-/// Reactive scaling policy: pool bounds, sampling cadence and the
-/// headroom factor that decides how aggressively capacity tracks demand.
+/// Capacity over-provisioning factor: the controller targets
+/// `HEADROOM × demand` worth of instances, keeping 25 % spare for bursts
+/// inside a check interval.
+const HEADROOM: f64 = 1.25;
+
+/// Reactive scaling policy: pool bounds and sampling cadence.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AutoscalePolicy {
     /// Smallest active pool; the controller never parks below this.
@@ -51,16 +55,13 @@ pub struct AutoscalePolicy {
     /// Minimum simulated time between two scale *actions* — hysteresis
     /// against flapping on bursty arrivals.
     pub cooldown: SimTime,
-    /// Capacity over-provisioning factor: the controller targets
-    /// `headroom × demand` worth of instances, so `1.25` keeps 25 %
-    /// spare for bursts inside a check interval.
-    pub headroom: f64,
 }
 
 impl AutoscalePolicy {
-    /// A policy scaling between `min` and `max` active instances with
-    /// the defaults the serving benches use: 1 ms checks, 2 ms cooldown,
-    /// 25 % headroom, starting at `min`.
+    /// A policy scaling between `min` and `max` active instances,
+    /// starting at `min`, with 1 ms checks and a 2 ms cooldown. Size
+    /// both to the run with [`with_check_interval`](Self::with_check_interval)
+    /// and [`with_cooldown`](Self::with_cooldown).
     pub fn new(min: usize, max: usize) -> Self {
         Self {
             min,
@@ -68,7 +69,6 @@ impl AutoscalePolicy {
             initial: min,
             check_interval: SimTime::from_ns(1_000_000),
             cooldown: SimTime::from_ns(2_000_000),
-            headroom: 1.25,
         }
     }
 
@@ -93,17 +93,9 @@ impl AutoscalePolicy {
         self
     }
 
-    /// Replaces the headroom factor.
-    #[must_use]
-    pub fn with_headroom(mut self, headroom: f64) -> Self {
-        self.headroom = headroom;
-        self
-    }
-
     /// Checks the policy is well-formed: returns the diagnostic for an
-    /// empty pool range, an `initial` outside `[min, max]`, a zero check
-    /// interval, or a non-positive/non-finite headroom, which
-    /// `ServingConfig::validate` surfaces as a
+    /// empty pool range, an `initial` outside `[min, max]` or a zero
+    /// check interval, which `ServingConfig::validate` surfaces as a
     /// [`ServingConfigError`](super::ServingConfigError).
     pub fn try_validate(&self) -> Result<(), String> {
         if self.min < 1 {
@@ -123,9 +115,6 @@ impl AutoscalePolicy {
         }
         if self.check_interval <= SimTime::ZERO {
             return Err("autoscale check interval must be positive".into());
-        }
-        if !(self.headroom.is_finite() && self.headroom > 0.0) {
-            return Err("autoscale headroom must be positive and finite".into());
         }
         Ok(())
     }
@@ -191,7 +180,7 @@ impl AutoscaleCtl {
     ///
     /// Demand is the arrival rate over the window plus the rate it would
     /// take to drain the current backlog within one window; the desired
-    /// pool is `ceil(headroom × demand / per_instance_fps)` clamped into
+    /// pool is `ceil(HEADROOM × demand / per_instance_fps)` clamped into
     /// `[min, max]`.
     pub fn measure(&mut self, now: SimTime, offered: u64, queued: usize) -> Option<(usize, f64)> {
         let window = now.saturating_sub(self.last_tick);
@@ -203,7 +192,7 @@ impl AutoscaleCtl {
         }
         let secs = window.as_secs_f64();
         let demand_fps = (arrived as usize + queued) as f64 / secs;
-        let desired = ((self.policy.headroom * demand_fps / self.per_instance_fps).ceil() as usize)
+        let desired = ((HEADROOM * demand_fps / self.per_instance_fps).ceil() as usize)
             .clamp(self.policy.min, self.policy.max);
         Some((desired, demand_fps))
     }
@@ -235,13 +224,11 @@ mod tests {
         let p = AutoscalePolicy::new(2, 16)
             .with_initial(4)
             .with_check_interval(SimTime::from_ns(500_000))
-            .with_cooldown(SimTime::from_ns(1_000_000))
-            .with_headroom(1.5);
+            .with_cooldown(SimTime::from_ns(1_000_000));
         assert!(p.try_validate().is_ok());
         assert_eq!(p.initial, 4);
         assert_eq!(p.check_interval, SimTime::from_ns(500_000));
         assert_eq!(p.cooldown, SimTime::from_ns(1_000_000));
-        assert_eq!(p.headroom, 1.5);
     }
 
     #[test]
@@ -250,10 +237,10 @@ mod tests {
         let err = AutoscalePolicy::new(4, 2).try_validate().unwrap_err();
         assert!(err.contains("min 4 exceeds max 2"), "{err}");
         let err = AutoscalePolicy::new(2, 4)
-            .with_headroom(f64::NAN)
+            .with_check_interval(SimTime::ZERO)
             .try_validate()
             .unwrap_err();
-        assert!(err.contains("headroom"), "{err}");
+        assert!(err.contains("check interval"), "{err}");
     }
 
     #[test]

@@ -247,8 +247,8 @@ pub enum ServingConfigError {
         /// The offending rate.
         rate_fps: f64,
     },
-    /// The autoscale policy is internally inconsistent (bounds,
-    /// interval or headroom).
+    /// The autoscale policy is internally inconsistent (bounds or
+    /// interval).
     Autoscale(String),
     /// The supervisor policy is degenerate (backoff, jitter, ladder
     /// reset or crash-loop bounds).
@@ -684,13 +684,6 @@ impl ServingConfig {
         self
     }
 
-    /// Detaches the supervisor — kills become permanent again.
-    #[must_use]
-    pub fn without_supervisor(mut self) -> Self {
-        self.supervisor = None;
-        self
-    }
-
     /// Replaces the cluster retry policy.
     #[must_use]
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
@@ -698,13 +691,11 @@ impl ServingConfig {
         self
     }
 
-    /// Enables the windowed-goodput availability series.
-    ///
-    /// # Panics
-    /// Panics if `window` is zero.
+    /// Enables the windowed-goodput availability series. A zero window
+    /// is rejected by [`ServingConfig::validate`]
+    /// ([`ServingConfigError::ZeroGoodputWindow`]).
     #[must_use]
     pub fn with_goodput_window(mut self, window: SimTime) -> Self {
-        assert!(window > SimTime::ZERO, "goodput window must be positive");
         self.goodput_window = Some(window);
         self
     }
@@ -714,13 +705,6 @@ impl ServingConfig {
     #[must_use]
     pub fn with_autoscale(mut self, policy: AutoscalePolicy) -> Self {
         self.autoscale = Some(policy);
-        self
-    }
-
-    /// Detaches the autoscaler — every provisioned instance serves.
-    #[must_use]
-    pub fn without_autoscale(mut self) -> Self {
-        self.autoscale = None;
         self
     }
 
@@ -886,6 +870,15 @@ mod tests {
         let model = sconna_tensor::models::shufflenet_v2();
         let built = crate::serve::Fleet::try_new(&cfg, &[&model], &[]);
         assert!(matches!(built, Err(ServingConfigError::ZeroMaxAttempts)));
+    }
+
+    #[test]
+    fn zero_goodput_window_is_an_error_not_a_panic() {
+        let cfg = base().with_goodput_window(SimTime::ZERO);
+        assert_eq!(cfg.validate(), Err(ServingConfigError::ZeroGoodputWindow));
+        let model = sconna_tensor::models::shufflenet_v2();
+        let built = crate::serve::Fleet::try_new(&cfg, &[&model], &[]);
+        assert!(matches!(built, Err(ServingConfigError::ZeroGoodputWindow)));
     }
 
     #[test]

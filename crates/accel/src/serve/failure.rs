@@ -2,10 +2,9 @@
 //! scripted [`FaultPlan`] machinery.
 //!
 //! A [`FailureProcess`] turns "instances fail with MTBF *m*" into a
-//! concrete, replayable [`FaultPlan`]: per-instance exponential
-//! inter-failure gaps (and optional self-repair and stall mixing) drawn
-//! from a **counter-keyed SplitMix64 stream** — the same determinism
-//! discipline as the PR 3 ADC noise
+//! concrete, replayable [`FaultPlan`] of kills: per-instance exponential
+//! inter-failure gaps drawn from a **counter-keyed SplitMix64 stream** —
+//! the same determinism discipline as the ADC noise
 //! ([`KeyedAdcStream`](crate::engine::KeyedAdcStream)). Draw `k` for
 //! instance `i` is `mix_key(combine_keys(combine_keys(seed, i), k))`: a
 //! pure function of `(seed, instance, counter)`, independent of thread
@@ -14,9 +13,9 @@
 //!
 //! The output is an ordinary plan, so everything pinned about scripted
 //! chaos holds for statistical chaos too: canonical event ordering,
-//! kill-of-dead / restart-of-live no-op semantics (a stochastic kill may
-//! land on an instance a supervisor already benched — documented no-op),
-//! and bit-identical replay across sweep worker counts.
+//! kill-of-dead no-op semantics (a stochastic kill may land on an
+//! instance a supervisor already benched — documented no-op), and
+//! bit-identical replay across sweep worker counts.
 
 use crate::serve::fault::FaultPlan;
 use sconna_sim::time::SimTime;
@@ -41,17 +40,12 @@ fn exp_draw(draw: u64, mean: SimTime) -> SimTime {
 }
 
 /// A seeded per-instance stochastic failure model, materialized into a
-/// [`FaultPlan`] over a finite horizon.
+/// [`FaultPlan`] of kills over a finite horizon.
 ///
 /// Each instance independently draws exponential inter-failure gaps with
-/// mean [`mtbf`](Self::mtbf). Each failure is a stall with probability
-/// [`stall_probability`](Self::stall_probability) (duration exponential
-/// with mean [`mean_stall`](Self::mean_stall)) and a kill otherwise.
-/// When [`mttr`](Self::mttr) is set, every kill is followed by a
-/// self-repair [`Restart`](super::FaultEvent::Restart) an exponential
-/// `Exp(mttr)` later — the "ops team reimages the box" model. Leave it
-/// `None` when a [`Supervisor`](super::Supervisor) owns healing, so
-/// measured recovery times are the supervisor's alone.
+/// mean [`mtbf`](Self::mtbf); every failure is a kill. Nothing in the
+/// plan heals an instance: that is a [`Supervisor`](super::Supervisor)'s
+/// job, so measured recovery times are the supervisor's alone.
 ///
 /// ```
 /// use sconna_accel::serve::FailureProcess;
@@ -69,110 +63,43 @@ pub struct FailureProcess {
     pub seed: u64,
     /// Mean time between failures per instance (exponential gaps).
     pub mtbf: SimTime,
-    /// Mean time to self-repair. `Some` schedules a stochastic
-    /// [`Restart`](super::FaultEvent::Restart) after every kill; `None`
-    /// leaves healing to the supervisor (or to nobody).
-    pub mttr: Option<SimTime>,
-    /// Fraction of failures that are stalls rather than kills, in
-    /// `[0, 1]`.
-    pub stall_probability: f64,
-    /// Mean stall duration (exponential), required positive when
-    /// `stall_probability > 0`.
-    pub mean_stall: SimTime,
 }
 
 impl FailureProcess {
-    /// A kill-only process: exponential failures with mean `mtbf`, no
-    /// self-repair, no stalls.
+    /// A kill-only process: exponential failures with mean `mtbf`.
     ///
     /// # Panics
     /// Panics if `mtbf` is zero.
     pub fn new(seed: u64, mtbf: SimTime) -> Self {
         assert!(mtbf > SimTime::ZERO, "MTBF must be positive");
-        Self {
-            seed,
-            mtbf,
-            mttr: None,
-            stall_probability: 0.0,
-            mean_stall: SimTime::ZERO,
-        }
-    }
-
-    /// Adds stochastic self-repair: each kill is followed by a restart
-    /// an `Exp(mttr)` later.
-    ///
-    /// # Panics
-    /// Panics if `mttr` is zero.
-    #[must_use]
-    pub fn with_self_repair(mut self, mttr: SimTime) -> Self {
-        assert!(mttr > SimTime::ZERO, "MTTR must be positive");
-        self.mttr = Some(mttr);
-        self
-    }
-
-    /// Mixes stalls into the failure stream: each failure is a stall
-    /// with probability `probability`, of exponential duration with mean
-    /// `mean_stall`.
-    ///
-    /// # Panics
-    /// Panics if `probability` is outside `[0, 1]` or if it is positive
-    /// with a zero `mean_stall`.
-    #[must_use]
-    pub fn with_stalls(mut self, probability: f64, mean_stall: SimTime) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&probability),
-            "stall probability must be in [0, 1], got {probability}"
-        );
-        assert!(
-            probability == 0.0 || mean_stall > SimTime::ZERO,
-            "mean stall duration must be positive when stalls are enabled"
-        );
-        self.stall_probability = probability;
-        self.mean_stall = mean_stall;
-        self
+        Self { seed, mtbf }
     }
 
     /// Materializes the process into a concrete [`FaultPlan`] for
-    /// `instances` instances over `[0, horizon)`.
-    ///
-    /// Failure *times* always fall inside the horizon; a self-repair
-    /// restart (or a stall's tail) may extend past it — the fleet keeps
-    /// simulating until its queues drain, so late repairs still land.
-    /// The plan is a pure function of `(self, instances, horizon)`.
+    /// `instances` instances over `[0, horizon)`: every kill time falls
+    /// inside the horizon. The plan is a pure function of
+    /// `(self, instances, horizon)`.
     ///
     /// # Panics
     /// Panics if `instances` is zero or `horizon` is zero.
     pub fn materialize(&self, instances: usize, horizon: SimTime) -> FaultPlan {
         assert!(instances > 0, "fleet must have at least one instance");
         assert!(horizon > SimTime::ZERO, "horizon must be positive");
-        // Fields are public; revalidate what the builders promised.
+        // Fields are public; revalidate what the constructor promised.
         assert!(self.mtbf > SimTime::ZERO, "MTBF must be positive");
         let mut plan = FaultPlan::new();
         for inst in 0..instances {
             let key = combine_keys(self.seed, inst as u64);
-            let draw = |counter: &mut u64| {
-                let d = mix_key(combine_keys(key, *counter));
-                *counter += 1;
-                d
-            };
             let mut counter = 0u64;
             let mut t = SimTime::ZERO;
             loop {
-                t += exp_draw(draw(&mut counter), self.mtbf);
+                t += exp_draw(mix_key(combine_keys(key, counter)), self.mtbf);
                 if t >= horizon {
                     break;
                 }
-                let is_stall = unit_uniform(draw(&mut counter)) < self.stall_probability;
-                if is_stall {
-                    let duration = exp_draw(draw(&mut counter), self.mean_stall);
-                    plan = plan.stall(t, inst, duration);
-                } else {
-                    plan = plan.kill(t, inst);
-                    if let Some(mttr) = self.mttr {
-                        let back_at = t + exp_draw(draw(&mut counter), mttr);
-                        plan = plan.restart(back_at, inst);
-                    }
-                }
+                plan = plan.kill(t, inst);
+                // Counter + 1 was the stall coin: skip it, or every seeded stream moves.
+                counter += 2;
             }
         }
         plan
@@ -188,9 +115,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_plan() {
-        let fp = FailureProcess::new(7, SimTime::from_ps(50 * US))
-            .with_self_repair(SimTime::from_ps(10 * US))
-            .with_stalls(0.3, SimTime::from_ps(5 * US));
+        let fp = FailureProcess::new(7, SimTime::from_ps(50 * US));
         let h = SimTime::from_ps(2_000 * US);
         assert_eq!(fp.materialize(3, h), fp.materialize(3, h));
         // Different seed, different plan.
@@ -203,8 +128,7 @@ mod tests {
         // Growing the fleet must not move a single event of the existing
         // instances' histories: each stream is keyed by (seed, instance)
         // alone.
-        let fp = FailureProcess::new(11, SimTime::from_ps(40 * US))
-            .with_self_repair(SimTime::from_ps(8 * US));
+        let fp = FailureProcess::new(11, SimTime::from_ps(40 * US));
         let h = SimTime::from_ps(1_000 * US);
         let small = fp.materialize(2, h);
         let large = fp.materialize(5, h);
@@ -220,34 +144,15 @@ mod tests {
     }
 
     #[test]
-    fn failure_times_respect_the_horizon_and_repairs_may_overhang() {
-        let fp = FailureProcess::new(3, SimTime::from_ps(30 * US))
-            .with_self_repair(SimTime::from_ps(US));
+    fn failure_times_respect_the_horizon() {
+        let fp = FailureProcess::new(3, SimTime::from_ps(30 * US));
         let h = SimTime::from_ps(500 * US);
         let plan = fp.materialize(2, h);
         assert!(!plan.is_empty(), "~16 expected failures per instance");
         for e in plan.events() {
-            match e {
-                FaultEvent::Kill { at, .. } | FaultEvent::Stall { at, .. } => {
-                    assert!(*at < h, "failure at {at} past horizon {h}");
-                }
-                // Self-repair restarts trail their kill and may pass the
-                // horizon; the fleet drains past it anyway.
-                FaultEvent::Restart { .. } => {}
-            }
+            assert!(matches!(e, FaultEvent::Kill { .. }), "{e:?}");
+            assert!(e.at() < h, "failure at {} past horizon {h}", e.at());
         }
-        // Every kill has exactly one trailing restart under self-repair.
-        let kills = plan
-            .events()
-            .iter()
-            .filter(|e| matches!(e, FaultEvent::Kill { .. }))
-            .count();
-        let restarts = plan
-            .events()
-            .iter()
-            .filter(|e| matches!(e, FaultEvent::Restart { .. }))
-            .count();
-        assert_eq!(kills, restarts);
     }
 
     #[test]
@@ -267,23 +172,38 @@ mod tests {
     }
 
     #[test]
-    fn stall_mix_fraction_is_respected() {
-        let plan = FailureProcess::new(5, SimTime::from_ps(10 * US))
-            .with_stalls(0.5, SimTime::from_ps(2 * US))
-            .materialize(8, SimTime::from_ps(1_000 * US));
-        let stalls = plan
-            .events()
+    fn kill_only_stream_is_pinned() {
+        // Every consumer of a seeded failure stream (the `chaos` bench,
+        // the perfbench `fleet_tenants` digest) sees exactly these kill
+        // times; a change to the per-failure draw sequence moves them.
+        let plan = FailureProcess::new(7, SimTime::from_ps(50 * US))
+            .materialize(2, SimTime::from_ps(400 * US));
+        let kills: Vec<(u64, usize)> = plan
+            .normalized()
             .iter()
-            .filter(|e| matches!(e, FaultEvent::Stall { .. }))
-            .count() as f64;
-        let frac = stalls / plan.len() as f64;
-        assert!((frac - 0.5).abs() < 0.15, "stall fraction {frac}");
-        // Stochastic stall durations are positive by construction.
-        for e in plan.events() {
-            if let FaultEvent::Stall { duration, .. } = e {
-                assert!(*duration >= SimTime::from_ps(1));
-            }
-        }
+            .map(|e| {
+                assert!(matches!(e, FaultEvent::Kill { .. }), "{e:?}");
+                (e.at().as_ps(), e.instance())
+            })
+            .collect();
+        assert_eq!(
+            kills,
+            [
+                (2_314_895, 1),
+                (34_970_085, 1),
+                (47_002_862, 0),
+                (186_017_733, 1),
+                (208_324_750, 1),
+                (208_743_481, 0),
+                (220_829_319, 0),
+                (250_382_089, 1),
+                (289_343_356, 1),
+                (304_519_240, 1),
+                (315_874_656, 1),
+                (358_494_032, 0),
+                (368_230_415, 0),
+            ]
+        );
     }
 
     #[test]
@@ -298,17 +218,5 @@ mod tests {
     #[should_panic(expected = "MTBF must be positive")]
     fn zero_mtbf_panics() {
         let _ = FailureProcess::new(1, SimTime::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "stall probability must be in [0, 1]")]
-    fn bad_stall_probability_panics() {
-        let _ = FailureProcess::new(1, SimTime::from_ps(US)).with_stalls(1.5, SimTime::from_ps(US));
-    }
-
-    #[test]
-    #[should_panic(expected = "mean stall duration must be positive")]
-    fn zero_mean_stall_panics() {
-        let _ = FailureProcess::new(1, SimTime::from_ps(US)).with_stalls(0.5, SimTime::ZERO);
     }
 }

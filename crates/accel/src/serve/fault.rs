@@ -1,14 +1,13 @@
 //! Fault injection for the steppable fleet: a [`FaultPlan`] is a set of
-//! timed [`FaultEvent`]s — kill, restart, stall — scheduled on the same
+//! timed [`FaultEvent`]s — kill, restart — scheduled on the same
 //! deterministic [`EventQueue`](sconna_sim::event::EventQueue) as the
 //! traffic, so every chaos run is exactly replayable.
 //!
 //! Plans are **canonically ordered** before scheduling: events are
-//! sorted by `(time, instance, kind, duration)`, so two plans holding
-//! the same fault multiset in any construction order simulate
-//! bit-identically (property-tested in `tests/scenarios.rs`), and an
-//! empty plan schedules nothing at all — bit-identical to running
-//! without a plan.
+//! sorted by `(time, instance, kind)`, so two plans holding the same
+//! fault multiset in any construction order simulate bit-identically
+//! (property-tested in `tests/scenarios.rs`), and an empty plan
+//! schedules nothing at all — bit-identical to running without a plan.
 
 use sconna_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -41,56 +40,31 @@ pub enum FaultEvent {
         /// Target instance index.
         instance: usize,
     },
-    /// Instance `instance` stops accepting *new* batches for `duration`
-    /// starting at `at` (its in-flight batch, if any, completes
-    /// normally) — a GC pause / thermal-throttle stand-in. Overlapping
-    /// stalls extend each other; stalling a dead instance is a no-op.
-    Stall {
-        /// Fault time.
-        at: SimTime,
-        /// Target instance index.
-        instance: usize,
-        /// How long the instance refuses new dispatches.
-        duration: SimTime,
-    },
 }
 
 impl FaultEvent {
     /// Fault time.
     pub fn at(&self) -> SimTime {
         match *self {
-            FaultEvent::Kill { at, .. }
-            | FaultEvent::Restart { at, .. }
-            | FaultEvent::Stall { at, .. } => at,
+            FaultEvent::Kill { at, .. } | FaultEvent::Restart { at, .. } => at,
         }
     }
 
     /// Target instance index.
     pub fn instance(&self) -> usize {
         match *self {
-            FaultEvent::Kill { instance, .. }
-            | FaultEvent::Restart { instance, .. }
-            | FaultEvent::Stall { instance, .. } => instance,
+            FaultEvent::Kill { instance, .. } | FaultEvent::Restart { instance, .. } => instance,
         }
     }
 
-    /// Same-timestamp tie-break rank: kills before restarts before
-    /// stalls. Part of the canonical order, so it is semantics, not
-    /// cosmetics: a kill and a restart of one instance at one instant
-    /// resolve as kill-then-restart under every construction order.
+    /// Same-timestamp tie-break rank: kills before restarts. Part of
+    /// the canonical order, so it is semantics, not cosmetics: a kill
+    /// and a restart of one instance at one instant resolve as
+    /// kill-then-restart under every construction order.
     fn kind_rank(&self) -> u8 {
         match self {
             FaultEvent::Kill { .. } => 0,
             FaultEvent::Restart { .. } => 1,
-            FaultEvent::Stall { .. } => 2,
-        }
-    }
-
-    /// Stall duration (ZERO for kill/restart), for the canonical order.
-    fn duration(&self) -> SimTime {
-        match *self {
-            FaultEvent::Stall { duration, .. } => duration,
-            _ => SimTime::ZERO,
         }
     }
 }
@@ -105,11 +79,11 @@ impl FaultEvent {
 /// let plan = FaultPlan::new()
 ///     .kill(SimTime::from_ns(500_000), 0)
 ///     .restart(SimTime::from_ns(900_000), 0)
-///     .stall(SimTime::from_ns(200_000), 1, SimTime::from_ns(300_000));
+///     .kill(SimTime::from_ns(200_000), 1);
 /// assert_eq!(plan.len(), 3);
 /// // Construction order is irrelevant: plans are canonically sorted.
 /// let permuted = FaultPlan::new()
-///     .stall(SimTime::from_ns(200_000), 1, SimTime::from_ns(300_000))
+///     .kill(SimTime::from_ns(200_000), 1)
 ///     .restart(SimTime::from_ns(900_000), 0)
 ///     .kill(SimTime::from_ns(500_000), 0);
 /// assert_eq!(plan.normalized(), permuted.normalized());
@@ -139,35 +113,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a [`FaultEvent::Stall`] of `instance` at `at` for `duration`.
-    ///
-    /// A zero-length stall is a **validated no-op**: it is dropped here
-    /// rather than scheduled, so the resulting plan is bit-identical to
-    /// one that never mentioned it (an instant stall cannot refuse any
-    /// dispatch — `stall_until == now` — so scheduling it would only
-    /// perturb event counts). Stochastic stalls from
-    /// [`FailureProcess`](super::FailureProcess) are floored at 1 ps and
-    /// never take this path.
-    #[must_use]
-    pub fn stall(mut self, at: SimTime, instance: usize, duration: SimTime) -> Self {
-        if duration == SimTime::ZERO {
-            return self;
-        }
-        self.events.push(FaultEvent::Stall {
-            at,
-            instance,
-            duration,
-        });
-        self
-    }
-
-    /// Adds an already-built event.
-    #[must_use]
-    pub fn with_event(mut self, event: FaultEvent) -> Self {
-        self.events.push(event);
-        self
-    }
-
     /// The events as constructed (not yet canonically ordered).
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
@@ -183,13 +128,13 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// The canonical schedule: events sorted by
-    /// `(time, instance, kind, duration)` — the order they are placed on
-    /// the event queue, making the simulation a pure function of the
-    /// fault *multiset* rather than of construction order.
+    /// The canonical schedule: events sorted by `(time, instance, kind)`
+    /// — the order they are placed on the event queue, making the
+    /// simulation a pure function of the fault *multiset* rather than of
+    /// construction order.
     pub fn normalized(&self) -> Vec<FaultEvent> {
         let mut events = self.events.clone();
-        events.sort_by_key(|e| (e.at(), e.instance(), e.kind_rank(), e.duration()));
+        events.sort_by_key(|e| (e.at(), e.instance(), e.kind_rank()));
         events
     }
 }
@@ -203,17 +148,16 @@ mod tests {
         let t = SimTime::from_ns;
         let a = FaultPlan::new()
             .kill(t(5), 1)
-            .stall(t(5), 0, t(9))
+            .restart(t(5), 0)
             .restart(t(2), 0)
             .kill(t(5), 0);
         let b = FaultPlan::new()
             .restart(t(2), 0)
             .kill(t(5), 0)
             .kill(t(5), 1)
-            .stall(t(5), 0, t(9));
+            .restart(t(5), 0);
         assert_eq!(a.normalized(), b.normalized());
-        // Canonical order: time first, then instance, then kill < restart
-        // < stall.
+        // Canonical order: time first, then instance, then kill < restart.
         assert_eq!(
             a.normalized(),
             vec![
@@ -225,10 +169,9 @@ mod tests {
                     at: t(5),
                     instance: 0
                 },
-                FaultEvent::Stall {
+                FaultEvent::Restart {
                     at: t(5),
-                    instance: 0,
-                    duration: t(9)
+                    instance: 0
                 },
                 FaultEvent::Kill {
                     at: t(5),
@@ -247,36 +190,19 @@ mod tests {
     }
 
     #[test]
-    fn zero_duration_stall_is_dropped_at_construction() {
-        let plan = FaultPlan::new().stall(SimTime::from_ns(5), 0, SimTime::ZERO);
-        assert!(plan.is_empty(), "instant stall must not schedule");
-        assert_eq!(plan, FaultPlan::new());
-        // Mixed with real events it vanishes without a trace.
-        let with = FaultPlan::new().kill(SimTime::from_ns(1), 0).stall(
-            SimTime::from_ns(5),
-            0,
-            SimTime::ZERO,
-        );
-        let without = FaultPlan::new().kill(SimTime::from_ns(1), 0);
-        assert_eq!(with.normalized(), without.normalized());
-    }
-
-    #[test]
     fn accessors_cover_every_variant() {
         let t = SimTime::from_ns;
-        let stall = FaultEvent::Stall {
+        let restart = FaultEvent::Restart {
             at: t(3),
             instance: 2,
-            duration: t(7),
         };
-        assert_eq!(stall.at(), t(3));
-        assert_eq!(stall.instance(), 2);
-        assert_eq!(stall.duration(), t(7));
+        assert_eq!(restart.at(), t(3));
+        assert_eq!(restart.instance(), 2);
         let kill = FaultEvent::Kill {
             at: t(1),
             instance: 0,
         };
         assert_eq!(kill.at(), t(1));
-        assert_eq!(kill.duration(), SimTime::ZERO);
+        assert_eq!(kill.instance(), 0);
     }
 }

@@ -20,7 +20,7 @@
 //!
 //! On top of the steppable core sits fault injection
 //! ([`Fleet::with_faults`]): a [`FaultPlan`](super::FaultPlan) of timed
-//! kill / restart / stall events scheduled on the same event queue as the
+//! kill / restart events scheduled on the same event queue as the
 //! traffic. A killed instance's in-flight batch is aborted and its
 //! requests rejoin the front of the queue through the admission policy —
 //! requests are never silently lost; the step-level conservation
@@ -51,7 +51,7 @@ use super::autoscale::{AutoscaleCtl, ScaleEvent};
 use super::config::{ServingConfigError, TenantScheduler, TenantSpec};
 use super::ledger::{ratio, FinishedRun, Ledger};
 use super::report::TenantAccuracy;
-use super::supervisor::{RestartMode, Supervisor};
+use super::supervisor::Supervisor;
 use super::{
     AdmissionPolicy, ArrivalProcess, FaultEvent, FaultPlan, FunctionalServingReport,
     RequestOutcome, ServingConfig, ServingReport, ShedCounts,
@@ -120,9 +120,6 @@ enum Ev {
     BatchDone { inst: usize, epoch: u64 },
     /// Fault `.0` of the normalized plan fires.
     Fault(usize),
-    /// Instance `.0`'s stall window may be over (superseded if the stall
-    /// was extended meanwhile).
-    StallEnd(usize),
     /// Instance `inst` finishes its weight reload, begun in boot epoch
     /// `epoch`; stale if the instance was killed mid-reload.
     ReloadDone { inst: usize, epoch: u64 },
@@ -195,13 +192,6 @@ impl SupState {
 /// Supervisor control block: the policy plus the run-wide mutable state.
 struct SupCtl {
     policy: Supervisor,
-    /// What a supervised reload costs, per model index (the restarted
-    /// instance reloads its resident model): [`model_reload_time`] for
-    /// [`RestartMode::Cold`], [`model_warm_reload_time`] for
-    /// [`RestartMode::Warm`] (zero on SCONNA).
-    reload: Vec<SimTime>,
-    /// Remaining restart budget (`None` = unlimited).
-    budget_left: Option<u64>,
     states: Vec<SupState>,
 }
 
@@ -214,8 +204,6 @@ struct Instance {
     /// Boot epoch: bumped by every kill, stamped into `BatchDone` /
     /// `ReloadDone` events so completions of a previous life are ignored.
     epoch: u64,
-    /// No new dispatches before this instant ([`FaultEvent::Stall`]).
-    stall_until: SimTime,
     /// Parked by the autoscaler: admin-down (`up` is false), holding no
     /// loaded weights, outside the active pool until a scale-up wakes it.
     standby: bool,
@@ -239,7 +227,6 @@ impl Instance {
             up: true,
             reloading: false,
             epoch: 0,
-            stall_until: SimTime::ZERO,
             standby: false,
             draining: false,
             resident,
@@ -247,8 +234,8 @@ impl Instance {
         }
     }
 
-    fn dispatchable(&self, now: SimTime) -> bool {
-        self.up && !self.draining && self.in_flight.is_none() && self.stall_until <= now
+    fn dispatchable(&self) -> bool {
+        self.up && !self.draining && self.in_flight.is_none()
     }
 
     /// Parks the instance into autoscale standby. The epoch bump lapses
@@ -299,8 +286,7 @@ impl<'a> BatchProfiles<'a> {
 
 /// Everything the scheduler knows about one servable model: the model,
 /// its per-batch-size timing profiles (native and fallback tier), and
-/// what it costs to swap it into — or cold-reload it onto — an
-/// instance.
+/// what it costs to swap it into — or reload it onto — an instance.
 struct ModelCtx<'a> {
     model: &'a CnnModel,
     profiles: BatchProfiles<'a>,
@@ -313,9 +299,12 @@ struct ModelCtx<'a> {
     /// baselines — the paper's reprogramming asymmetry at
     /// batch-formation granularity.
     swap_time: SimTime,
-    /// Cold weight-reload latency a restart or scale-up wake pays
-    /// ([`model_reload_time`]).
+    /// Cold weight-reload latency a scripted restart or scale-up wake
+    /// pays ([`model_reload_time`]).
     reload_time: SimTime,
+    /// Warm reload latency a supervised restart pays
+    /// ([`model_warm_reload_time`]; zero on SCONNA).
+    warm_reload_time: SimTime,
 }
 
 /// Run-wide scheduling state of one tenant: its spec, its weighted-fair
@@ -368,12 +357,9 @@ const RACK_SIZE: usize = 64;
 /// linear walk over the fleet — O(1) per dispatch at datacenter scale
 /// instead of O(instances).
 ///
-/// Stall windows are time-dependent and rare, so they are *not*
-/// tracked in the bitmaps: the router over-approximates dispatchability
-/// and the caller filters candidates lazily at scan time. Every
-/// actually-dispatchable instance always has its bit set (maintained by
-/// [`Scheduler::sync_router`] at every liveness/occupancy transition),
-/// so the first accepted candidate equals the linear-scan answer.
+/// The bitmaps are exact: [`Scheduler::sync_router`] rewrites an
+/// instance's bit at every liveness/occupancy transition, so the first
+/// set bit is the linear-scan answer.
 struct RackRouter {
     racks: Vec<u64>,
     summary: Vec<u64>,
@@ -402,26 +388,13 @@ impl RackRouter {
         }
     }
 
-    /// Lowest-numbered candidate accepted by `admit` (the lazy stall
-    /// filter), scanning summary words, then racks, then instances in
-    /// index order.
-    fn first(&self, mut admit: impl FnMut(usize) -> bool) -> Option<usize> {
-        for (w, &word) in self.summary.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let r = w * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                let mut bits = self.racks[r];
-                while bits != 0 {
-                    let inst = r * RACK_SIZE + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if admit(inst) {
-                        return Some(inst);
-                    }
-                }
-            }
-        }
-        None
+    /// Lowest-numbered candidate: the first set summary bit names the
+    /// rack, whose first set bit names the instance (a rack's summary
+    /// bit is set only while the rack has a candidate).
+    fn first(&self) -> Option<usize> {
+        let w = self.summary.iter().position(|&word| word != 0)?;
+        let r = w * 64 + self.summary[w].trailing_zeros() as usize;
+        Some(r * RACK_SIZE + self.racks[r].trailing_zeros() as usize)
     }
 }
 
@@ -467,15 +440,14 @@ struct Scheduler<'a> {
 }
 
 impl Scheduler<'_> {
-    /// Lowest-numbered dispatchable instance, if any: up, idle, not
-    /// draining, and not inside a stall window. Answered by the rack
-    /// router's bitmap scan; the linear walk it replaced survives as a
-    /// debug-build parity oracle.
-    fn idle_instance(&self, now: SimTime) -> Option<usize> {
-        let found = self.router.first(|inst| self.nodes[inst].dispatchable(now));
+    /// Lowest-numbered dispatchable instance, if any: up, idle and not
+    /// draining. Answered by the rack router's bitmap scan; the linear
+    /// walk it replaced survives as a debug-build parity oracle.
+    fn idle_instance(&self) -> Option<usize> {
+        let found = self.router.first();
         debug_assert_eq!(
             found,
-            self.nodes.iter().position(|n| n.dispatchable(now)),
+            self.nodes.iter().position(Instance::dispatchable),
             "rack router diverged from the linear dispatch scan"
         );
         found
@@ -483,12 +455,9 @@ impl Scheduler<'_> {
 
     /// Recomputes instance `inst`'s candidate bit after a liveness or
     /// occupancy transition (dispatch, completion, kill, reload,
-    /// scale). Stall windows are deliberately not tracked — the router
-    /// over-approximates and [`Self::idle_instance`] filters lazily.
+    /// scale).
     fn sync_router(&mut self, inst: usize) {
-        let n = &self.nodes[inst];
-        self.router
-            .set(inst, n.up && !n.draining && n.in_flight.is_none());
+        self.router.set(inst, self.nodes[inst].dispatchable());
     }
 
     /// Tenant `t`'s queue bound implied by its per-instance cap (the
@@ -735,7 +704,7 @@ impl Scheduler<'_> {
             }
         }
         while let Some((t, take, tier_degraded)) = self.pick_tenant() {
-            let Some(inst) = self.idle_instance(now) else {
+            let Some(inst) = self.idle_instance() else {
                 break;
             };
             if !matches!(self.cfg.tenant_scheduler, TenantScheduler::SharedFifo) {
@@ -787,15 +756,14 @@ impl Scheduler<'_> {
     /// admission policy settle any overflow. A kill against a dead idle
     /// instance is a no-op; a kill mid-reload cancels the reload. When a
     /// supervisor is configured, the kill feeds crash-loop detection and
-    /// (unless the instance is benched or the budget is spent) schedules
-    /// a backed-off supervised restart.
+    /// (unless the instance is benched) schedules a backed-off
+    /// supervised restart.
     fn apply_kill(&mut self, q: &mut EventQueue<Ev>, now: SimTime, inst: usize) {
         let node = &mut self.nodes[inst];
         if node.up || node.reloading {
             node.epoch += 1;
             node.up = false;
             node.reloading = false;
-            node.stall_until = SimTime::ZERO;
             self.ledger.down(now, inst);
             if let Some(fl) = self.nodes[inst].in_flight.take() {
                 // Wasted work is real work: the dispatch energy stays on
@@ -836,8 +804,8 @@ impl Scheduler<'_> {
 
     /// The supervisor's kill hook: slide the crash-loop window, bench
     /// the instance if it flapped past the limit, otherwise schedule a
-    /// restart after the backoff (consuming restart budget). No-op
-    /// without a supervisor or on a benched instance.
+    /// restart after the backoff. No-op without a supervisor or on a
+    /// benched instance.
     fn supervise_kill(&mut self, q: &mut EventQueue<Ev>, now: SimTime, inst: usize) {
         let Some(sup) = &mut self.sup else {
             return;
@@ -856,12 +824,6 @@ impl Scheduler<'_> {
             st.benched = true;
             self.ledger.bench(true);
             return;
-        }
-        if let Some(budget) = sup.budget_left {
-            if budget == 0 {
-                return; // ops capacity exhausted: the instance stays down
-            }
-            sup.budget_left = Some(budget - 1);
         }
         let delay = sup.policy.backoff_for(inst, st.ordinal, st.ladder_attempt);
         st.ordinal += 1;
@@ -954,22 +916,6 @@ impl Scheduler<'_> {
         self.ledger.boundary(now, self.total_queued());
     }
 
-    /// Stalls instance `inst` until `now + duration`: its in-flight batch
-    /// (if any) completes normally, but no new batch is dispatched to it
-    /// inside the window. Overlapping stalls extend each other; stalling
-    /// a dead instance is a no-op.
-    fn apply_stall(&mut self, q: &mut EventQueue<Ev>, now: SimTime, inst: usize, dur: SimTime) {
-        let node = &mut self.nodes[inst];
-        if node.up {
-            let until = now + dur;
-            if until > node.stall_until {
-                node.stall_until = until;
-                q.schedule_at(until, Ev::StallEnd(inst));
-            }
-        }
-        self.ledger.boundary(now, self.total_queued());
-    }
-
     fn handle(&mut self, q: &mut EventQueue<Ev>, now: SimTime, ev: Ev) {
         match ev {
             Ev::Arrive(t) => {
@@ -1009,20 +955,7 @@ impl Scheduler<'_> {
             Ev::Fault(idx) => match self.faults[idx] {
                 FaultEvent::Kill { instance, .. } => self.apply_kill(q, now, instance),
                 FaultEvent::Restart { instance, .. } => self.apply_restart(q, now, instance),
-                FaultEvent::Stall {
-                    instance, duration, ..
-                } => self.apply_stall(q, now, instance, duration),
             },
-            Ev::StallEnd(inst) => {
-                let node = &self.nodes[inst];
-                if node.up && node.stall_until <= now {
-                    // The window really is over (not extended meanwhile,
-                    // not cut short by a kill): the instance is
-                    // dispatchable again.
-                    self.ledger.boundary(now, self.total_queued());
-                    self.try_dispatch(q, now);
-                }
-            }
             Ev::ReloadDone { inst, epoch } => {
                 let node = &mut self.nodes[inst];
                 if !node.reloading || node.epoch != epoch {
@@ -1051,11 +984,7 @@ impl Scheduler<'_> {
                 if node.epoch != epoch || node.up || node.reloading {
                     return; // killed again, or a scripted restart beat us
                 }
-                let reload = self
-                    .sup
-                    .as_ref()
-                    .expect("invariant: SupRestart events are only scheduled with a supervisor")
-                    .reload[self.nodes[inst].resident];
+                let reload = self.models[node.resident].warm_reload_time;
                 self.begin_reload(q, now, inst, reload);
                 // Supervisor restart boundaries are sampled into the
                 // time series like every fault boundary.
@@ -1196,7 +1125,6 @@ impl Scheduler<'_> {
             if n.in_flight.is_some() {
                 n.draining = true;
             } else {
-                n.stall_until = SimTime::ZERO;
                 n.park();
             }
             self.sync_router(i);
@@ -1214,8 +1142,6 @@ pub enum InstanceHealth {
     Idle,
     /// Up with a batch in flight.
     Busy,
-    /// Up but inside a stall window: no new dispatches.
-    Stalled,
     /// Killed; no restart in progress.
     Down,
     /// Rebooting: paying the weight-reload latency.
@@ -1482,14 +1408,6 @@ impl<'a> Fleet<'a> {
 
         let sup = config.supervisor.map(|policy| SupCtl {
             policy,
-            reload: models
-                .iter()
-                .map(|m| match policy.restart_mode {
-                    RestartMode::Cold => model_reload_time(&config.accelerator, m),
-                    RestartMode::Warm => model_warm_reload_time(&config.accelerator, m),
-                })
-                .collect(),
-            budget_left: policy.restart_budget,
             states: (0..config.instances).map(|_| SupState::fresh()).collect(),
         });
 
@@ -1502,6 +1420,7 @@ impl<'a> Fleet<'a> {
                     .map(|cfg| BatchProfiles::new(cfg, m, config.max_batch)),
                 swap_time: model_swap_time(&config.accelerator, m),
                 reload_time: model_reload_time(&config.accelerator, m),
+                warm_reload_time: model_warm_reload_time(&config.accelerator, m),
             })
             .collect();
         let tenants: Vec<TenantRt> = roster
@@ -1716,8 +1635,6 @@ impl<'a> Fleet<'a> {
                         } else {
                             InstanceHealth::Busy
                         }
-                    } else if n.stall_until > now {
-                        InstanceHealth::Stalled
                     } else {
                         InstanceHealth::Idle
                     },

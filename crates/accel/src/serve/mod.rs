@@ -54,23 +54,24 @@
 //! run-to-completion wrappers over `Fleet::new(...)` + step-until-done.
 //! Driving a [`Fleet`] manually ([`Fleet::step`] / [`Fleet::step_until`])
 //! exposes a [`FleetSnapshot`] at every step boundary, and a
-//! [`FaultPlan`] schedules kill / restart / stall events against
+//! [`FaultPlan`] schedules kill / restart events against
 //! individual instances on the same deterministic event queue as the
 //! traffic — the scenario-test harness in `tests/scenarios.rs` drives
 //! exactly this surface, asserting request conservation at every step of
 //! seeded chaos runs.
 //!
 //! **Self-healing.** Scripted chaos generalizes to *statistical* chaos:
-//! a [`FailureProcess`] materializes seeded exponential MTBF/MTTR
-//! failure streams into an ordinary [`FaultPlan`], a [`Supervisor`]
-//! restarts killed instances with exponentially backed-off, jittered
-//! delays (benching crash-looping instances permanently), and a
+//! a [`FailureProcess`] materializes seeded exponential MTBF kill
+//! streams into an ordinary [`FaultPlan`], a [`Supervisor`] restarts
+//! killed instances with exponentially backed-off, jittered delays
+//! (benching crash-looping instances permanently), and a
 //! [`RetryPolicy`] re-admits kill-aborted requests under per-request
 //! attempt ceilings and a global retry budget. What a restart costs is the
 //! accelerator's to answer — SCONNA's zero-reprogram warm reload
-//! ([`RestartMode::Warm`]) heals faster than the analog baselines, and
-//! the gap is measured as MTTR in [`AvailabilityStats`]. [`chaos_sweep`]
-//! walks availability and goodput across fault rates.
+//! ([`model_warm_reload_time`](crate::perf::model_warm_reload_time))
+//! heals faster than the analog baselines, and the gap is measured as
+//! MTTR in [`AvailabilityStats`]. [`chaos_sweep`] walks availability
+//! and goodput across fault rates.
 //!
 //! **Multi-tenant serving.** A fleet can host several *tenants* —
 //! [`TenantSpec`] names a model (by index into the co-resident model
@@ -120,7 +121,7 @@ pub use report::{
     AvailabilityStats, FunctionalServingReport, OverloadPoint, RequestOutcome, ServingReport,
     ShedCounts, TenantAccuracy, TenantUsage,
 };
-pub use supervisor::{RestartMode, Supervisor};
+pub use supervisor::Supervisor;
 
 use sconna_sim::parallel::parallel_map_with;
 use sconna_tensor::models::CnnModel;
@@ -219,9 +220,8 @@ pub struct ChaosPoint {
 /// Run it twice — with and without
 /// [`ServingConfig::with_supervisor`] — to measure what supervised
 /// restarts buy: the unsupervised fleet loses instances permanently
-/// (when `process.mttr` is `None`) and strands its tail, while the
-/// supervised fleet heals at the cost of backoff plus the accelerator's
-/// reload time.
+/// and strands its tail, while the supervised fleet heals at the cost
+/// of backoff plus the accelerator's warm reload time.
 pub fn chaos_sweep(
     base: &ServingConfig,
     model: &CnnModel,
@@ -919,8 +919,8 @@ mod tests {
     #[test]
     fn redundant_faults_do_not_move_the_accounting() {
         // The pinned edge-case contract: a kill of an already-dead
-        // instance, a restart of a live instance and a stall of a dead
-        // instance are semantic no-ops — every terminal accounting field
+        // instance and a restart of a live instance are semantic
+        // no-ops — every terminal accounting field
         // is unchanged. (The observability series still *note* the
         // boundary, so queue-depth sample counts may differ; that is the
         // documented exception.)
@@ -930,7 +930,6 @@ mod tests {
         let noisy_plan = base_plan
             .clone()
             .kill(t(80_000), 0) // kill of dead: no-op
-            .stall(t(90_000), 0, t(5_000)) // stall of dead: no-op
             .restart(t(60_000), 1); // restart of live: no-op
         let run = |plan: &FaultPlan| {
             Fleet::new(&small_closed(2, 4, 24), &model)
@@ -978,7 +977,11 @@ mod tests {
         assert_eq!(a.downtime[1], SimTime::ZERO);
         // Without the supervisor the same kill is permanent: the fleet
         // limps on one instance and the report says so.
-        let unsup = Fleet::new(&cfg.clone().without_supervisor(), &model)
+        let unsup_cfg = ServingConfig {
+            supervisor: None,
+            ..cfg.clone()
+        };
+        let unsup = Fleet::new(&unsup_cfg, &model)
             .with_faults(&plan)
             .into_report();
         assert_eq!(unsup.availability.recoveries, 0);

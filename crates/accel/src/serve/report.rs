@@ -219,7 +219,7 @@ pub struct ServingReport {
     /// nothing was served.
     pub latency: LatencySummary,
     /// Pending-queue depth over time, sampled at every change and at
-    /// every fault boundary (kill / restart / stall / reload), so
+    /// every fault boundary (kill / restart / reload), so
     /// fault-induced discontinuities are visible in the series even when
     /// the depth itself did not move.
     pub queue_depth: QueueDepthSamples,

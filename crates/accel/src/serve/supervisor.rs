@@ -4,8 +4,8 @@
 //! [`Fleet`](super::Fleet) via
 //! [`ServingConfig::with_supervisor`](super::ServingConfig::with_supervisor).
 //! The fleet owns the mutable bookkeeping (per-instance attempt ladders,
-//! recent-kill windows, the restart budget); this module owns the
-//! schedule arithmetic so it can be unit-pinned in isolation:
+//! recent-kill windows); this module owns the schedule arithmetic so it
+//! can be unit-pinned in isolation:
 //!
 //! * **Exponential backoff with deterministic jitter.** Restart attempt
 //!   `a` on the current ladder waits
@@ -24,18 +24,14 @@
 //!   capacity over the survivors. A scripted
 //!   [`FaultEvent::Restart`](super::FaultEvent::Restart) still revives
 //!   a benched instance — that is the operator override path.
-//! * **Restart budget.** A global cap on supervised restarts across the
-//!   run; exhaustion turns the supervisor off (instances that die stay
-//!   down), modelling a finite ops capacity.
 //!
-//! What a restart *costs* is the accelerator's to answer:
-//! [`RestartMode::Cold`] pays the full
-//! [`model_reload_time`](crate::perf::model_reload_time) (DKV/LUT
-//! programming plus weight traffic), [`RestartMode::Warm`] only
+//! What a restart *costs* is the accelerator's to answer. A supervised
+//! restart is warm: operand scratchpads survive the process restart, so
+//! it replays only device programming,
 //! [`model_warm_reload_time`](crate::perf::model_warm_reload_time) —
-//! which is *zero* for SCONNA (no DKV reprogramming, the paper's claim)
-//! and reprogram-bound for the analog baselines. The availability gap
-//! between the two is the paper's reload advantage expressed as MTTR.
+//! *zero* for SCONNA (no DKV reprogramming, the paper's claim) and
+//! reprogram-bound for the analog baselines. The MTTR gap between them
+//! is the paper's reload advantage expressed as availability.
 
 use sconna_sim::time::SimTime;
 use sconna_tensor::engine::{combine_keys, mix_key};
@@ -43,22 +39,9 @@ use serde::{Deserialize, Serialize};
 
 use super::failure::unit_uniform;
 
-/// What a supervised restart costs the accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RestartMode {
-    /// Full weight reload from scratch:
-    /// [`model_reload_time`](crate::perf::model_reload_time).
-    Cold,
-    /// Operand scratchpads survived the process restart; only device
-    /// (re)programming is replayed:
-    /// [`model_warm_reload_time`](crate::perf::model_warm_reload_time).
-    /// Zero for SCONNA.
-    Warm,
-}
-
 /// A restart policy: exponential backoff + deterministic jitter, ladder
-/// reset on sustained uptime, crash-loop benching, and a global restart
-/// budget. Pure data — all mutable supervision state lives in the fleet.
+/// reset on sustained uptime and crash-loop benching. Pure data — all
+/// mutable supervision state lives in the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Supervisor {
     /// Root of the jitter draw stream.
@@ -78,17 +61,13 @@ pub struct Supervisor {
     pub crash_loop_window: SimTime,
     /// Kills within the window that bench the instance permanently.
     pub crash_loop_limit: u32,
-    /// Global cap on supervised restarts (`None` = unlimited).
-    pub restart_budget: Option<u64>,
-    /// Whether restarts pay the cold or the warm reload cost.
-    pub restart_mode: RestartMode,
 }
 
 impl Supervisor {
     /// A supervisor with production-shaped defaults: 10 µs initial
     /// backoff doubling to a 1 ms cap with ±20 % jitter, ladder reset
-    /// after 1 ms of uptime, benching after 5 kills inside 2 ms, no
-    /// restart budget, warm restarts.
+    /// after 1 ms of uptime, benching after 5 kills inside 2 ms. Every
+    /// restart it issues pays the warm reload.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
@@ -99,23 +78,7 @@ impl Supervisor {
             reset_after: SimTime::from_ns(1_000_000),
             crash_loop_window: SimTime::from_ns(2_000_000),
             crash_loop_limit: 5,
-            restart_budget: None,
-            restart_mode: RestartMode::Warm,
         }
-    }
-
-    /// Caps the total number of supervised restarts across the run.
-    #[must_use]
-    pub fn with_restart_budget(mut self, budget: u64) -> Self {
-        self.restart_budget = Some(budget);
-        self
-    }
-
-    /// Selects cold or warm restart cost.
-    #[must_use]
-    pub fn with_restart_mode(mut self, mode: RestartMode) -> Self {
-        self.restart_mode = mode;
-        self
     }
 
     /// Checks the policy for degenerate values, returning the first
@@ -230,16 +193,6 @@ mod tests {
         let c = sup.backoff_for(1, 0, 0);
         assert_ne!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn builders_set_budget_and_mode() {
-        let sup = Supervisor::new(0)
-            .with_restart_budget(7)
-            .with_restart_mode(RestartMode::Cold);
-        assert_eq!(sup.restart_budget, Some(7));
-        assert_eq!(sup.restart_mode, RestartMode::Cold);
-        assert_eq!(sup.try_validate(), Ok(()));
     }
 
     #[test]

@@ -37,8 +37,8 @@ fn main() {
 
         // Kill each instance every quarter-makespan on average; faults
         // keep arriving over 4x the run so a healing fleet stays under
-        // fire. No self-repair in the process — recovery is the
-        // supervisor's job.
+        // fire. The process only kills — recovery is the supervisor's
+        // job.
         let process = FailureProcess::new(2023, SimTime::from_ps(t.as_ps() / 4));
         let plan = process.materialize(base.instances, SimTime::from_ps(t.as_ps() * 4));
 

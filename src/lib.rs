@@ -35,3 +35,8 @@ pub use sconna_photonics as photonics;
 pub use sconna_sc as sc;
 pub use sconna_sim as sim;
 pub use sconna_tensor as tensor;
+
+/// Compiles and runs the README's `rust` snippets as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

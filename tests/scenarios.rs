@@ -19,7 +19,7 @@
 //! literals captured on the pre-refactor `serve.rs` (the monolithic
 //! run-to-completion implementation), proving the `Fleet` restructuring
 //! is bit-identical, and property-tests fault injection: arbitrary
-//! kill / restart / stall plans conserve requests at every step, replay
+//! kill / restart plans conserve requests at every step, replay
 //! bit-identically, and an empty [`FaultPlan`] is indistinguishable from
 //! no plan at all.
 
@@ -387,13 +387,13 @@ fn pinned_functional_degrade_and_overload_curve() {
     );
 }
 
-/// The headline chaos scenario: a seeded stall / kill / restart plan on a
+/// The headline chaos scenario: a seeded kill / restart plan on a
 /// functional fleet under Poisson overload. Conservation holds at every
 /// step, the faults demonstrably land (both instances go down at some
 /// boundary), and the full report — predictions included — is
 /// bit-identical across 1 / 2 / 8 execution workers and across replays.
 #[test]
-fn kill_restart_stall_chaos_is_deterministic_across_workers() {
+fn kill_restart_chaos_is_deterministic_across_workers() {
     let (net, samples) = pin_workload();
     let engine = SconnaEngine::paper_default(5);
     let model = shufflenet_v2();
@@ -407,7 +407,6 @@ fn kill_restart_stall_chaos_is_deterministic_across_workers() {
     let window_ps = (32.0 / (1.5 * capacity) * 1e12) as u64;
     let t = |num: u64, den: u64| SimTime::from_ps(window_ps * num / den);
     let plan = FaultPlan::new()
-        .stall(t(1, 8), 1, t(1, 8))
         .kill(t(1, 4), 0)
         .restart(t(1, 2), 0)
         .kill(t(5, 8), 1)
@@ -426,14 +425,12 @@ fn kill_restart_stall_chaos_is_deterministic_across_workers() {
         let mut fleet = Fleet::new_functional(&cfg, &model, &workload).with_faults(&plan);
         let mut prev = fleet.snapshot();
         let mut saw_down = [false; 2];
-        let mut saw_stalled = false;
         while fleet.step() {
             let snap = fleet.snapshot();
             check_step(&prev, &snap, &cfg);
             for (i, inst) in snap.instances.iter().enumerate() {
                 saw_down[i] |=
                     inst.health == InstanceHealth::Down || inst.health == InstanceHealth::Reloading;
-                saw_stalled |= inst.health == InstanceHealth::Stalled;
             }
             prev = snap;
         }
@@ -441,7 +438,6 @@ fn kill_restart_stall_chaos_is_deterministic_across_workers() {
         check_step(&prev, &fin, &cfg);
         assert_eq!(fin.offered, 32);
         assert!(saw_down[0] && saw_down[1], "both kills must land mid-run");
-        assert!(saw_stalled, "the stall window must be observable");
         reports.push(format!("{:?}", fleet.into_functional_report()));
     }
     assert_eq!(reports[0], reports[1], "worker count 2 changed the report");
@@ -547,9 +543,8 @@ fn supervised_stochastic_chaos_is_deterministic_across_workers() {
                 .with_retry_budget(24),
         )
         .with_goodput_window(SimTime::from_ns(50_000));
-    let plan = FailureProcess::new(41, SimTime::from_ps(horizon.as_ps() / 6))
-        .with_stalls(0.3, SimTime::from_ns(40_000))
-        .materialize(2, horizon);
+    let plan =
+        FailureProcess::new(41, SimTime::from_ps(horizon.as_ps() / 6)).materialize(2, horizon);
     assert!(!plan.is_empty(), "the failure stream must produce chaos");
 
     let mut reports = Vec::new();
@@ -617,7 +612,7 @@ proptest! {
             a.max_attempts_seen <= max_attempts,
             "attempt ceiling {} exceeded: {}", max_attempts, a.max_attempts_seen
         );
-        // No self-repair in the process: every recovery is supervised.
+        // The process only kills: every recovery is supervised.
         prop_assert!(a.recoveries <= a.restarts_issued, "spurious recovery");
         let replay = format!(
             "{:?}",
@@ -696,7 +691,7 @@ proptest! {
     /// a bit-identical report.
     #[test]
     fn prop_coincident_fault_permutations_produce_identical_reports(
-        events in vec((0u8..3, 0usize..2, 0usize..2, 1u64..50), 2..6),
+        events in vec((0u8..2, 0usize..2, 0usize..2), 2..6),
         seed in 0u64..=500,
     ) {
         let model = shufflenet_v2();
@@ -709,13 +704,12 @@ proptest! {
         let window_ps = (16.0 / (1.5 * capacity) * 1e12) as u64;
         // Two shared instants force timestamp collisions between events.
         let instants = [SimTime::from_ps(window_ps / 4), SimTime::from_ps(window_ps / 2)];
-        let build = |order: &[(u8, usize, usize, u64)]| {
-            order.iter().fold(FaultPlan::new(), |plan, &(kind, inst, slot, dur)| {
+        let build = |order: &[(u8, usize, usize)]| {
+            order.iter().fold(FaultPlan::new(), |plan, &(kind, inst, slot)| {
                 let at = instants[slot];
                 match kind {
                     0 => plan.kill(at, inst),
-                    1 => plan.restart(at, inst),
-                    _ => plan.stall(at, inst, SimTime::from_ps(window_ps * dur / 100)),
+                    _ => plan.restart(at, inst),
                 }
             })
         };
@@ -727,12 +721,12 @@ proptest! {
         prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
-    /// Arbitrary kill / restart / stall plans — closed-loop or Poisson —
+    /// Arbitrary kill / restart plans — closed-loop or Poisson —
     /// uphold every step invariant (conservation above all) and replay
     /// bit-identically.
     #[test]
     fn prop_arbitrary_fault_plans_conserve_and_replay_identically(
-        events in vec((0u8..3, 0usize..3, 1u64..400, 1u64..80), 1..7),
+        events in vec((0u8..2, 0usize..3, 1u64..400), 1..7),
         arrival_kind in 0u8..2,
         seed in 0u64..=500,
     ) {
@@ -748,13 +742,11 @@ proptest! {
                 .with_seed(seed),
         };
         let mut plan = FaultPlan::new();
-        for &(kind, inst, at_frac, dur_frac) in &events {
+        for &(kind, inst, at_frac) in &events {
             let at = SimTime::from_ps(window_ps * at_frac / 400);
-            let dur = SimTime::from_ps(window_ps * dur_frac / 400);
             plan = match kind {
                 0 => plan.kill(at, inst),
-                1 => plan.restart(at, inst),
-                _ => plan.stall(at, inst, dur),
+                _ => plan.restart(at, inst),
             };
         }
         let mut fleet = Fleet::new(&cfg, &model).with_faults(&plan);
@@ -868,11 +860,6 @@ fn multi_tenant_chaos_is_deterministic_across_workers() {
         ]);
     let window_ps = 2_000_000_000u64;
     let plan = FaultPlan::new()
-        .stall(
-            SimTime::from_ps(window_ps / 8),
-            1,
-            SimTime::from_ps(window_ps / 8),
-        )
         .kill(SimTime::from_ps(window_ps / 4), 0)
         .restart(SimTime::from_ps(window_ps / 2), 0);
 
