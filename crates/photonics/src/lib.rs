@@ -20,7 +20,6 @@
 //! ```
 
 pub mod link;
-pub mod modulator;
 pub mod mrr;
 pub mod oag;
 pub mod pca;

@@ -15,8 +15,9 @@ use serde::{Deserialize, Serialize};
 pub struct LinkParameters {
     /// Laser power per diode, dBm (`P_Laser`).
     pub laser_power_dbm: f64,
-    /// Laser wall-plug efficiency (`η_WPE`): electrical→optical, used by
-    /// the energy model, not the optical budget.
+    /// Laser wall-plug efficiency (`η_WPE`): electrical→optical. Not part
+    /// of the optical budget; the energy model's `LASER_WALL_PLUG_W`
+    /// (`sconna-accel::peripherals`) is `P_Laser / η_WPE`.
     pub wall_plug_efficiency: f64,
     /// Single-mode fiber insertion loss, dB (`IL_SMF`).
     pub il_smf_db: f64,
@@ -137,11 +138,6 @@ pub fn received_power_dbm(params: &LinkParameters, n: usize, m: usize) -> f64 {
     params.laser_power_dbm - sconna_channel_loss(params, n, m).total_db()
 }
 
-/// Electrical wall-plug power of one laser diode, watts (`P_opt / η_WPE`).
-pub fn laser_wall_plug_w(params: &LinkParameters) -> f64 {
-    crate::units::dbm_to_watts(params.laser_power_dbm) / params.wall_plug_efficiency
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,13 +185,6 @@ mod tests {
         assert!(loss.split_db > loss.waveguide_db);
         assert!(loss.split_db > loss.osm_insertion_db);
         assert!(loss.split_db > loss.penalty_db);
-    }
-
-    #[test]
-    fn laser_wall_plug_power() {
-        // 10 dBm optical at 10 % WPE = 100 mW electrical.
-        let p = LinkParameters::default();
-        assert!((laser_wall_plug_w(&p) - 0.1).abs() < 1e-9);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Microring resonator (MRR) model.
 //!
-//! All MRRs in the repo (OAG rings, filter rings, modulator rings of the
-//! analog baselines) share this analytic model: a Lorentzian drop-port
-//! passband of configurable FWHM, a free spectral range (FSR), and a
-//! resonance wavelength that heaters (slow, operand-independent tuning, the
-//! paper's γ→η programming) and PN junctions (fast, operand-driven shifts)
-//! displace.
+//! The OAG rings and the DWDM crosstalk estimate share this analytic
+//! model: a Lorentzian drop-port passband of configurable FWHM, a free
+//! spectral range (FSR), and a resonance wavelength that heaters (slow,
+//! operand-independent tuning, the paper's γ→η programming) and PN
+//! junctions (fast, operand-driven shifts) displace.
 
 use serde::{Deserialize, Serialize};
 
@@ -44,11 +43,6 @@ impl Mrr {
         }
     }
 
-    /// Quality factor `Q = λ_r / FWHM`.
-    pub fn quality_factor(&self) -> f64 {
-        self.resonance_m / self.fwhm_m
-    }
-
     /// Detuning of `lambda_m` from the nearest resonance order, metres
     /// (folds the comb of resonances spaced by the FSR).
     pub fn detuning_m(&self, lambda_m: f64) -> f64 {
@@ -71,12 +65,6 @@ impl Mrr {
         let delta = self.detuning_m(lambda_m);
         let x = 2.0 * delta / self.fwhm_m;
         self.peak_transmission / (1.0 + x * x)
-    }
-
-    /// Through-port power transmission (lossless complement of the drop
-    /// port; ring loss is carried by `peak_transmission`).
-    pub fn through_transmission(&self, lambda_m: f64) -> f64 {
-        1.0 - self.drop_transmission(lambda_m)
     }
 
     /// Returns a copy with the resonance shifted by `delta_m` metres
@@ -129,23 +117,6 @@ mod tests {
         let t0 = r.drop_transmission(r.resonance_m + 0.3e-9);
         let t1 = r.drop_transmission(r.resonance_m + 0.3e-9 + r.fsr_m);
         assert!((t0 - t1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn through_complements_drop() {
-        let r = ring();
-        for k in 0..20 {
-            let lam = r.resonance_m + k as f64 * 0.05e-9;
-            let sum = r.drop_transmission(lam) + r.through_transmission(lam);
-            assert!((sum - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn quality_factor_magnitude() {
-        // 1550 nm / 0.8 nm ≈ 1940 — a low-Q, high-speed ring.
-        let q = ring().quality_factor();
-        assert!((q - 1937.5).abs() < 1.0);
     }
 
     #[test]

@@ -45,16 +45,6 @@ impl AnalogOrganization {
         }
     }
 
-    /// Number of cascaded MRR arrays each wavelength passes per arm
-    /// (AMM has both DIV and DKV arrays in the arm; MAM's DIV block is a
-    /// single ring before aggregation).
-    pub fn cascaded_arrays(self) -> usize {
-        match self {
-            AnalogOrganization::Amm => 2,
-            AnalogOrganization::Mam => 1,
-        }
-    }
-
     /// Calibrated received power at the summation element, dBm (see
     /// module docs; re-derive with the ignored
     /// `print_calibrated_se_powers` test).
@@ -79,29 +69,6 @@ pub fn balanced_photodetector() -> Photodetector {
         rin_db_per_hz: -400.0,
         ..Photodetector::default()
     }
-}
-
-/// Per-channel loss of an analog VDPC arm, dB — a reporting utility
-/// showing where AMM's organizational disadvantage comes from (its second
-/// in-arm MRR array). The feasibility model itself uses the calibrated SE
-/// powers.
-pub fn analog_channel_loss_db(
-    params: &LinkParameters,
-    org: AnalogOrganization,
-    n: usize,
-    m: usize,
-) -> f64 {
-    assert!(n > 0 && m > 0, "VDPC dimensions must be positive");
-    let n_f = n as f64;
-    let m_f = m as f64;
-    let arrays = org.cascaded_arrays() as f64;
-    params.il_smf_db
-        + params.il_ec_db
-        + 10.0 * m_f.log10()
-        + params.el_splitter_db * m_f.log2()
-        + params.il_wg_db_per_mm * (n_f * params.d_osm_um * 1e-3)
-        + arrays * (params.il_mrr_db + (n_f - 1.0) * params.obl_mrr_db)
-        + params.il_penalty_db
 }
 
 /// Largest VDPE size `N` an analog VDPC supports at precision `b` bits
@@ -268,18 +235,6 @@ mod tests {
                 let amm = max_analog_n(AnalogOrganization::Amm, b, dr);
                 assert!(mam >= amm, "MAM must dominate at b={b} dr={dr:e}");
             }
-        }
-    }
-
-    #[test]
-    fn amm_organizational_loss_exceeds_mam() {
-        // The second in-arm MRR array costs AMM more channel loss at any
-        // size.
-        let p = LinkParameters::default();
-        for n in [8usize, 16, 44] {
-            let amm = analog_channel_loss_db(&p, AnalogOrganization::Amm, n, n);
-            let mam = analog_channel_loss_db(&p, AnalogOrganization::Mam, n, n);
-            assert!(amm > mam, "n={n}");
         }
     }
 

@@ -82,13 +82,6 @@ impl HeaterModel {
         assert!(tolerance > 0.0 && tolerance < 1.0, "tolerance in (0,1)");
         self.time_constant_s * (1.0 / tolerance).ln()
     }
-
-    /// Instantaneous normalized response `1 − exp(−t/τ)` to a step at
-    /// `t = 0`.
-    pub fn step_response(&self, t_s: f64) -> f64 {
-        assert!(t_s >= 0.0, "time must be non-negative");
-        1.0 - (-t_s / self.time_constant_s).exp()
-    }
 }
 
 /// Fabrication-variation statistics for a bank of rings.
@@ -188,14 +181,6 @@ mod tests {
         let t = h.settle_time_s(0.01);
         assert!((t - 18.4e-6).abs() < 0.5e-6, "settle {t:e}");
         assert!(t < 20e-6);
-    }
-
-    #[test]
-    fn step_response_saturates() {
-        let h = HeaterModel::default();
-        assert!(h.step_response(0.0).abs() < 1e-12);
-        assert!(h.step_response(h.time_constant_s) > 0.63);
-        assert!(h.step_response(10.0 * h.time_constant_s) > 0.9999);
     }
 
     #[test]

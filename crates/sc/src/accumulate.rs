@@ -132,6 +132,8 @@ mod tests {
     use super::*;
     use crate::multiply::{osm_product_stream, osm_product_stream_floor};
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Bitstream-level reference VDP: materializes every OSM product
     /// stream (alternating the ceil/floor LUT pairings exactly as
@@ -155,6 +157,25 @@ mod tests {
             }
         }
         acc.signed_total()
+    }
+
+    /// RMS error of [`stochastic_vdp`] over the RMS of [`exact_vdp_scaled`]
+    /// across `trials` random `n`-element B8 vectors of uniform codes;
+    /// `signed` draws zero-mean weights, otherwise non-negative ones.
+    fn relative_vdp_error(n: usize, trials: usize, signed: bool, rng: &mut StdRng) -> f64 {
+        let p = Precision::B8;
+        let qmax = p.max_value();
+        let lo = if signed { -(qmax as i32) } else { 0 };
+        let (mut err_sq, mut ref_sq) = (0.0, 0.0);
+        for _ in 0..trials {
+            let inputs: Vec<u32> = (0..n).map(|_| rng.gen_range(0..=qmax)).collect();
+            let weights: Vec<i32> = (0..n).map(|_| rng.gen_range(lo..=qmax as i32)).collect();
+            let exact = exact_vdp_scaled(&inputs, &weights, p);
+            let err = stochastic_vdp(&inputs, &weights, p) as f64 - exact;
+            err_sq += err * err;
+            ref_sq += exact * exact;
+        }
+        (err_sq / ref_sq).sqrt()
     }
 
     #[test]
@@ -207,6 +228,36 @@ mod tests {
         // Per-element error ≤ B counts; 64 elements with random signs
         // partially cancel, but the hard bound is 64 * 8.
         assert!((sc - exact).abs() <= 64.0 * 8.0, "sc={sc} exact={exact}");
+    }
+
+    #[test]
+    fn positive_rail_error_concentrates_with_length() {
+        // One PCA rail (non-negative weights): the reference grows like n
+        // while the error grows like sqrt(n), so relative error shrinks.
+        let mut rng = StdRng::seed_from_u64(9);
+        let short = relative_vdp_error(16, 200, false, &mut rng);
+        let long = relative_vdp_error(1024, 50, false, &mut rng);
+        assert!(
+            long < short,
+            "rail relative error must shrink: {short} -> {long}"
+        );
+    }
+
+    #[test]
+    fn signed_vdp_error_stays_flat_and_small() {
+        // Signed weights: a zero-mean reference grows like sqrt(n), as the
+        // error does, so relative error neither explodes nor concentrates.
+        let mut rng = StdRng::seed_from_u64(9);
+        let short = relative_vdp_error(16, 200, true, &mut rng);
+        let long = relative_vdp_error(1024, 50, true, &mut rng);
+        assert!(short < 0.05 && long < 0.05, "short {short}, long {long}");
+        assert!((short - long).abs() < 0.02, "flat: {short} vs {long}");
+    }
+
+    #[test]
+    fn vdp_relative_error_is_small_at_vdpe_size() {
+        let at_176 = relative_vdp_error(176, 200, true, &mut StdRng::seed_from_u64(4));
+        assert!(at_176 < 0.05, "VDPE-size relative error {at_176}");
     }
 
     #[test]

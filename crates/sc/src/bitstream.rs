@@ -116,35 +116,22 @@ impl PackedBitstream {
         self.count_ones() as f64 / self.len as f64
     }
 
-    /// Bipolar value `2 * unipolar - 1` in `[-1, 1]`.
-    pub fn bipolar_value(&self) -> f64 {
-        2.0 * self.unipolar_value() - 1.0
-    }
-
     /// Bit-wise AND (the stochastic unipolar multiplier, Fig. 3 of the
     /// paper).
     ///
     /// # Panics
     /// Panics if the streams differ in length.
     pub fn and(&self, other: &Self) -> Self {
-        self.zip_with(other, |a, b| a & b)
-    }
-
-    /// Bit-wise OR (unipolar saturating add for uncorrelated inputs).
-    pub fn or(&self, other: &Self) -> Self {
-        self.zip_with(other, |a, b| a | b)
-    }
-
-    /// Bit-wise XOR.
-    pub fn xor(&self, other: &Self) -> Self {
-        self.zip_with(other, |a, b| a ^ b)
-    }
-
-    /// Bit-wise XNOR (the stochastic bipolar multiplier).
-    pub fn xnor(&self, other: &Self) -> Self {
-        let mut out = self.zip_with(other, |a, b| !(a ^ b));
-        out.mask_tail();
-        out
+        assert_eq!(self.len, other.len, "stream length mismatch");
+        Self {
+            words: self
+                .words
+                .iter()
+                .zip(&other.words)
+                .map(|(a, b)| a & b)
+                .collect(),
+            len: self.len,
+        }
     }
 
     /// Bit-wise NOT (unipolar complement `1 - v`).
@@ -194,19 +181,6 @@ impl PackedBitstream {
     /// Raw packed words (tail bits beyond `len` are zero).
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    fn zip_with(&self, other: &Self, f: impl Fn(u64, u64) -> u64) -> Self {
-        assert_eq!(self.len, other.len, "stream length mismatch");
-        Self {
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-            len: self.len,
-        }
     }
 
     fn mask_tail(&mut self) {
@@ -276,10 +250,6 @@ mod tests {
             let complement = PackedBitstream::zeros(len).not();
             assert_eq!(complement.count_ones(), len, "not(zeros({len}))");
             assert_tail_clear(&complement);
-
-            let xnor = PackedBitstream::zeros(len).xnor(&PackedBitstream::zeros(len));
-            assert_eq!(xnor.count_ones(), len, "xnor tail at len {len}");
-            assert_tail_clear(&xnor);
         }
     }
 
@@ -308,11 +278,6 @@ mod tests {
             prop_assert_eq!(s.count_ones() + n.count_ones(), len);
             assert_tail_clear(&s.and(&n));
             prop_assert_eq!(s.and(&n).count_ones(), 0);
-            assert_tail_clear(&s.or(&n));
-            prop_assert_eq!(s.or(&n).count_ones(), len);
-            assert_tail_clear(&s.xor(&n));
-            assert_tail_clear(&s.xnor(&s));
-            prop_assert_eq!(s.xnor(&s).count_ones(), len);
             let r = s.rotate_left(seed as usize % (len + 1));
             assert_tail_clear(&r);
             prop_assert_eq!(r.count_ones(), expected);
@@ -369,15 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn xnor_tail_is_masked() {
-        let a = PackedBitstream::zeros(10);
-        let b = PackedBitstream::zeros(10);
-        let x = a.xnor(&b);
-        // XNOR of zeros is all ones, but only within the 10-bit length.
-        assert_eq!(x.count_ones(), 10);
-    }
-
-    #[test]
     fn rotate_left_preserves_count() {
         let s = PackedBitstream::from_bits((0..77).map(|t| t % 5 == 0));
         let ones = s.count_ones();
@@ -405,11 +361,5 @@ mod tests {
         let a = PackedBitstream::zeros(8);
         let b = PackedBitstream::zeros(9);
         let _ = a.and(&b);
-    }
-
-    #[test]
-    fn bipolar_value_range() {
-        assert_eq!(PackedBitstream::zeros(16).bipolar_value(), -1.0);
-        assert_eq!(PackedBitstream::ones(16).bipolar_value(), 1.0);
     }
 }

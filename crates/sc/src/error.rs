@@ -47,19 +47,6 @@ pub fn rmse(measured: &[f64], reference: &[f64]) -> f64 {
     (ss / measured.len() as f64).sqrt()
 }
 
-/// Maximum absolute error.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn max_abs_error(measured: &[f64], reference: &[f64]) -> f64 {
-    assert_eq!(measured.len(), reference.len(), "length mismatch");
-    measured
-        .iter()
-        .zip(reference)
-        .map(|(&m, &r)| (m - r).abs())
-        .fold(0.0, f64::max)
-}
-
 /// Stochastic computing correlation (SCC) between two streams, in
 /// `[-1, 1]`. `0` means the streams multiply without correlation-induced
 /// error through an AND gate; `+1` is maximal overlap, `-1` maximal
@@ -126,11 +113,6 @@ mod tests {
     fn rmse_basic() {
         assert!((rmse(&[3.0, 5.0], &[0.0, 1.0]) - 3.5355339).abs() < 1e-6);
         assert_eq!(rmse(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn max_abs_error_basic() {
-        assert_eq!(max_abs_error(&[1.0, -4.0, 2.0], &[0.0, 0.0, 0.0]), 4.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Value formats for stochastic numbers.
+//! Precision of stochastic numbers.
 //!
 //! SCONNA uses the **unipolar** format: a `B`-bit unsigned integer `n` is
 //! encoded as a stream of `L = 2^B` bits containing exactly `n` ones, i.e.
@@ -55,108 +55,6 @@ impl Precision {
     pub fn max_value(self) -> u32 {
         (1u32 << self.bits) - 1
     }
-
-    /// Checks that `n` is representable at this precision.
-    #[inline]
-    pub fn contains(self, n: u32) -> bool {
-        n <= self.max_value()
-    }
-}
-
-/// A unipolar stochastic value: integer numerator over stream length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Unipolar {
-    /// Number of ones in the stream.
-    pub numerator: u32,
-    /// Precision (denominator is `precision.stream_len()`).
-    pub precision: Precision,
-}
-
-impl Unipolar {
-    /// Creates a unipolar value `numerator / 2^B`.
-    ///
-    /// # Panics
-    /// Panics if the numerator exceeds the stream length (values above 1.0
-    /// are not representable).
-    pub fn new(numerator: u32, precision: Precision) -> Self {
-        assert!(
-            numerator as usize <= precision.stream_len(),
-            "numerator {numerator} exceeds stream length {}",
-            precision.stream_len()
-        );
-        Self {
-            numerator,
-            precision,
-        }
-    }
-
-    /// Real value in `[0, 1]`.
-    pub fn value(self) -> f64 {
-        self.numerator as f64 / self.precision.stream_len() as f64
-    }
-
-    /// Quantizes a real value in `[0, 1]` to the nearest representable
-    /// unipolar numerator (round-to-nearest, clamped).
-    pub fn quantize(v: f64, precision: Precision) -> Self {
-        let l = precision.stream_len() as f64;
-        let n = (v * l).round().clamp(0.0, l) as u32;
-        Self {
-            numerator: n,
-            precision,
-        }
-    }
-}
-
-/// A signed stochastic operand: unipolar magnitude plus sign bit, matching
-/// the paper's weight representation (`W` stream + sign bit driving the
-/// filter MRR).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SignMagnitude {
-    /// Magnitude in unipolar format.
-    pub magnitude: Unipolar,
-    /// True for negative values; the filter MRR steers the product stream
-    /// onto the OWA' (negative) waveguide when set.
-    pub negative: bool,
-}
-
-impl SignMagnitude {
-    /// Creates a signed value from an integer in
-    /// `[-(2^B - 1), 2^B - 1]`.
-    ///
-    /// # Panics
-    /// Panics if the magnitude is not representable at `precision`.
-    pub fn from_int(v: i32, precision: Precision) -> Self {
-        let mag = v.unsigned_abs();
-        assert!(
-            precision.contains(mag),
-            "magnitude {mag} not representable at {} bits",
-            precision.bits()
-        );
-        Self {
-            magnitude: Unipolar::new(mag, precision),
-            negative: v < 0,
-        }
-    }
-
-    /// Signed real value in `[-1, 1]`.
-    pub fn value(self) -> f64 {
-        let m = self.magnitude.value();
-        if self.negative {
-            -m
-        } else {
-            m
-        }
-    }
-
-    /// Signed integer numerator.
-    pub fn signed_numerator(self) -> i32 {
-        let m = self.magnitude.numerator as i32;
-        if self.negative {
-            -m
-        } else {
-            m
-        }
-    }
 }
 
 #[cfg(test)]
@@ -169,52 +67,11 @@ mod tests {
         assert_eq!(p.bits(), 8);
         assert_eq!(p.stream_len(), 256);
         assert_eq!(p.max_value(), 255);
-        assert!(p.contains(255));
-        assert!(!p.contains(256));
     }
 
     #[test]
     #[should_panic(expected = "precision must be in 1..=16")]
     fn precision_zero_rejected() {
         let _ = Precision::new(0);
-    }
-
-    #[test]
-    fn unipolar_value() {
-        let u = Unipolar::new(64, Precision::B8);
-        assert!((u.value() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unipolar_quantize_round_trip() {
-        for n in 0..=256u32 {
-            let u = Unipolar::new(n, Precision::B8);
-            let q = Unipolar::quantize(u.value(), Precision::B8);
-            assert_eq!(q.numerator, n);
-        }
-    }
-
-    #[test]
-    fn quantize_clamps() {
-        assert_eq!(Unipolar::quantize(-0.5, Precision::B4).numerator, 0);
-        assert_eq!(Unipolar::quantize(2.0, Precision::B4).numerator, 16);
-    }
-
-    #[test]
-    fn sign_magnitude_roundtrip() {
-        let s = SignMagnitude::from_int(-127, Precision::B8);
-        assert!(s.negative);
-        assert_eq!(s.signed_numerator(), -127);
-        assert!((s.value() + 127.0 / 256.0).abs() < 1e-12);
-
-        let p = SignMagnitude::from_int(42, Precision::B8);
-        assert!(!p.negative);
-        assert_eq!(p.signed_numerator(), 42);
-    }
-
-    #[test]
-    #[should_panic(expected = "not representable")]
-    fn sign_magnitude_overflow_rejected() {
-        let _ = SignMagnitude::from_int(256, Precision::B8);
     }
 }

@@ -28,8 +28,6 @@
 //! ```
 
 pub mod accumulate;
-pub mod analysis;
-pub mod bipolar;
 pub mod bitstream;
 pub mod error;
 pub mod format;
@@ -38,5 +36,5 @@ pub mod multiply;
 pub mod sng;
 
 pub use bitstream::PackedBitstream;
-pub use format::{Precision, SignMagnitude, Unipolar};
+pub use format::Precision;
 pub use lut::{OsmProductLut, PairLut};

@@ -221,11 +221,6 @@ impl OsmProductLut {
     pub fn product(&self, i: u32, w: u32, osm_index: usize) -> u32 {
         self.weight_row(w, osm_index)[i as usize] as u32
     }
-
-    /// Host-memory footprint of the table in bytes.
-    pub fn storage_bytes(&self) -> usize {
-        self.table.len() * std::mem::size_of::<u16>()
-    }
 }
 
 /// A serializer models the LUT-to-OAG path: it drains a fetched bit-vector
@@ -250,11 +245,6 @@ impl Serializer {
     /// Bit interval in picoseconds.
     pub fn bit_period_ps(&self) -> f64 {
         1e12 / self.bitrate_hz
-    }
-
-    /// Time to serialize a full stream of `len` bits, in picoseconds.
-    pub fn stream_duration_ps(&self, len: usize) -> f64 {
-        len as f64 * self.bit_period_ps()
     }
 
     /// Serializes a stream into `(time_ps, bit)` events.
@@ -327,8 +317,6 @@ mod tests {
     fn serializer_timing() {
         let s = Serializer::new(30e9); // SCONNA's 30 Gb/s
         assert!((s.bit_period_ps() - 33.333).abs() < 0.01);
-        // A 256-bit stream at 30 Gb/s takes ~8.53 ns (Section VI-C).
-        assert!((s.stream_duration_ps(256) - 8533.3).abs() < 1.0);
     }
 
     #[test]
@@ -405,9 +393,9 @@ mod tests {
     #[test]
     fn product_lut_b8_sizing() {
         let lut = OsmProductLut::generate(Precision::B8);
-        // [w][parity][i] = 256 weights × 2 pairings × 256 inputs, at 2
-        // bytes per entry.
-        assert_eq!(lut.storage_bytes(), 256 * 2 * 256 * 2);
+        // [w][parity][i] = 256 weights × 2 pairings × 256 inputs: the
+        // last row exists and spans every input.
+        assert_eq!(lut.weight_row(255, 1).len(), 256);
         assert_eq!(lut.precision(), Precision::B8);
     }
 

@@ -223,6 +223,56 @@ mod tests {
         );
     }
 
+    /// Mean signed error (bias) and largest |error| of `mul` against the
+    /// real-valued product, over the full `(i, w)` operand grid.
+    fn pairing_stats(p: Precision, mul: impl Fn(u32, u32, Precision) -> u32) -> (f64, f64) {
+        let l = p.stream_len() as u32;
+        let (mut sum, mut worst) = (0.0f64, 0.0f64);
+        for i in 0..=l {
+            for w in 0..=l {
+                let e = mul(i, w, p) as f64 - real_product(i, w, p);
+                sum += e;
+                worst = worst.max(e.abs());
+            }
+        }
+        (sum / ((l + 1) * (l + 1)) as f64, worst)
+    }
+
+    #[test]
+    fn ceil_and_floor_are_mirror_images() {
+        let p = Precision::new(6);
+        let (ceil_bias, ceil_worst) = pairing_stats(p, lds_product);
+        let (floor_bias, floor_worst) = pairing_stats(p, lds_product_floor);
+        assert!(ceil_bias > 0.4, "ceil bias {ceil_bias}");
+        assert!(floor_bias < -0.4, "floor bias {floor_bias}");
+        assert!((ceil_bias + floor_bias).abs() < 0.05, "biases must cancel");
+        assert!((ceil_worst - floor_worst).abs() < 1.5);
+    }
+
+    #[test]
+    fn debiasing_kills_the_bias_without_hurting_worst_case() {
+        // An even/odd OSM couple acts as the rounded average of both
+        // pairings.
+        let p = Precision::new(6);
+        let (ceil_bias, ceil_worst) = pairing_stats(p, lds_product);
+        let (bias, worst) = pairing_stats(p, |i, w, p| {
+            (lds_product(i, w, p) + lds_product_floor(i, w, p)).div_ceil(2)
+        });
+        assert!(bias.abs() < 0.51, "debiased bias {bias}");
+        assert!(bias.abs() < ceil_bias.abs());
+        assert!(worst <= ceil_worst + 1.0);
+    }
+
+    #[test]
+    fn worst_error_scales_with_bits() {
+        // The discrepancy bound is O(B): each extra bit adds at most one
+        // more up-rounding dyadic interval.
+        let (_, w4) = pairing_stats(Precision::B4, lds_product);
+        let (_, w8) = pairing_stats(Precision::B8, lds_product);
+        assert!(w8 > w4);
+        assert!(w8 <= 8.0 && w4 <= 4.0);
+    }
+
     #[test]
     fn lds_is_monotone_in_each_operand() {
         let p = Precision::B4;

@@ -33,23 +33,6 @@ impl ComponentSpec {
             latency: SimTime::ZERO,
         }
     }
-
-    /// Derives the per-operation dynamic energy of a component specified,
-    /// Table IV-style, as an active power plus an operation latency.
-    pub fn from_power_and_latency(
-        active_power_w: f64,
-        static_fraction: f64,
-        area_mm2: f64,
-        latency: SimTime,
-    ) -> Self {
-        assert!((0.0..=1.0).contains(&static_fraction), "fraction in [0,1]");
-        Self {
-            static_power_w: active_power_w * static_fraction,
-            energy_per_op_j: active_power_w * (1.0 - static_fraction) * latency.as_secs_f64(),
-            area_mm2,
-            latency,
-        }
-    }
 }
 
 /// Aggregated usage of one component class.
@@ -218,13 +201,6 @@ mod tests {
         l.register("tile", s, 2);
         l.register("tile", s, 3);
         assert_eq!(l.usage("tile").unwrap().instances, 5);
-    }
-
-    #[test]
-    fn from_power_and_latency_splits_energy() {
-        let s = ComponentSpec::from_power_and_latency(0.03, 0.5, 0.034, SimTime::from_ps(780));
-        assert!((s.static_power_w - 0.015).abs() < 1e-12);
-        assert!((s.energy_per_op_j - 0.015 * 780e-12).abs() < 1e-18);
     }
 
     #[test]

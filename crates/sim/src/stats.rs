@@ -298,12 +298,6 @@ impl GoodputSamples {
         self.counts.is_empty()
     }
 
-    /// Responses per second in each window.
-    pub fn rates_fps(&self) -> Vec<f64> {
-        let secs = self.window.as_secs_f64();
-        self.counts.iter().map(|&c| c as f64 / secs).collect()
-    }
-
     /// The emptiest window's response rate — the depth of the worst
     /// outage the series saw (0 when some window served nothing).
     pub fn min_rate_fps(&self) -> f64 {
@@ -550,9 +544,6 @@ mod tests {
         assert_eq!(g.counts(), &[3, 4, 0, 1]);
         assert_eq!(g.len(), 4);
         assert_eq!(g.total(), 8);
-        let rates = g.rates_fps();
-        // 3 responses in a 10 ns window = 3e8 responses/s.
-        assert!((rates[0] - 3.0e8).abs() < 1e-3);
         assert_eq!(g.min_rate_fps(), 0.0);
     }
 

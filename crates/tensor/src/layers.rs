@@ -893,6 +893,78 @@ mod tests {
     }
 
     #[test]
+    fn conv_matches_naive_loop_at_stride_two_padding_one() {
+        // Stride 2 with padding 1: a 3x3 all-ones kernel sums the live
+        // taps of windows centred on (0,0), (0,2), (2,0), (2,2), e.g.
+        // 0 + 1 + 4 + 5 = 10 at the zero-padded corner.
+        let conv = QConv2d {
+            name: "s2p1".into(),
+            weights: Tensor::from_vec(&[1, 1, 3, 3], vec![1; 9]),
+            bias: vec![0.0],
+            stride: 2,
+            padding: 1,
+            groups: 1,
+            requant: unit_requant(),
+        };
+        let input = Tensor::<u32>::from_fn(&[1, 4, 4], |i| i as u32);
+        let out = conv.forward(&input, &ExactEngine);
+        assert_eq!(out.dims(), &[1, 2, 2]);
+        assert_eq!(out.as_slice(), &[10, 24, 51, 90]);
+
+        // Multi-channel, multi-kernel probe against a direct loop over
+        // the zero-padded window; a wide output scale keeps every
+        // accumulator clear of clipping.
+        let (c_in, k_out, hw) = (3, 4, 8);
+        let conv = QConv2d {
+            name: "probe".into(),
+            weights: Tensor::from_fn(&[k_out, c_in, 3, 3], |i| (i as i32 * 13) % 255 - 127),
+            bias: vec![0.0; k_out],
+            stride: 2,
+            padding: 1,
+            groups: 1,
+            requant: Requant::new(
+                ActivationQuant {
+                    scale: 1.0,
+                    bits: 8,
+                },
+                WeightQuant {
+                    scale: 1.0,
+                    bits: 8,
+                },
+                ActivationQuant {
+                    scale: 1e6,
+                    bits: 8,
+                },
+            ),
+        };
+        let input = Tensor::from_fn(&[c_in, hw, hw], |i| (i as u32 * 5) % 256);
+        let out = conv.forward(&input, &ExactEngine);
+        let (h_out, w_out) = conv.output_hw(hw, hw);
+        let w = conv.weights.as_slice();
+        for k in 0..k_out {
+            for oy in 0..h_out {
+                for ox in 0..w_out {
+                    let mut acc = 0.0;
+                    for c in 0..c_in {
+                        for ky in 0..3 {
+                            for kx in 0..3 {
+                                let (y, x) = (oy * 2 + ky, ox * 2 + kx);
+                                if y < 1 || x < 1 || y > hw || x > hw {
+                                    continue;
+                                }
+                                let tap = w[((k * c_in + c) * 3 + ky) * 3 + kx];
+                                acc += input.at3(c, y - 1, x - 1) as f64 * tap as f64;
+                            }
+                        }
+                    }
+                    let expected = conv.requant.apply(acc);
+                    assert_eq!(out.at3(k, oy, ox), expected, "k={k} oy={oy} ox={ox}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn conv_relu_clamps_negative_accumulators() {
         let conv = QConv2d {
             name: "neg".into(),

@@ -19,7 +19,6 @@
 
 pub mod arena;
 pub mod dataset;
-pub mod decompose;
 pub mod engine;
 pub mod fp;
 pub mod layers;

@@ -64,11 +64,6 @@ pub struct CnnModel {
 }
 
 impl CnnModel {
-    /// Total VDP operations per inference.
-    pub fn total_vdp_ops(&self) -> usize {
-        self.workloads.iter().map(VdpWorkload::vdp_ops).sum()
-    }
-
     /// Total multiply-accumulates per inference.
     pub fn total_macs(&self) -> usize {
         self.workloads.iter().map(VdpWorkload::macs).sum()
@@ -96,19 +91,6 @@ impl CnnModel {
             }
         }
         (small, large)
-    }
-
-    /// The whole model at batch size `batch`: every layer's VDP count
-    /// scales with the batch while weights stay stationary
-    /// (see [`VdpWorkload::batched`]).
-    ///
-    /// # Panics
-    /// Panics if `batch` is zero.
-    pub fn with_batch(&self, batch: usize) -> CnnModel {
-        CnnModel {
-            name: self.name.clone(),
-            workloads: self.workloads.iter().map(|w| w.batched(batch)).collect(),
-        }
     }
 
     /// Census over convolution kernels only (the paper's Table II counts
@@ -667,19 +649,6 @@ mod tests {
         assert_eq!(b.vdp_ops(), 8 * w.vdp_ops());
         assert_eq!(b.macs(), 8 * w.macs());
         assert_eq!(w.batched(1).ops_per_kernel, w.ops_per_kernel);
-    }
-
-    #[test]
-    fn with_batch_scales_every_layer_linearly() {
-        let m = shufflenet_v2();
-        let b = m.with_batch(16);
-        assert_eq!(b.name, m.name);
-        assert_eq!(b.workloads.len(), m.workloads.len());
-        assert_eq!(b.total_vdp_ops(), 16 * m.total_vdp_ops());
-        assert_eq!(b.total_macs(), 16 * m.total_macs());
-        // Kernel census (weight tensors) is batch-invariant.
-        assert_eq!(b.kernel_census(44), m.kernel_census(44));
-        assert_eq!(b.max_vector_len(), m.max_vector_len());
     }
 
     #[test]

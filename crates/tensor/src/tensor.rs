@@ -117,32 +117,6 @@ impl<T: Copy + Default> Tensor<T> {
         self.data[(c * hh + h) * ww + w] = v;
     }
 
-    /// Element at `(k, c, y, x)` of a rank-4 tensor (conv weights).
-    #[inline]
-    pub fn at4(&self, k: usize, c: usize, y: usize, x: usize) -> T {
-        debug_assert_eq!(self.dims.len(), 4, "at4 on rank-{} tensor", self.dims.len());
-        let (kk, cc, yy, xx) = (self.dims[0], self.dims[1], self.dims[2], self.dims[3]);
-        assert!(
-            k < kk && c < cc && y < yy && x < xx,
-            "index ({k},{c},{y},{x}) out of {:?}",
-            self.dims
-        );
-        self.data[((k * cc + c) * yy + y) * xx + x]
-    }
-
-    /// Sets element `(k, c, y, x)` of a rank-4 tensor.
-    #[inline]
-    pub fn set4(&mut self, k: usize, c: usize, y: usize, x: usize, v: T) {
-        debug_assert_eq!(self.dims.len(), 4);
-        let (kk, cc, yy, xx) = (self.dims[0], self.dims[1], self.dims[2], self.dims[3]);
-        assert!(
-            k < kk && c < cc && y < yy && x < xx,
-            "index ({k},{c},{y},{x}) out of {:?}",
-            self.dims
-        );
-        self.data[((k * cc + c) * yy + y) * xx + x] = v;
-    }
-
     /// Applies `f` element-wise, producing a new tensor of type `U`.
     pub fn map<U: Copy + Default>(&self, f: impl Fn(T) -> U) -> Tensor<U> {
         Tensor {
@@ -222,15 +196,6 @@ mod tests {
         assert_eq!(t.at3(1, 2, 3), 42);
         assert_eq!(t.at3(0, 0, 0), -7);
         assert_eq!(t.at3(1, 2, 2), 0);
-    }
-
-    #[test]
-    fn rank4_indexing_roundtrip() {
-        let mut t = Tensor::<i8>::zeros(&[2, 3, 2, 2]);
-        t.set4(1, 2, 1, 0, 5);
-        assert_eq!(t.at4(1, 2, 1, 0), 5);
-        // Row-major layout: flat index ((k*C + c)*KH + y)*KW + x.
-        assert_eq!(t.as_slice()[((3 + 2) * 2 + 1) * 2], 5);
     }
 
     #[test]
