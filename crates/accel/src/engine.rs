@@ -17,11 +17,17 @@
 //! OSM whose weight stream stays in the ring while input streams flow
 //! past it (Section IV, Fig. 5): each weight's product row stays resident
 //! while every patch of the tile streams through it into per-patch rail
-//! counters. The per-pair [`VdpEngine::vdp_keyed`] path is the oracle the
-//! tile kernel is property-tested against; both read the same table.
+//! counters. Each chunk's rail pairs are then converted in one batched
+//! pass over the patch block: the accumulator keys are mixed once per
+//! kernel, and one [`AdcModel::convert_pairs`] call per chunk draws every
+//! lane's uniforms, certifies the lanes and runs the exact transform
+//! only for the few that fail. The per-pair
+//! [`VdpEngine::vdp_keyed`] path is the oracle the tile kernel is
+//! property-tested against; both read the same table and draw the same
+//! uniforms.
 
 use rand::RngCore;
-use sconna_photonics::pca::AdcModel;
+use sconna_photonics::pca::{box_muller_uniforms, AdcModel};
 use sconna_sc::lut::OsmProductLut;
 use sconna_sc::multiply::osm_product_debiased;
 use sconna_sc::Precision;
@@ -35,23 +41,24 @@ const PATCH_BLOCK: usize = 64;
 /// Counter-based deterministic noise stream (SplitMix64): constructed
 /// per chunk's rail-pair conversion from the chunk's coordinates, never
 /// shared, never locked. Both conversion paths draw the same two
-/// uniforms from it: the tile kernel's certified
-/// [`AdcModel::convert_pair`] and the oracle's
-/// [`AdcModel::convert_pair_reference`].
+/// uniforms from it ([`box_muller_uniforms`]): the tile kernel feeds
+/// them to the batched, certified [`AdcModel::convert_pairs`], the
+/// oracle to [`AdcModel::convert_pair_reference`].
 struct KeyedAdcStream {
     state: u64,
 }
 
 impl KeyedAdcStream {
-    /// Seeds the stream for one chunk's rail-pair conversion: `seed` is
-    /// the engine seed, `key` the caller's accumulator key, and `lane`
-    /// the chunk index within the vector. [`combine_keys`] keeps the
-    /// mixing non-commutative, so `(seed = A, key = B)` and
-    /// `(seed = B, key = A)` draw unrelated streams.
+    /// Seeds the stream for one chunk's rail-pair conversion, `chunk`
+    /// being the chunk index within the vector. `accumulator_key` is
+    /// `combine_keys(engine seed, caller's accumulator key)`, computed
+    /// once per accumulator rather than per chunk; [`combine_keys`] is
+    /// non-commutative, so `(seed = A, key = B)` and `(seed = B,
+    /// key = A)` draw unrelated streams.
     #[inline]
-    fn new(seed: u64, key: u64, lane: u64) -> Self {
+    fn new(accumulator_key: u64, chunk: usize) -> Self {
         Self {
-            state: combine_keys(combine_keys(seed, key), lane),
+            state: combine_keys(accumulator_key, chunk as u64),
         }
     }
 }
@@ -175,32 +182,6 @@ impl SconnaEngine {
         }
     }
 
-    /// Converts one chunk's rail pair through the range-matched ADC (if
-    /// the engine has one), noise keyed by `(engine seed, accumulator
-    /// key, chunk)`. The rails share one Box-Muller draw but receive its
-    /// two independent Gaussian projections. `convert` is the tile
-    /// kernel's certified [`AdcModel::convert_pair`] or the oracle's
-    /// plain [`AdcModel::convert_pair_reference`]; the two are
-    /// bit-identical.
-    #[inline]
-    fn convert_rails(
-        &self,
-        ranged: Option<&AdcModel>,
-        pos: u64,
-        neg: u64,
-        key: u64,
-        chunk: usize,
-        convert: impl Fn(&AdcModel, f64, f64, &mut KeyedAdcStream) -> (f64, f64),
-    ) -> (f64, f64) {
-        match ranged {
-            Some(adc) => {
-                let mut stream = KeyedAdcStream::new(self.seed, key, chunk as u64);
-                convert(adc, pos as f64, neg as f64, &mut stream)
-            }
-            None => (pos as f64, neg as f64),
-        }
-    }
-
     /// One accumulator, pair by pair: chunked OSM products, sign-steered
     /// rail counts, keyed ADC conversion. This is the oracle the tile
     /// kernel must match bit for bit, and the whole computation above
@@ -209,6 +190,7 @@ impl SconnaEngine {
     fn vdp_core(&self, inputs: &[u32], weights: &[i32], key: u64) -> f64 {
         let scale = self.precision.stream_len() as f64;
         let qmax = self.precision.max_value();
+        let accumulator_key = combine_keys(self.seed, key);
         let mut total = 0.0f64;
         for (chunk, (ichunk, wchunk)) in inputs
             .chunks(self.vdpe_size)
@@ -228,18 +210,19 @@ impl SconnaEngine {
                     osm_product_debiased(i, mag, self.precision, k)
                 }),
             };
-            // Each rail's PCA digitizes independently (independent noise
-            // projections of one keyed draw), through the plain
-            // Box-Muller transform.
-            let ranged = self.adc.map(|adc| self.ranged_adc(&adc, ichunk.len()));
-            let (pos, neg) = self.convert_rails(
-                ranged.as_ref(),
-                pos,
-                neg,
-                key,
-                chunk,
-                AdcModel::convert_pair_reference,
-            );
+            // Each rail's PCA digitizes independently through the
+            // range-matched ADC, if any: the rails take the independent
+            // Gaussian projections of one Box-Muller draw keyed by
+            // `(engine seed, accumulator key, chunk)`, through the plain
+            // transform.
+            let (pos, neg) = match &self.adc {
+                Some(adc) => self.ranged_adc(adc, ichunk.len()).convert_pair_reference(
+                    pos as f64,
+                    neg as f64,
+                    &mut KeyedAdcStream::new(accumulator_key, chunk),
+                ),
+                None => (pos as f64, neg as f64),
+            };
             // Counts are Σ i·w / 2^B; rescale to integer-product units.
             total += (pos - neg) * scale;
         }
@@ -288,8 +271,11 @@ impl SconnaEngine {
     /// product row (rail by the sign bit, OSM parity by the index within
     /// the chunk) into per-patch u64 rail counters, then converts and
     /// accumulates each patch's rails exactly as [`SconnaEngine::vdp_core`]
-    /// does — same key, chunk index and ascending chunk order — through
-    /// the certified [`AdcModel::convert_pair`].
+    /// does — same key, chunk index and ascending chunk order. The
+    /// block's accumulator keys are mixed once per kernel, and each
+    /// chunk's rail pairs go through one batched, certified
+    /// [`AdcModel::convert_pairs`] call that draws every lane's uniforms
+    /// from its keyed stream.
     fn tile(
         &self,
         lut: &OsmProductLut,
@@ -303,6 +289,8 @@ impl SconnaEngine {
         let mut out = vec![0.0f64; rows * kernels];
         let mut xt = vec![0u16; PATCH_BLOCK * cols];
         let mut rails = [vec![0u64; PATCH_BLOCK], vec![0u64; PATCH_BLOCK]];
+        let mut lane_keys = [0u64; PATCH_BLOCK];
+        let mut pairs = [[0.0f64; 2]; PATCH_BLOCK];
         for p0 in (0..rows).step_by(PATCH_BLOCK) {
             let pb = PATCH_BLOCK.min(rows - p0);
             for p in 0..pb {
@@ -310,9 +298,15 @@ impl SconnaEngine {
                     xt[c * pb + p] = x.min(prep.qmax) as u16;
                 }
             }
+            let (lane_keys, pairs) = (&mut lane_keys[..pb], &mut pairs[..pb]);
             for k in 0..kernels {
                 let mags = &prep.mags[k * cols..(k + 1) * cols];
                 let negs = &prep.negs[k * cols..(k + 1) * cols];
+                if !prep.ranged.is_empty() {
+                    for (lane_key, &key) in lane_keys.iter_mut().zip(&keys[p0..p0 + pb]) {
+                        *lane_key = combine_keys(self.seed, combine_keys(key, k as u64));
+                    }
+                }
                 for (chunk, start) in (0..cols).step_by(self.vdpe_size).enumerate() {
                     let end = cols.min(start + self.vdpe_size);
                     rails.iter_mut().for_each(|r| r[..pb].fill(0));
@@ -325,17 +319,19 @@ impl SconnaEngine {
                             *acc += row[x as usize & qmask] as u64;
                         }
                     }
-                    let ranged = prep.ranged.get(chunk);
-                    for p in 0..pb {
-                        let key = combine_keys(keys[p0 + p], k as u64);
-                        let (pos, neg) = self.convert_rails(
-                            ranged,
-                            rails[0][p],
-                            rails[1][p],
-                            key,
-                            chunk,
-                            AdcModel::convert_pair,
-                        );
+                    // Rail counts stay far below 2^63, where the signed
+                    // conversion (one instruction on baseline x86-64)
+                    // gives the same f64 as the unsigned one.
+                    for (pair, (&pos, &neg)) in pairs.iter_mut().zip(rails[0].iter().zip(&rails[1]))
+                    {
+                        *pair = [pos as i64 as f64, neg as i64 as f64];
+                    }
+                    if let Some(adc) = prep.ranged.get(chunk) {
+                        adc.convert_pairs(pairs, |p| {
+                            box_muller_uniforms(&mut KeyedAdcStream::new(lane_keys[p], chunk))
+                        });
+                    }
+                    for (p, [pos, neg]) in pairs.iter().enumerate() {
                         out[(p0 + p) * kernels + k] += (pos - neg) * scale;
                     }
                 }

@@ -390,6 +390,10 @@ impl Ledger {
             latency.append(&tally.latency);
         }
         let r = total.rates(secs, energy_j);
+        // The report outlives the run, and callers may keep many (a
+        // benchmark keeps one per fleet served): drop the growth slack.
+        let mut queue_depth = self.queue_depth;
+        queue_depth.shrink_to_fit();
         let report = ServingReport {
             accelerator: cfg.accelerator.name,
             model: models.join("+"),
@@ -407,7 +411,7 @@ impl Ledger {
             fps: r.fps,
             goodput_fps: r.goodput_fps,
             latency: summarize(&latency),
-            queue_depth: self.queue_depth,
+            queue_depth,
             utilization: if makespan > SimTime::ZERO {
                 self.util.iter().map(|u| u.ratio(makespan)).collect()
             } else {

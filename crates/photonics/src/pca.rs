@@ -88,7 +88,6 @@ pub struct DualTir {
     circuit: PcaCircuit,
     active: ActiveCapacitor,
     ones: [u64; 2],
-    phases_completed: u64,
 }
 
 impl DualTir {
@@ -98,7 +97,6 @@ impl DualTir {
             circuit,
             active: ActiveCapacitor::C1,
             ones: [0, 0],
-            phases_completed: 0,
         }
     }
 
@@ -127,13 +125,7 @@ impl DualTir {
             ActiveCapacitor::C1 => ActiveCapacitor::C2,
             ActiveCapacitor::C2 => ActiveCapacitor::C1,
         };
-        self.phases_completed += 1;
         result
-    }
-
-    /// Number of completed accumulation phases.
-    pub fn phases_completed(&self) -> u64 {
-        self.phases_completed
     }
 
     fn idx(&self) -> usize {
@@ -163,14 +155,15 @@ pub struct AdcModel {
 /// `measured MAPE` test below).
 pub const DEFAULT_ADC_NOISE_SIGMA: f64 = 0.0145;
 
-/// The two uniforms of one Box-Muller draw, `u1 ∈ [ε, 1)` and
-/// `u2 ∈ [0, 1)`, in the order every conversion path consumes them.
-/// Box-Muller from uniforms keeps us off `rand_distr` (not in the
-/// sanctioned dependency set).
-fn box_muller_uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
+/// The two uniforms of one Box-Muller draw, `[u1, u2]` with
+/// `u1 ∈ [ε, 1)` and `u2 ∈ [0, 1)`, as every conversion path consumes
+/// them. Box-Muller keeps us off `rand_distr` (not in the sanctioned
+/// dependency set).
+#[inline]
+pub fn box_muller_uniforms<R: Rng + ?Sized>(rng: &mut R) -> [f64; 2] {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
-    (u1, u2)
+    [u1, u2]
 }
 
 /// Box-Muller radius `sqrt(−2 ln u1)`.
@@ -184,28 +177,21 @@ fn angle(u2: f64) -> f64 {
 }
 
 /// The Box-Muller transform: two independent standard Gaussians
-/// (`r·cos θ`, `r·sin θ`) from the two uniforms. The single transform
-/// behind [`AdcModel::convert`], [`AdcModel::convert_pair_reference`] and
-/// the fallback of [`AdcModel::convert_pair`], so the MAPE calibration,
-/// the oracle and the inference hot path can never drift apart.
-fn box_muller(u1: f64, u2: f64) -> (f64, f64) {
+/// (`r·cos θ`, `r·sin θ`) from the two uniforms. Every conversion path
+/// runs this one transform, so the MAPE calibration, the oracle and the
+/// inference hot path can never drift apart.
+fn box_muller([u1, u2]: [f64; 2]) -> (f64, f64) {
     let r = radius(u1);
     let (sin_t, cos_t) = angle(u2).sin_cos();
     (r * cos_t, r * sin_t)
 }
 
-/// One Box-Muller draw from `rng`, always through the transform: the
-/// sampler of [`AdcModel::convert`] and the oracle
-/// [`AdcModel::convert_pair_reference`].
-fn gaussian_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
-    let (u1, u2) = box_muller_uniforms(rng);
-    box_muller(u1, u2)
-}
-
-/// Buckets per Box-Muller uniform in [`BoxMullerBounds`]. A power of two
-/// (so bucketing is exact) and at least 4 (so no bucket holds an
-/// extremum of `cos` or `sin` inside it).
-const BUCKETS: usize = 1024;
+/// Buckets per Box-Muller uniform in [`BoxMullerBounds`]: a power of two
+/// (so bucketing is exact), at least 4 (so no bucket holds an extremum of
+/// `cos` or `sin`). With rails at 10–100 % of full scale, 4096 leaves
+/// ≈ 0.7 % of rail pairs to the exact transform, where 1024 would leave
+/// ≈ 2.9 %.
+const BUCKETS: usize = 4096;
 const _: () = assert!(BUCKETS.is_power_of_two() && BUCKETS >= 4);
 
 /// Absolute slack on every tabulated bound: far above libm's few-ulp
@@ -214,14 +200,14 @@ const _: () = assert!(BUCKETS.is_power_of_two() && BUCKETS >= 4);
 const SLACK: f64 = 1e-12;
 
 /// Per-bucket bounds of the Box-Muller factors, so a conversion can be
-/// certified from its uniforms alone (see [`AdcModel::convert_pair`]).
-/// Bucket `i` of a uniform covers `[i, i + 1) / BUCKETS`. 48 KB, built
+/// certified from its uniforms alone (see [`AdcModel::convert_pairs`]).
+/// Bucket `i` of a uniform covers `[i, i + 1) / BUCKETS`. 192 KB, built
 /// once per process.
 struct BoxMullerBounds {
     /// `[lo, hi]` of [`radius`] per `u1` bucket.
     radius: Vec<[f64; 2]>,
-    /// `[cos lo, cos hi, sin lo, sin hi]` of [`angle`] per `u2` bucket.
-    trig: Vec<[f64; 4]>,
+    /// `[[cos lo, sin lo], [cos hi, sin hi]]` of [`angle`] per `u2` bucket.
+    trig: Vec<[[f64; 2]; 2]>,
 }
 
 impl BoxMullerBounds {
@@ -253,7 +239,7 @@ impl BoxMullerBounds {
                     |x: f64, y: f64| [(x.min(y) - SLACK).max(-1.0), (x.max(y) + SLACK).min(1.0)];
                 let ([cos_lo, cos_hi], [sin_lo, sin_hi]) =
                     (bound(cos_a, cos_b), bound(sin_a, sin_b));
-                [cos_lo, cos_hi, sin_lo, sin_hi]
+                [[cos_lo, sin_lo], [cos_hi, sin_hi]]
             })
             .collect();
         Self { radius, trig }
@@ -304,29 +290,50 @@ impl AdcModel {
     /// Full conversion with noise: samples a Gaussian multiplicative
     /// error, then quantizes.
     pub fn convert<R: Rng + ?Sized>(&self, ones: f64, rng: &mut R) -> f64 {
-        self.noisy(ones, gaussian_pair(rng).0)
+        self.noisy(ones, box_muller(box_muller_uniforms(rng)).0)
     }
 
-    /// Converts the two rail counts of one VDPE chunk with a single
-    /// Box-Muller draw: the `cos` and `sin` projections of one `(r, θ)`
-    /// pair are independent standard Gaussians, so the positive and
-    /// negative rails get independent noise from one pair of uniforms.
+    /// One rail pair's readings under one draw: the `cos` and `sin`
+    /// projections of one `(r, θ)` are independent standard Gaussians.
+    fn exact_pair(&self, [pos, neg]: [f64; 2], draw: [f64; 2]) -> [f64; 2] {
+        let (g0, g1) = box_muller(draw);
+        [self.noisy(pos, g0), self.noisy(neg, g1)]
+    }
+
+    /// Converts a batch of VDPE rail pairs in place: lane `i` holds the
+    /// `[positive, negative]` ones counts of one chunk and is read under
+    /// the Box-Muller uniforms `draw(i)`, which must be what
+    /// [`box_muller_uniforms`] returns from lane `i`'s noise stream.
     ///
-    /// Bit-identical to [`AdcModel::convert_pair_reference`], but most
-    /// calls skip the transform: the uniforms' buckets bound each rail's
-    /// Gaussian to an interval, and when every value in it maps to one
-    /// ADC code (see `certify_pair`) that code is the answer. Otherwise
-    /// the same Box-Muller transform runs exactly.
-    pub fn convert_pair<R: Rng + ?Sized>(&self, pos: f64, neg: f64, rng: &mut R) -> (f64, f64) {
-        let (u1, u2) = box_muller_uniforms(rng);
-        self.certify_pair(pos, neg, u1, u2).unwrap_or_else(|| {
-            let (g0, g1) = box_muller(u1, u2);
-            (self.noisy(pos, g0), self.noisy(neg, g1))
-        })
+    /// Bit-identical, lane for lane, to [`AdcModel::convert_pair_reference`]
+    /// on that stream, but most lanes skip the transform: the uniforms'
+    /// buckets bound each rail's Gaussian, and when the whole interval
+    /// maps to one ADC code (`Certifier::certify`) that code is the
+    /// answer. The lanes that fail draw again and run the transform
+    /// exactly; returns their number.
+    pub fn convert_pairs(&self, rails: &mut [[f64; 2]], draw: impl Fn(usize) -> [f64; 2]) -> usize {
+        let Some(certifier) = self.certifier() else {
+            for (i, x) in rails.iter_mut().enumerate() {
+                *x = self.exact_pair(*x, draw(i));
+            }
+            return rails.len();
+        };
+        let mut exact_lanes = 0;
+        for (block, rails) in rails.chunks_mut(LANES).enumerate() {
+            let first = block * LANES;
+            let mut exact = certifier.certify(rails, |i| draw(first + i));
+            exact_lanes += exact.count_ones() as usize;
+            while exact != 0 {
+                let i = exact.trailing_zeros() as usize;
+                exact &= exact - 1;
+                rails[i] = self.exact_pair(rails[i], draw(first + i));
+            }
+        }
+        exact_lanes
     }
 
-    /// [`AdcModel::convert_pair`] through the plain Box-Muller transform,
-    /// with no certification: the oracle the certified path is tested
+    /// One rail pair through the plain Box-Muller transform, with no
+    /// certification: the oracle [`AdcModel::convert_pairs`] is tested
     /// against, bit for bit.
     pub fn convert_pair_reference<R: Rng + ?Sized>(
         &self,
@@ -334,48 +341,25 @@ impl AdcModel {
         neg: f64,
         rng: &mut R,
     ) -> (f64, f64) {
-        let (g0, g1) = gaussian_pair(rng);
-        (self.noisy(pos, g0), self.noisy(neg, g1))
+        let [pos, neg] = self.exact_pair([pos, neg], box_muller_uniforms(rng));
+        (pos, neg)
     }
 
-    /// Both rails' codes from the uniforms' buckets alone, or `None` when
-    /// either rail needs the exact Gaussian. Every f64 op in
-    /// `quantize(x · (1 + σ·g))` is monotone in `g` (for `σ ≥ 0`, `x ≥ 0`
-    /// and `1 + σ·g > 0`), so when both ends of the bucket's `g` interval
-    /// give one code, the exact `g` gives it too. Outside that range —
-    /// negative or NaN `σ`, `σ · r_max ≥ 1`, a degenerate step — the
-    /// caller takes the exact path.
-    pub(crate) fn certify_pair(&self, pos: f64, neg: f64, u1: f64, u2: f64) -> Option<(f64, f64)> {
-        let sigma = self.relative_noise_sigma;
-        let step = self.step_ones();
+    /// The lane-independent half of certification, or `None` when no
+    /// lane can be certified: negative or NaN `σ`, `σ · r_max ≥ 1` (the
+    /// noise factor `1 + σ·g` could reach 0), or a degenerate step.
+    fn certifier(&self) -> Option<Certifier> {
         let table = BoxMullerBounds::get();
-        if !(sigma >= 0.0 && sigma * table.r_max() < 1.0 && step.is_finite() && step > 0.0) {
-            return None;
-        }
-        let [r_lo, r_hi] = table.radius[BoxMullerBounds::bucket(u1)];
-        let [cos_lo, cos_hi, sin_lo, sin_hi] = table.trig[BoxMullerBounds::bucket(u2)];
+        let (sigma, step) = (self.relative_noise_sigma, self.step_ones());
         let max_code = ((1u64 << self.bits) - 1) as f64;
-        // One rail under `c ∈ [c_lo, c_hi]`: whether it is certified, and
-        // its reading if so. Both rails are evaluated before either is
-        // tested, so the common case takes no branch.
-        let rail = |x: f64, c_lo: f64, c_hi: f64| {
-            // g = r·c with r ≥ 0: monotone in r for fixed c, increasing in c.
-            let g_lo = (r_lo * c_lo).min(r_hi * c_lo);
-            let g_hi = (r_lo * c_hi).max(r_hi * c_hi);
-            // `quantize`'s operation order, at both ends of the interval.
-            let v_lo = x * (1.0 + sigma * g_lo) / step;
-            let v_hi = x * (1.0 + sigma * g_hi) / step;
-            // Truncation, not `f64::round` (a libm call on baseline
-            // x86-64); through `i64`, which converts in one instruction
-            // there. Strict bounds exclude ties. The sign test rejects
-            // negative readings and `−0.0`, whose code keeps its sign.
-            let m = (v_lo + 0.5) as i64 as f64;
-            let certified = v_lo.is_sign_positive() & (m - 0.5 < v_lo) & (v_hi < m + 0.5);
-            (certified, m.min(max_code) * step)
-        };
-        let (pos_ok, pos) = rail(pos, cos_lo, cos_hi);
-        let (neg_ok, neg) = rail(neg, sin_lo, sin_hi);
-        (pos_ok & neg_ok).then_some((pos, neg))
+        let in_range =
+            sigma >= 0.0 && sigma * table.r_max() < 1.0 && step.is_finite() && step > 0.0;
+        in_range.then_some(Certifier {
+            table,
+            sigma,
+            step,
+            max_code,
+        })
     }
 
     /// Monte-Carlo estimate of the MAPE over a count distribution drawn
@@ -395,6 +379,75 @@ impl AdcModel {
             sum += ((got - truth) / truth).abs();
         }
         100.0 * sum / samples as f64
+    }
+}
+
+/// Lanes per [`Certifier::certify`] call, one bit each of its mask. At
+/// 32 its scratch zeroing stays small against the lanes it serves.
+const LANES: usize = 32;
+
+/// The lane-independent part of certification, set up once per
+/// [`AdcModel::convert_pairs`] call and already checked to be in range.
+struct Certifier {
+    table: &'static BoxMullerBounds,
+    sigma: f64,
+    step: f64,
+    max_code: f64,
+}
+
+impl Certifier {
+    /// Replaces each certified lane of up to [`LANES`] by its readings and
+    /// returns the mask of lanes left for the exact transform. Every f64
+    /// op in `quantize(x · (1 + σ·g))` is monotone in `g` (for `σ ≥ 0`,
+    /// `x ≥ 0` and `1 + σ·g > 0`), so when both ends of a rail's `g`
+    /// interval give one code, the exact `g` gives it too.
+    fn certify(&self, rails: &mut [[f64; 2]], draw: impl Fn(usize) -> [f64; 2]) -> u64 {
+        // Three passes with no data-dependent branch: the draws and table
+        // lookups (scalar, where LLVM would otherwise vectorize the key
+        // mixing with a slower emulated 64-bit multiply), the arithmetic
+        // over the flat rails (it vectorizes), and the verdicts. Rail
+        // `2i + j` is rail `j` of lane `i` in both arrays.
+        let (mut g_lo, mut g_hi) = ([0.0f64; 2 * LANES], [0.0f64; 2 * LANES]);
+        let intervals = g_lo.chunks_exact_mut(2).zip(g_hi.chunks_exact_mut(2));
+        for (i, (lo, hi)) in intervals.take(rails.len()).enumerate() {
+            let [u1, u2] = draw(i);
+            let [r_lo, r_hi] = self.table.radius[BoxMullerBounds::bucket(u1)];
+            let [c_lo, c_hi] = self.table.trig[BoxMullerBounds::bucket(u2)];
+            // g = r·c with r ≥ 0: monotone in r for fixed c, increasing
+            // in c. The products are finite, so `<` selects like `min`.
+            for j in 0..2 {
+                let (a, b) = (r_lo * c_lo[j], r_hi * c_lo[j]);
+                lo[j] = if a < b { a } else { b };
+                let (a, b) = (r_lo * c_hi[j], r_hi * c_hi[j]);
+                hi[j] = if a > b { a } else { b };
+            }
+        }
+        // In place: `g_lo` becomes each rail's reading, `g_hi` 1.0 where
+        // the rail is certified and 0.0 where it is not.
+        let (sigma, step, max_code) = (self.sigma, self.step, self.max_code);
+        for ((&x, lo), hi) in rails.as_flattened().iter().zip(&mut g_lo).zip(&mut g_hi) {
+            // `quantize`'s operation order, at both ends of the interval.
+            let v_lo = x * (1.0 + sigma * *lo) / step;
+            let v_hi = x * (1.0 + sigma * *hi) / step;
+            // The integer nearest `v_lo`, by the 2^52 shifter: an integer
+            // for any non-negative `v_lo` (below 2^52 the sum's spacing
+            // is 1; above it every f64 is one). Strict bounds exclude
+            // ties. The sign test rejects negative readings and `−0.0`,
+            // whose code keeps its sign.
+            const SHIFTER: f64 = (1u64 << 52) as f64;
+            let m = (v_lo + SHIFTER) - SHIFTER;
+            let pass = v_lo.is_sign_positive() & (m - 0.5 < v_lo) & (v_hi < m + 0.5);
+            *lo = if m < max_code { m } else { max_code } * step;
+            *hi = if pass { 1.0 } else { 0.0 };
+        }
+        let mut exact = 0u64;
+        let verdicts = g_lo.chunks_exact(2).zip(g_hi.chunks_exact(2));
+        for (i, (x, (reading, certified))) in rails.iter_mut().zip(verdicts).enumerate() {
+            let pass = certified == [1.0, 1.0];
+            exact |= u64::from(!pass) << i;
+            *x = if pass { [reading[0], reading[1]] } else { *x };
+        }
+        exact
     }
 }
 
@@ -456,7 +509,6 @@ mod tests {
         tir.accumulate(7);
         assert_eq!(tir.end_phase(), 7);
         assert_eq!(tir.active(), ActiveCapacitor::C1);
-        assert_eq!(tir.phases_completed(), 2);
         // C1 was discharged while C2 accumulated.
         tir.accumulate(1);
         assert_eq!(tir.end_phase(), 1);
@@ -517,7 +569,7 @@ mod tests {
             use rand::Rng;
             let p = rng.gen_range(4506u64..=45056) as f64;
             let n = rng.gen_range(4506u64..=45056) as f64;
-            let (cp, cn) = adc.convert_pair(p, n, &mut rng);
+            let [cp, cn] = convert_one(&adc, [p, n], &mut rng);
             pos_err += ((cp - p) / p).abs();
             neg_err += ((cn - n) / n).abs();
         }
@@ -531,6 +583,14 @@ mod tests {
             (neg_mape - 1.3).abs() < 0.25,
             "neg rail MAPE {neg_mape:.3} %"
         );
+    }
+
+    /// One rail pair through [`AdcModel::convert_pairs`], as a batch of
+    /// one lane.
+    fn convert_one<R: rand::RngCore>(adc: &AdcModel, x: [f64; 2], rng: &mut R) -> [f64; 2] {
+        let (mut rails, draw) = ([x], box_muller_uniforms(rng));
+        adc.convert_pairs(&mut rails, |_| draw);
+        rails[0]
     }
 
     /// Replays fixed words, so both conversion paths see one draw.
@@ -563,7 +623,7 @@ mod tests {
                 let [r_lo, r_hi] = table.radius[b];
                 assert!(within(radius(u), r_lo, r_hi), "radius at u1 = {u:e}");
             }
-            let [cos_lo, cos_hi, sin_lo, sin_hi] = table.trig[b];
+            let [[cos_lo, sin_lo], [cos_hi, sin_hi]] = table.trig[b];
             let (sin_t, cos_t) = angle(u).sin_cos();
             assert!(within(cos_t, cos_lo, cos_hi), "cos at u2 = {u:e}");
             assert!(within(sin_t, sin_lo, sin_hi), "sin at u2 = {u:e}");
@@ -604,40 +664,134 @@ mod tests {
             };
             let (pos, neg) = (rail(), rail());
             let mut word = || match rng.gen_range(0..8) {
-                0 => rng.gen_range(0..BUCKETS as u64) << 54,
+                0 => rng.gen_range(0..BUCKETS as u64) << (64 - BUCKETS.ilog2()),
                 1 => 0,
                 2 => u64::MAX,
                 _ => rng.gen_range(0..=u64::MAX),
             };
             let words = [word(), word()];
-            let got = adc.convert_pair(pos, neg, &mut Replay(words, 0));
+            let mut got = [[pos, neg]];
+            let exact = adc.convert_pairs(&mut got, |_| box_muller_uniforms(&mut Replay(words, 0)));
             let want = adc.convert_pair_reference(pos, neg, &mut Replay(words, 0));
-            let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
             assert_eq!(
-                bits(got),
-                bits(want),
+                got[0].map(f64::to_bits),
+                [want.0.to_bits(), want.1.to_bits()],
                 "{adc:?} pos {pos} neg {neg} {words:?}"
             );
-            let (u1, u2) = box_muller_uniforms(&mut Replay(words, 0));
-            match adc.certify_pair(pos, neg, u1, u2) {
-                Some(_) => certified += 1,
-                None => fallback += 1,
+            match exact {
+                0 => certified += 1,
+                _ => fallback += 1,
             }
         }
         assert!(certified > 0 && fallback > 0, "{certified} / {fallback}");
     }
 
+    /// Uniform words whose `u1` falls in bucket 0, whose radius bounds
+    /// are wide enough that almost no rail certifies.
+    fn bucket0_word(rng: &mut StdRng) -> u64 {
+        rng.gen_range(0..1u64 << (64 - BUCKETS.ilog2()))
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_batch_matches_reference_lane_for_lane(
+            shape in (0usize..6, 0usize..5, 0usize..4),
+            seed in 0u64..u64::MAX,
+        ) {
+            // Lane counts around the 64-lane mask width; σ at 0, 1× and
+            // 4× the default, negative and NaN; a zero full scale (the
+            // step degenerates) or a random one; rails at 0, at full
+            // scale, above it, on half-code ties or anywhere in range;
+            // lanes whose `u1` sits in bucket 0 interleaved with the rest.
+            let (lanes_i, sigma_i, scale_i) = shape;
+            let lanes = [0, 1, 31, 32, 33, 64][lanes_i];
+            let sigma = [1.0, 0.0, 4.0, -1.0, f64::NAN][sigma_i] * DEFAULT_ADC_NOISE_SIGMA;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let adc = AdcModel {
+                bits: 8,
+                full_scale_ones: if scale_i == 0 { 0 } else { rng.gen_range(1..=176 * 256) },
+                relative_noise_sigma: sigma,
+            };
+            let (full, step) = (adc.full_scale_ones as f64, adc.step_ones());
+            let rail = |rng: &mut StdRng| match rng.gen_range(0..5) {
+                0 => 0.0,
+                1 => full,
+                2 => full + rng.gen_range(1..=1 + adc.full_scale_ones) as f64,
+                3 => (rng.gen_range(0..256u64) as f64 + 0.5) * step,
+                _ => rng.gen_range(0..=adc.full_scale_ones) as f64,
+            };
+            let rails: Vec<[f64; 2]> = (0..lanes).map(|_| [rail(&mut rng), rail(&mut rng)]).collect();
+            let words: Vec<[u64; 2]> = (0..lanes)
+                .map(|i| match i % 2 {
+                    0 => [bucket0_word(&mut rng), rng.gen_range(0..=u64::MAX)],
+                    _ => [rng.gen_range(0..=u64::MAX), rng.gen_range(0..=u64::MAX)],
+                })
+                .collect();
+            let draws: Vec<[f64; 2]> =
+                words.iter().map(|&w| box_muller_uniforms(&mut Replay(w, 0))).collect();
+            let mut got = rails.clone();
+            let exact = adc.convert_pairs(&mut got, |i| draws[i]);
+            let mut exact_one_by_one = 0;
+            for (i, (&[pos, neg], &w)) in rails.iter().zip(&words).enumerate() {
+                let (want_pos, want_neg) = adc.convert_pair_reference(pos, neg, &mut Replay(w, 0));
+                proptest::prop_assert_eq!(
+                    got[i].map(f64::to_bits),
+                    [want_pos.to_bits(), want_neg.to_bits()],
+                    "lane {} of {}: {:?} rails {:?} words {:?}", i, lanes, adc, rails[i], w
+                );
+                exact_one_by_one += adc.convert_pairs(&mut [rails[i]], |_| draws[i]);
+            }
+            // Batching changes no lane's verdict, and a model outside the
+            // certifiable range sends every lane to the exact transform.
+            proptest::prop_assert_eq!(exact, exact_one_by_one);
+            if sigma < 0.0 || sigma.is_nan() || scale_i == 0 {
+                proptest::prop_assert_eq!(exact, lanes);
+            }
+        }
+    }
+
+    #[test]
+    fn certify_share_stays_above_99_percent() {
+        // The exact-lane count comes from `convert_pairs` itself, so a
+        // change that quietly sends lanes to the exact transform fails
+        // here rather than only slowing the benchmark. Range-matched
+        // S = 9 and full N = 176 models, rails at 10–100 % of full scale.
+        let mut rng = StdRng::seed_from_u64(0xCE27_5A4E);
+        for len in [9u64, 176] {
+            let adc = AdcModel {
+                full_scale_ones: len * 256,
+                ..AdcModel::sconna_default()
+            };
+            let fs = adc.full_scale_ones;
+            let (mut exact, mut lanes) = (0, 0);
+            for _ in 0..500 {
+                let mut rails: Vec<[f64; 2]> = (0..64)
+                    .map(|_| [0, 1].map(|_| rng.gen_range(fs / 10..=fs) as f64))
+                    .collect();
+                let draws: Vec<[f64; 2]> = (0..64).map(|_| box_muller_uniforms(&mut rng)).collect();
+                exact += adc.convert_pairs(&mut rails, |i| draws[i]);
+                lanes += rails.len();
+            }
+            let certified = 1.0 - exact as f64 / lanes as f64;
+            assert!(
+                certified >= 0.99,
+                "S = {len}: {:.3} % certified",
+                100.0 * certified
+            );
+        }
+    }
+
     #[test]
     fn paired_conversion_is_deterministic_and_independent_per_rail() {
         let adc = AdcModel::sconna_default();
-        let a = adc.convert_pair(20000.0, 18000.0, &mut StdRng::seed_from_u64(7));
-        let b = adc.convert_pair(20000.0, 18000.0, &mut StdRng::seed_from_u64(7));
+        let a = convert_one(&adc, [20000.0, 18000.0], &mut StdRng::seed_from_u64(7));
+        let b = convert_one(&adc, [20000.0, 18000.0], &mut StdRng::seed_from_u64(7));
         assert_eq!(a, b);
         // The two rails must not share one noise value: across a batch of
         // draws the multiplicative errors must differ somewhere.
         let mut rng = StdRng::seed_from_u64(9);
         let diverged = (0..64).any(|_| {
-            let (p, n) = adc.convert_pair(30000.0, 30000.0, &mut rng);
+            let [p, n] = convert_one(&adc, [30000.0, 30000.0], &mut rng);
             p != n
         });
         assert!(diverged, "rails always drew identical noise");

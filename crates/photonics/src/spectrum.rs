@@ -53,11 +53,6 @@ impl DwdmGrid {
         );
         self.start_m + i as f64 * self.spacing_m
     }
-
-    /// Iterates over all channel wavelengths.
-    pub fn wavelengths(&self) -> impl Iterator<Item = f64> + '_ {
-        (0..self.channels).map(|i| self.wavelength_m(i))
-    }
 }
 
 /// Fraction of a neighbouring channel's power a Lorentzian ring tuned to
@@ -110,16 +105,6 @@ mod tests {
         assert_eq!(g.channels, 200);
         let span = g.wavelength_m(199) - g.wavelength_m(0);
         assert!((span - 199.0 * 0.25e-9).abs() < 1e-15);
-    }
-
-    #[test]
-    fn wavelengths_strictly_increasing() {
-        let g = DwdmGrid::within_fsr(50e-9, 0.25e-9);
-        let ws: Vec<f64> = g.wavelengths().collect();
-        assert_eq!(ws.len(), 200);
-        for pair in ws.windows(2) {
-            assert!(pair[1] > pair[0]);
-        }
     }
 
     #[test]

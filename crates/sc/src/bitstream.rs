@@ -158,20 +158,6 @@ impl PackedBitstream {
             .sum()
     }
 
-    /// Left-rotates the stream by `k` bits (stream position `t` moves to
-    /// `(t + k) % len`). Rotation is the classic decorrelation primitive for
-    /// re-using one random source across SNGs.
-    pub fn rotate_left(&self, k: usize) -> Self {
-        if self.len == 0 {
-            return self.clone();
-        }
-        let k = k % self.len;
-        Self::from_bits((0..self.len).map(|t| {
-            let src = (t + self.len - k) % self.len;
-            self.get(src)
-        }))
-    }
-
     /// Iterates over the bits in stream order (what a serializer emits to
     /// the optical AND gate, Section IV-B).
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
@@ -278,9 +264,6 @@ mod tests {
             prop_assert_eq!(s.count_ones() + n.count_ones(), len);
             assert_tail_clear(&s.and(&n));
             prop_assert_eq!(s.and(&n).count_ones(), 0);
-            let r = s.rotate_left(seed as usize % (len + 1));
-            assert_tail_clear(&r);
-            prop_assert_eq!(r.count_ones(), expected);
         }
     }
 
@@ -331,21 +314,6 @@ mod tests {
         let n = s.not();
         assert_eq!(n.count_ones(), 70);
         assert_eq!(n.len(), 100);
-    }
-
-    #[test]
-    fn rotate_left_preserves_count() {
-        let s = PackedBitstream::from_bits((0..77).map(|t| t % 5 == 0));
-        let ones = s.count_ones();
-        for k in [0, 1, 13, 76, 77, 200] {
-            let r = s.rotate_left(k);
-            assert_eq!(r.count_ones(), ones, "k={k}");
-        }
-        // Position check: bit at t moves to (t + k) % len.
-        let r = s.rotate_left(3);
-        for t in 0..77 {
-            assert_eq!(r.get((t + 3) % 77), s.get(t));
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The OSM peripheral: offline-generated bit-vector LUT plus serializers
-//! (Fig. 5 of the paper).
+//! The OSM peripheral's offline-generated bit-vector LUT (Fig. 5 of the
+//! paper).
 //!
 //! Section IV-B stores, for `B`-bit precision, `2^B` LUT entries, each
 //! holding **two `2^B`-bit vectors** — the uncorrelated encoding of a value
@@ -223,43 +223,6 @@ impl OsmProductLut {
     }
 }
 
-/// A serializer models the LUT-to-OAG path: it drains a fetched bit-vector
-/// one bit per `1/bitrate` interval (Section IV-B drives the OAG PN
-/// junctions at up to 40 Gb/s). The iterator yields `(time_ps, bit)` pairs.
-#[derive(Debug, Clone)]
-pub struct Serializer {
-    /// Serialization bitrate in bits per second.
-    pub bitrate_hz: f64,
-}
-
-impl Serializer {
-    /// Creates a serializer at the given bitrate.
-    ///
-    /// # Panics
-    /// Panics if the bitrate is not positive.
-    pub fn new(bitrate_hz: f64) -> Self {
-        assert!(bitrate_hz > 0.0, "bitrate must be positive");
-        Self { bitrate_hz }
-    }
-
-    /// Bit interval in picoseconds.
-    pub fn bit_period_ps(&self) -> f64 {
-        1e12 / self.bitrate_hz
-    }
-
-    /// Serializes a stream into `(time_ps, bit)` events.
-    pub fn serialize<'a>(
-        &'a self,
-        stream: &'a PackedBitstream,
-    ) -> impl Iterator<Item = (f64, bool)> + 'a {
-        let period = self.bit_period_ps();
-        stream
-            .iter()
-            .enumerate()
-            .map(move |(t, b)| (t as f64 * period, b))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,30 +274,6 @@ mod tests {
             }
         }
         assert!(total_err > 0, "XOR hashing should show aliasing error");
-    }
-
-    #[test]
-    fn serializer_timing() {
-        let s = Serializer::new(30e9); // SCONNA's 30 Gb/s
-        assert!((s.bit_period_ps() - 33.333).abs() < 0.01);
-    }
-
-    #[test]
-    fn serializer_emits_all_bits_in_order() {
-        let s = Serializer::new(10e9);
-        let stream = PackedBitstream::from_bits([true, false, true, true]);
-        let events: Vec<(f64, bool)> = s.serialize(&stream).collect();
-        assert_eq!(events.len(), 4);
-        assert_eq!(events[0], (0.0, true));
-        assert!((events[1].0 - 100.0).abs() < 1e-9);
-        assert!(!events[1].1);
-        assert!(events[3].1);
-    }
-
-    #[test]
-    #[should_panic(expected = "bitrate must be positive")]
-    fn serializer_rejects_zero_bitrate() {
-        let _ = Serializer::new(0.0);
     }
 
     /// Asserts every `(i, w, parity)` of the given operand lists: the

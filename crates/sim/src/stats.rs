@@ -175,6 +175,12 @@ impl QueueDepthSamples {
         self.samples.push((at, depth));
     }
 
+    /// Drops the growth slack of a finished series, so a report that
+    /// keeps it holds only its samples.
+    pub fn shrink_to_fit(&mut self) {
+        self.samples.shrink_to_fit();
+    }
+
     /// Depth recorded by the most recent sample (`None` before the first).
     pub fn last_depth(&self) -> Option<usize> {
         self.samples.last().map(|&(_, d)| d)
