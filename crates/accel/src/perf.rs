@@ -326,16 +326,15 @@ pub fn register_components(ledger: &mut EnergyLedger, cfg: &AcceleratorConfig) {
     }
 }
 
-/// Records the dynamic operations of one batched inference (analyzed as
-/// `layers`) on a ledger whose components were registered with
-/// [`register_components`] for the same accelerator kind.
-pub fn record_inference_ops(
-    ledger: &mut EnergyLedger,
+/// The dynamic operations of one batched inference (analyzed as
+/// `layers`), as `(component class, ops)` pairs over the classes
+/// [`register_components`] registers for `cfg`'s accelerator kind.
+pub fn inference_ops(
     cfg: &AcceleratorConfig,
     layers: &[LayerPerf],
     model: &CnnModel,
     batch: usize,
-) {
+) -> Vec<(&'static str, u64)> {
     let n = cfg.vdpe_size_n as u64;
     let total_passes: u64 = layers.iter().map(|l| l.passes).sum();
     let total_psum_adds: u64 = layers.iter().map(|l| l.psum_adds).sum();
@@ -347,16 +346,17 @@ pub fn record_inference_ops(
         .sum::<u64>()
         * batch as u64;
 
-    ledger.record_ops("activation", total_outputs);
-    ledger.record_ops("pooling", total_outputs / 4);
-    ledger.record_ops("reduction", total_psum_adds);
-
+    let mut ops = vec![
+        ("activation", total_outputs),
+        ("pooling", total_outputs / 4),
+        ("reduction", total_psum_adds),
+    ];
     match cfg.kind {
-        AcceleratorKind::Sconna => {
-            ledger.record_ops("serializer", total_passes * n);
-            ledger.record_ops("osm-lut", total_passes * n);
-            ledger.record_ops("pca-adc", total_passes);
-        }
+        AcceleratorKind::Sconna => ops.extend([
+            ("serializer", total_passes * n),
+            ("osm-lut", total_passes * n),
+            ("pca-adc", total_passes),
+        ]),
         AcceleratorKind::Mam | AcceleratorKind::Amm => {
             // DIV DACs: MAM shares one DIV block per VDPC; AMM drives one
             // per VDPE.
@@ -365,9 +365,28 @@ pub fn record_inference_ops(
             } else {
                 total_passes * n
             };
-            ledger.record_ops("dac", div_dac_ops + total_reprograms * n);
-            ledger.record_ops("adc", total_passes);
+            ops.extend([
+                ("dac", div_dac_ops + total_reprograms * n),
+                ("adc", total_passes),
+            ]);
         }
+    }
+    ops
+}
+
+/// Records the dynamic operations of one batched inference (analyzed as
+/// `layers`, counted by [`inference_ops`]) on a ledger whose components
+/// were registered with [`register_components`] for the same accelerator
+/// kind.
+pub fn record_inference_ops(
+    ledger: &mut EnergyLedger,
+    cfg: &AcceleratorConfig,
+    layers: &[LayerPerf],
+    model: &CnnModel,
+    batch: usize,
+) {
+    for (name, ops) in inference_ops(cfg, layers, model, batch) {
+        ledger.record_ops(name, ops);
     }
 }
 

@@ -58,8 +58,8 @@ use super::{
 };
 use crate::organization::AcceleratorConfig;
 use crate::perf::{
-    analyze_layer_batched, model_reload_time, model_swap_time, model_warm_reload_time,
-    record_inference_ops, LayerPerf,
+    analyze_layer_batched, inference_ops, model_reload_time, model_swap_time,
+    model_warm_reload_time, LayerPerf,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -109,6 +109,7 @@ pub struct FunctionalWorkload<'a> {
 }
 
 /// Scheduler events.
+#[derive(Clone)]
 enum Ev {
     /// A request of tenant `.0` enters that tenant's queue.
     Arrive(u32),
@@ -249,13 +250,22 @@ impl Instance {
     }
 }
 
-/// Per-batch-size analysis cache: the batched layer walk is identical for
-/// every batch of the same size, so it is computed once per size.
+/// What every batch of one size costs.
+#[derive(Clone)]
+struct BatchProfile {
+    makespan: SimTime,
+    /// Dynamic operations, as `(energy-ledger row, ops)` pairs.
+    ops: Vec<(usize, u64)>,
+}
+
+/// Per-batch-size analysis cache: every batch of one size takes the same
+/// time and books the same operations, so the batched layer walk runs
+/// once per size.
 struct BatchProfiles<'a> {
     /// The operating point the batches run (and record energy) at.
     cfg: AcceleratorConfig,
     model: &'a CnnModel,
-    by_size: Vec<Option<(SimTime, Vec<LayerPerf>)>>,
+    by_size: Vec<Option<BatchProfile>>,
 }
 
 impl<'a> BatchProfiles<'a> {
@@ -267,7 +277,9 @@ impl<'a> BatchProfiles<'a> {
         }
     }
 
-    fn get(&mut self, batch: usize) -> &(SimTime, Vec<LayerPerf>) {
+    /// The profile of a `batch`-request batch, its operations resolved
+    /// to `ledger`'s energy rows.
+    fn get(&mut self, batch: usize, ledger: &Ledger) -> &BatchProfile {
         let slot = &mut self.by_size[batch];
         if slot.is_none() {
             let layers: Vec<LayerPerf> = self
@@ -277,7 +289,11 @@ impl<'a> BatchProfiles<'a> {
                 .map(|w| analyze_layer_batched(&self.cfg, w, batch))
                 .collect();
             let makespan = layers.iter().fold(SimTime::ZERO, |acc, l| acc + l.total);
-            *slot = Some((makespan, layers));
+            let ops = inference_ops(&self.cfg, &layers, self.model, batch)
+                .into_iter()
+                .map(|(name, ops)| (ledger.energy_row(name), ops))
+                .collect();
+            *slot = Some(BatchProfile { makespan, ops });
         }
         slot.as_ref()
             .expect("invariant: slot was filled by the branch above")
@@ -400,6 +416,8 @@ impl RackRouter {
 
 /// Mutable scheduler state threaded through the event handlers.
 struct Scheduler<'a> {
+    /// The run's config, less its roster: `tenants` (or, in a
+    /// single-tenant run, `arrivals`) moved into [`Self::tenants`].
     cfg: ServingConfig,
     /// The servable models, index order of the tenant specs' `model`
     /// field. Single-model fleets hold exactly one entry.
@@ -666,16 +684,13 @@ impl Scheduler<'_> {
         } else {
             &mut m.profiles
         };
-        let accel = profiles.cfg;
-        let (makespan, layers) = profiles.get(n);
+        let profile = profiles.get(n, &self.ledger);
         // Co-resident weights: switching models repoints (SCONNA) or
         // reprograms (analog) the arrays before the batch runs.
         let swap = (self.nodes[inst].resident != midx).then_some(m.swap_time);
         self.nodes[inst].resident = midx;
-        self.ledger.charge(t, swap, |energy| {
-            record_inference_ops(energy, &accel, layers, m.model, n);
-        });
-        swap.unwrap_or(SimTime::ZERO) + *makespan
+        self.ledger.charge(t, swap, &profile.ops);
+        swap.unwrap_or(SimTime::ZERO) + profile.makespan
     }
 
     /// Dispatches as many batches as idle instances and pending requests
@@ -1363,16 +1378,15 @@ impl<'a> Fleet<'a> {
         // A single-tenant run is a one-tenant roster carrying the
         // config's own arrival process and budget: the legacy path *is*
         // the multi-tenant path, so both stay bit-identical by
-        // construction.
-        let roster: Vec<TenantSpec> = if config.tenants.is_empty() {
-            vec![TenantSpec::new(
-                "default",
-                0,
-                config.arrivals.clone(),
-                config.requests,
-            )]
+        // construction. The roster moves out of the scheduler's copy of
+        // the config, and each trace moves on into the event queue, so
+        // the fleet holds one copy of every trace.
+        let mut cfg = config.clone();
+        let roster: Vec<TenantSpec> = if cfg.tenants.is_empty() {
+            let arrivals = std::mem::replace(&mut cfg.arrivals, ArrivalProcess::trace(Vec::new()));
+            vec![TenantSpec::new("default", 0, arrivals, cfg.requests)]
         } else {
-            config.tenants.clone()
+            std::mem::take(&mut cfg.tenants)
         };
         for t in &roster {
             if t.model >= models.len() {
@@ -1423,24 +1437,23 @@ impl<'a> Fleet<'a> {
                 warm_reload_time: model_warm_reload_time(&config.accelerator, m),
             })
             .collect();
-        let tenants: Vec<TenantRt> = roster
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| TenantRt::new(spec.clone(), i, config.seed))
+        let nodes = (0..config.instances)
+            // Round-robin bring-up residency: instance i starts holding
+            // the model of tenant i mod roster. One tenant → every
+            // instance already resident → no swaps, ever.
+            .map(|i| Instance::fresh(roster[i % roster.len()].model))
             .collect();
-
         let mut sched = Scheduler {
             models: model_ctxs,
             ledger: Ledger::new(config, roster.len()),
             pending: (0..roster.len()).map(|_| VecDeque::new()).collect(),
-            tenants,
-            vclock: 0.0,
-            nodes: (0..config.instances)
-                // Round-robin bring-up residency: instance i starts
-                // holding the model of tenant i mod roster. One tenant →
-                // every instance already resident → no swaps, ever.
-                .map(|i| Instance::fresh(roster[i % roster.len()].model))
+            tenants: roster
+                .into_iter()
+                .enumerate()
+                .map(|(i, spec)| TenantRt::new(spec, i, config.seed))
                 .collect(),
+            vclock: 0.0,
+            nodes,
             router: RackRouter::new(config.instances),
             auto,
             faults: Vec::new(),
@@ -1448,7 +1461,7 @@ impl<'a> Fleet<'a> {
             flush_epoch: 0,
             flush_armed: false,
             force_flush: false,
-            cfg: config.clone(),
+            cfg,
         };
 
         if let Some(auto) = &sched.auto {
@@ -1464,13 +1477,13 @@ impl<'a> Fleet<'a> {
 
         let mut q = EventQueue::new();
         for t in 0..sched.tenants.len() {
-            match sched.tenants[t].spec.arrivals.clone() {
+            match &mut sched.tenants[t].spec.arrivals {
                 ArrivalProcess::Poisson { .. } => {
                     // Seed the first arrival; each arrival schedules the
                     // next.
                     sched.schedule_poisson_arrival(&mut q, t);
                 }
-                ArrivalProcess::ClosedLoop { clients } => {
+                &mut ArrivalProcess::ClosedLoop { clients } => {
                     let initial = clients.min(sched.tenants[t].spec.requests);
                     for _ in 0..initial {
                         sched.tenants[t].issued += 1;
@@ -1478,10 +1491,11 @@ impl<'a> Fleet<'a> {
                     }
                 }
                 ArrivalProcess::Trace { times } => {
+                    // Nothing reads the times once they are queued: the
+                    // spec keeps an empty trace.
+                    let times = std::mem::take(times);
                     sched.tenants[t].issued = times.len();
-                    for &at in &times {
-                        q.schedule_at(at, Ev::Arrive(t as u32));
-                    }
+                    q.schedule_many(times, Ev::Arrive(t as u32));
                 }
             }
         }

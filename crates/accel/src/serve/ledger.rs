@@ -197,12 +197,25 @@ impl Ledger {
         tally.batched_requests += reqs.len() as u64;
     }
 
-    /// Books one batch of tenant `t`: the dynamic energy `ops` records
-    /// on the fleet's energy ledger, its delta attributed to the tenant,
-    /// plus the model swap the batch paid, if any.
-    pub fn charge(&mut self, t: usize, swap: Option<SimTime>, ops: impl FnOnce(&mut EnergyLedger)) {
+    /// The fleet energy ledger's row of component class `name`.
+    ///
+    /// # Panics
+    /// Panics if the fleet's accelerator registers no such class.
+    pub fn energy_row(&self, name: &str) -> usize {
+        self.energy
+            .index_of(name)
+            .unwrap_or_else(|| panic!("unknown component {name}"))
+    }
+
+    /// Books one batch of tenant `t`: its dynamic operations `ops`, as
+    /// `(energy row, ops)` pairs ([`Ledger::energy_row`]), on the fleet's
+    /// energy ledger, the energy delta attributed to the tenant, plus the
+    /// model swap the batch paid, if any.
+    pub fn charge(&mut self, t: usize, swap: Option<SimTime>, ops: &[(usize, u64)]) {
         let before = self.energy.dynamic_energy_j();
-        ops(&mut self.energy);
+        for &(row, n) in ops {
+            self.energy.record_ops_at(row, n);
+        }
         let tally = &mut self.tallies[t];
         tally.energy_j += self.energy.dynamic_energy_j() - before;
         if let Some(swap) = swap {

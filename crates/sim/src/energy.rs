@@ -7,7 +7,6 @@
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Static + per-operation power/energy/area description of one component
 /// class (one Table IV row).
@@ -44,11 +43,24 @@ pub struct ComponentUsage {
     pub ops: u64,
 }
 
+/// One registered component class.
+#[derive(Debug, Clone)]
+struct Row {
+    name: String,
+    spec: ComponentSpec,
+    usage: ComponentUsage,
+}
+
 /// Energy/area ledger across component classes.
+///
+/// The classes are one name-sorted list of rows, so every total adds its
+/// per-class terms in name order. A hot caller books operations by row
+/// index ([`EnergyLedger::index_of`], [`EnergyLedger::record_ops_at`])
+/// instead of by name; an index is stable once every class is
+/// registered.
 #[derive(Debug, Clone, Default)]
 pub struct EnergyLedger {
-    specs: BTreeMap<String, ComponentSpec>,
-    usage: BTreeMap<String, ComponentUsage>,
+    rows: Vec<Row>,
 }
 
 impl EnergyLedger {
@@ -57,19 +69,42 @@ impl EnergyLedger {
         Self::default()
     }
 
+    /// The row of `name`, or where it would be inserted.
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.rows
+            .binary_search_by(|row| row.name.as_str().cmp(name))
+    }
+
     /// Registers `instances` physical copies of a component class.
+    /// Registering a new class shifts the row index of every class named
+    /// after it.
     ///
     /// # Panics
     /// Panics if the class was already registered with a different spec.
     pub fn register(&mut self, name: &str, spec: ComponentSpec, instances: u64) {
-        if let Some(prev) = self.specs.get(name) {
-            assert_eq!(
-                *prev, spec,
-                "component {name} re-registered with different spec"
-            );
+        match self.find(name) {
+            Ok(i) => {
+                let row = &mut self.rows[i];
+                assert_eq!(
+                    row.spec, spec,
+                    "component {name} re-registered with different spec"
+                );
+                row.usage.instances += instances;
+            }
+            Err(i) => self.rows.insert(
+                i,
+                Row {
+                    name: name.to_string(),
+                    spec,
+                    usage: ComponentUsage { instances, ops: 0 },
+                },
+            ),
         }
-        self.specs.insert(name.to_string(), spec);
-        self.usage.entry(name.to_string()).or_default().instances += instances;
+    }
+
+    /// The row index of a class, if registered.
+    pub fn index_of(&self, name: &str) -> Option<usize> {
+        self.find(name).ok()
     }
 
     /// Records `ops` dynamic operations on a component class.
@@ -77,36 +112,39 @@ impl EnergyLedger {
     /// # Panics
     /// Panics if the class is unknown.
     pub fn record_ops(&mut self, name: &str, ops: u64) {
-        assert!(self.specs.contains_key(name), "unknown component {name}");
-        self.usage
-            .get_mut(name)
-            .expect("invariant: specs and usage are inserted together in register_components")
-            .ops += ops;
+        let index = self
+            .index_of(name)
+            .unwrap_or_else(|| panic!("unknown component {name}"));
+        self.record_ops_at(index, ops);
     }
 
-    /// The spec of a class, if registered.
-    pub fn spec(&self, name: &str) -> Option<&ComponentSpec> {
-        self.specs.get(name)
+    /// Records `ops` dynamic operations on the class at row `index`
+    /// ([`EnergyLedger::index_of`]).
+    ///
+    /// # Panics
+    /// Panics if `index` is not a row.
+    pub fn record_ops_at(&mut self, index: usize, ops: u64) {
+        self.rows[index].usage.ops += ops;
     }
 
     /// The usage of a class, if registered.
     pub fn usage(&self, name: &str) -> Option<&ComponentUsage> {
-        self.usage.get(name)
+        self.index_of(name).map(|i| &self.rows[i].usage)
     }
 
     /// Total static power of all registered instances, watts.
     pub fn static_power_w(&self) -> f64 {
-        self.specs
+        self.rows
             .iter()
-            .map(|(name, spec)| spec.static_power_w * self.usage[name].instances as f64)
+            .map(|row| row.spec.static_power_w * row.usage.instances as f64)
             .sum()
     }
 
     /// Total dynamic energy of all recorded operations, joules.
     pub fn dynamic_energy_j(&self) -> f64 {
-        self.specs
+        self.rows
             .iter()
-            .map(|(name, spec)| spec.energy_per_op_j * self.usage[name].ops as f64)
+            .map(|row| row.spec.energy_per_op_j * row.usage.ops as f64)
             .sum()
     }
 
@@ -126,21 +164,21 @@ impl EnergyLedger {
 
     /// Total die area of all registered instances, mm².
     pub fn total_area_mm2(&self) -> f64 {
-        self.specs
+        self.rows
             .iter()
-            .map(|(name, spec)| spec.area_mm2 * self.usage[name].instances as f64)
+            .map(|row| row.spec.area_mm2 * row.usage.instances as f64)
             .sum()
     }
 
     /// Per-class energy breakdown over a run, sorted by name.
     pub fn breakdown_j(&self, makespan: SimTime) -> Vec<(String, f64)> {
-        self.specs
+        self.rows
             .iter()
-            .map(|(name, spec)| {
-                let u = self.usage[name];
+            .map(|row| {
+                let (spec, u) = (&row.spec, row.usage);
                 let e = spec.static_power_w * u.instances as f64 * makespan.as_secs_f64()
                     + spec.energy_per_op_j * u.ops as f64;
-                (name.clone(), e)
+                (row.name.clone(), e)
             })
             .collect()
     }
@@ -213,6 +251,25 @@ mod tests {
         assert_eq!(bd.len(), 2);
         let total: f64 = bd.iter().map(|(_, e)| e).sum();
         assert!((total - l.total_energy_j(SimTime::from_secs_f64(1.0))).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rows_sort_by_name_and_book_by_index() {
+        let mut l = EnergyLedger::new();
+        l.register("pca", spec(0.0, 1e-9, 0.0), 1);
+        l.register("adc", spec(0.0, 2e-12, 0.0), 1);
+        let names: Vec<String> = l
+            .breakdown_j(SimTime::ZERO)
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(names, ["adc", "pca"]);
+        assert_eq!(l.index_of("ghost"), None);
+        let adc = l.index_of("adc").unwrap();
+        l.record_ops_at(adc, 3);
+        l.record_ops("adc", 2);
+        assert_eq!(l.usage("adc").unwrap().ops, 5);
+        assert_eq!(l.usage("pca").unwrap().ops, 0);
     }
 
     #[test]

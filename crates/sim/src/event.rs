@@ -7,25 +7,42 @@
 //!
 //! Two implementations share one contract:
 //!
-//! * [`EventQueue`] — the production queue, a **hierarchical time wheel**
-//!   (`LEVELS` levels of `SLOTS` buckets, `LEVEL_BITS` bits of the
-//!   picosecond tick per level, covering the full `u64` tick space).
-//!   Scheduling is `O(1)`; popping is `O(LEVELS)` amortized — each event
-//!   cascades toward level 0 at most once per level. At datacenter scale
-//!   (thousands of instances, millions of events) this removes the
-//!   `O(log n)` heap churn that dominated large fleets.
+//! * [`EventQueue`] — the production queue. It holds events in two
+//!   sources:
+//!   - a **hierarchical time wheel** (`LEVELS` levels of `SLOTS`
+//!     buckets, `LEVEL_BITS` bits of the picosecond tick per level,
+//!     covering the full `u64` tick space) for events scheduled one at a
+//!     time. Scheduling is `O(1)`; popping is `O(LEVELS)` amortized —
+//!     each event cascades toward level 0 at most once per level. At
+//!     datacenter scale (thousands of instances, millions of events) this
+//!     removes the `O(log n)` heap churn that dominated large fleets.
+//!   - **sorted streams** for a batch of same-payload events known up
+//!     front ([`EventQueue::schedule_many`], e.g. a replayed arrival
+//!     trace). A stream is sorted once and read through a cursor, so its
+//!     events never enter or cascade through the wheel. Timing wheels pay
+//!     off for timers scheduled at run time, not for a schedule that is
+//!     known and sorted before the run starts.
+//!
+//!   Every event carries a `(time, seq)` key, `seq` being its insertion
+//!   number, and [`pop`](EventQueue::pop) merges the two sources on that
+//!   key, so the sources are invisible in the firing order.
 //! * [`reference::EventQueue`] — the original binary-heap implementation,
 //!   kept as the executable specification and **parity oracle**: the
-//!   wheel must reproduce its pop order bit-for-bit, including
+//!   production queue must reproduce its pop order bit-for-bit, including
 //!   same-instant insertion-order tie-breaks (property-tested below over
-//!   random schedules, duplicates, interleaved push/pop and far-future
-//!   horizons).
+//!   random schedules, duplicates, interleaved push/pop, far-future
+//!   horizons and streams). Its `schedule_many` is the `schedule_at` loop
+//!   a stream replaces.
 //!
 //! The canonical tie-break — same-instant events fire in insertion order —
 //! falls out of the wheel structurally: a level-0 bucket spans exactly one
 //! tick and is a FIFO, cascades preserve relative order, and a bucket is
 //! only ever appended to after every earlier-sequenced event that could
-//! share it has already been placed there.
+//! share it has already been placed there. A stream takes one consecutive
+//! `seq` range, and its equal times are interchangeable (they share one
+//! payload). No other event's `seq` falls inside the range, so every
+//! event of a stream compares against any other event like the stream's
+//! first `seq` does.
 
 use crate::time::SimTime;
 use std::collections::VecDeque;
@@ -61,13 +78,29 @@ impl<E> Level<E> {
     }
 }
 
+/// A sorted run of same-payload events outside the wheel
+/// ([`EventQueue::schedule_many`]). Never empty: a stream is dropped
+/// when its last event pops.
+struct Stream<E> {
+    /// Pending firing times, latest first, so the next is the last.
+    times: Vec<SimTime>,
+    /// First of the stream's consecutive sequence numbers.
+    seq: u64,
+    payload: E,
+}
+
 /// An event queue with a simulation clock.
 ///
-/// Hierarchical-time-wheel implementation; see the module docs for the
-/// structure and [`reference::EventQueue`] for the heap-based oracle it
-/// is property-tested against.
+/// A hierarchical time wheel merged with sorted streams; see the module
+/// docs for the structure and [`reference::EventQueue`] for the
+/// heap-based oracle it is property-tested against.
 pub struct EventQueue<E> {
     levels: Vec<Level<E>>,
+    /// Sorted streams, in no particular order (pops pick by key).
+    streams: Vec<Stream<E>>,
+    /// The buffer a cascade drains into, kept so that cascades do not
+    /// free and reallocate bucket buffers.
+    spare: VecDeque<Scheduled<E>>,
     /// Tick cursor the bucket mapping is anchored to. Equal to
     /// `now.as_ps()` between calls; advances ahead of `now` only
     /// transiently inside [`pop`](Self::pop) while cascading.
@@ -78,17 +111,19 @@ pub struct EventQueue<E> {
     len: usize,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Clone> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Clone> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         Self {
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            streams: Vec::new(),
+            spare: VecDeque::new(),
             elapsed: 0,
             now: SimTime::ZERO,
             seq: 0,
@@ -141,6 +176,36 @@ impl<E> EventQueue<E> {
         self.insert(Scheduled { at, seq, payload });
     }
 
+    /// Schedules one copy of `payload` at each of `times`, in any order:
+    /// the same events, in the same firing order, as calling
+    /// [`schedule_at`](Self::schedule_at) for each time in turn. The
+    /// times are sorted once and kept as a stream beside the wheel, so
+    /// they never cascade through it.
+    ///
+    /// # Panics
+    /// Panics if any time is in the simulated past, as `schedule_at`.
+    pub fn schedule_many(&mut self, mut times: Vec<SimTime>, payload: E) {
+        times.sort();
+        times.reverse();
+        let Some(&first) = times.last() else {
+            return;
+        };
+        assert!(
+            first >= self.now,
+            "cannot schedule into the past: {} < {}",
+            first,
+            self.now
+        );
+        let seq = self.seq;
+        self.seq += times.len() as u64;
+        self.len += times.len();
+        self.streams.push(Stream {
+            times,
+            seq,
+            payload,
+        });
+    }
+
     /// The bucket an event at `tick` belongs to, given the current
     /// `elapsed` anchor: the level is the highest [`LEVEL_BITS`]-wide
     /// digit in which `tick` differs from `elapsed` (level 0 when equal),
@@ -181,25 +246,36 @@ impl<E> EventQueue<E> {
             .map(|(k, level)| (k, level.occupied.trailing_zeros() as usize))
     }
 
-    /// Firing time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let (level, slot) = self.lowest_occupied()?;
-        let bucket = &self.levels[level].slots[slot];
-        if level == 0 {
-            // A level-0 bucket spans exactly one tick.
-            bucket.front().map(|s| s.at)
-        } else {
-            // Higher-level buckets hold a time range in insertion order;
-            // the earliest is found by scan (peek never re-buckets).
-            bucket.iter().map(|s| s.at).min()
-        }
+    /// The stream whose next event comes first, with that event's
+    /// `(time, seq)` key.
+    fn first_stream(&self) -> Option<(usize, (SimTime, u64))> {
+        self.streams
+            .iter()
+            .map(|s| (s.times[s.times.len() - 1], s.seq))
+            .enumerate()
+            .min_by_key(|&(_, key)| key)
     }
 
-    /// Redistributes bucket `slot` of `level` one or more levels down
-    /// after advancing the cursor to the bucket's start tick. Preserves
-    /// relative (insertion) order, which keeps every FIFO bucket
-    /// seq-sorted.
-    fn cascade(&mut self, level: usize, slot: usize) {
+    /// Firing time of the next event without popping it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        let wheel = self.lowest_occupied().and_then(|(level, slot)| {
+            let bucket = &self.levels[level].slots[slot];
+            if level == 0 {
+                // A level-0 bucket spans exactly one tick.
+                bucket.front().map(|s| s.at)
+            } else {
+                // Higher-level buckets hold a time range in insertion
+                // order; the earliest is found by scan (peek never
+                // re-buckets).
+                bucket.iter().map(|s| s.at).min()
+            }
+        });
+        let stream = self.first_stream().map(|(_, (at, _))| at);
+        wheel.into_iter().chain(stream).min()
+    }
+
+    /// First tick of bucket `slot` of `level` at the current cursor.
+    fn bucket_start(&self, level: usize, slot: usize) -> u64 {
         let shift = LEVEL_BITS * level as u32;
         let upper = shift + LEVEL_BITS;
         let high = if upper >= 64 {
@@ -207,28 +283,62 @@ impl<E> EventQueue<E> {
         } else {
             (self.elapsed >> upper) << upper
         };
-        let start = high | ((slot as u64) << shift);
+        high | ((slot as u64) << shift)
+    }
+
+    /// Redistributes bucket `slot` of `level` one or more levels down
+    /// after advancing the cursor to the bucket's start tick. Preserves
+    /// relative (insertion) order, which keeps every FIFO bucket
+    /// seq-sorted. The bucket keeps the spare buffer and the drained
+    /// buffer becomes the spare, so no buffer is freed.
+    fn cascade(&mut self, level: usize, slot: usize) {
+        let start = self.bucket_start(level, slot);
         debug_assert!(start > self.elapsed, "cascade must advance the cursor");
         self.elapsed = start;
         self.levels[level].occupied &= !(1 << slot);
-        let drained = std::mem::take(&mut self.levels[level].slots[slot]);
-        for event in drained {
+        let mut drained = std::mem::take(&mut self.spare);
+        std::mem::swap(&mut drained, &mut self.levels[level].slots[slot]);
+        for event in drained.drain(..) {
             self.insert(event);
         }
+        self.spare = drained;
     }
 
     /// Pops the next event, advancing the clock to its firing time.
+    ///
+    /// The first stream head pops before the wheel cascades any bucket
+    /// that starts after it. Moving the cursor to that head's time is
+    /// then sound: it lies at or before every tick in the wheel, so every
+    /// wheel event stays in the bucket its tick maps to.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let stream = self.first_stream();
         loop {
-            let (level, slot) = self.lowest_occupied()?;
+            let Some((level, slot)) = self.lowest_occupied() else {
+                return stream.map(|(i, _)| self.pop_stream(i));
+            };
             if level > 0 {
-                self.cascade(level, slot);
-                continue;
+                match stream {
+                    Some((i, (at, _))) if at.as_ps() < self.bucket_start(level, slot) => {
+                        return Some(self.pop_stream(i));
+                    }
+                    _ => {
+                        self.cascade(level, slot);
+                        continue;
+                    }
+                }
             }
             let bucket = &mut self.levels[0].slots[slot];
+            let front = bucket
+                .front()
+                .expect("invariant: occupancy bit set on an empty bucket");
+            if let Some((i, key)) = stream {
+                if key < (front.at, front.seq) {
+                    return Some(self.pop_stream(i));
+                }
+            }
             let event = bucket
                 .pop_front()
-                .expect("invariant: occupancy bit set on an empty bucket");
+                .expect("invariant: the front was read above");
             if bucket.is_empty() {
                 self.levels[0].occupied &= !(1 << slot);
             }
@@ -238,6 +348,26 @@ impl<E> EventQueue<E> {
             self.processed += 1;
             return Some((event.at, event.payload));
         }
+    }
+
+    /// Pops the next event of stream `i`, dropping the stream with its
+    /// last event.
+    fn pop_stream(&mut self, i: usize) -> (SimTime, E) {
+        let stream = &mut self.streams[i];
+        let at = stream
+            .times
+            .pop()
+            .expect("invariant: streams are never empty");
+        let payload = if stream.times.is_empty() {
+            self.streams.swap_remove(i).payload
+        } else {
+            stream.payload.clone()
+        };
+        self.len -= 1;
+        self.elapsed = at.as_ps();
+        self.now = at;
+        self.processed += 1;
+        (at, payload)
     }
 
     /// Runs the queue to exhaustion, handing each event to `handler`
@@ -356,6 +486,21 @@ pub mod reference {
                 payload,
             });
             self.seq += 1;
+        }
+
+        /// Schedules one copy of `payload` at each of `times`, in the
+        /// given order: the specification of the production queue's
+        /// stream.
+        ///
+        /// # Panics
+        /// Panics if any time is in the simulated past.
+        pub fn schedule_many(&mut self, times: Vec<SimTime>, payload: E)
+        where
+            E: Clone,
+        {
+            for at in times {
+                self.schedule_at(at, payload.clone());
+            }
         }
 
         /// Firing time of the next event without popping it.
@@ -522,33 +667,103 @@ mod tests {
             state
         };
         let mut label = 0u32;
-        for _round in 0..50 {
+        for round in 0..50 {
+            let mut pushed = Vec::new();
             for _push in 0..7 {
                 let horizon = 1u64 << (next() % 40);
                 let at = q.now() + SimTime::from_ps(next() % horizon);
                 q.schedule_at(at, label);
                 r.schedule_at(at, label);
+                pushed.push(at);
                 label += 1;
             }
+            // A stream per round: unsorted, with duplicates, `now` and
+            // the instants just pushed, so stream events tie with wheel
+            // events scheduled before it (and, next round, after it).
+            // Every fifth stream is empty.
+            let len = if round % 5 == 0 { 0 } else { next() % 9 };
+            let times: Vec<SimTime> = (0..len)
+                .map(|_| match next() % 3 {
+                    0 => q.now(),
+                    1 => pushed[(next() % 7) as usize],
+                    _ => q.now() + SimTime::from_ps(next() % (1u64 << (next() % 40))),
+                })
+                .collect();
+            q.schedule_many(times.clone(), label);
+            r.schedule_many(times, label);
+            label += 1;
+            assert_eq!(q.pending(), r.pending());
             for _pop in 0..5 {
                 assert_eq!(q.peek_time(), r.peek_time());
                 assert_eq!(q.pop(), r.pop());
                 assert_eq!(q.now(), r.now());
                 assert_eq!(q.pending(), r.pending());
+                assert_eq!(q.processed(), r.processed());
             }
         }
         while !q.is_empty() {
+            assert_eq!(q.peek_time(), r.peek_time());
             assert_eq!(q.pop(), r.pop());
         }
         assert_eq!(r.pop(), None);
+        assert_eq!(q.peek_time(), None);
         assert_eq!(q.processed(), r.processed());
+    }
+
+    #[test]
+    fn stream_ties_fire_in_schedule_order() {
+        // Wheel events at the stream's instants, scheduled before and
+        // after it; a stream that starts at `now`; an empty stream; and
+        // a second stream tied with the first.
+        let t = SimTime::from_ps;
+        let mut q = EventQueue::new();
+        let mut r = reference::EventQueue::new();
+        q.schedule_at(t(5), "before");
+        r.schedule_at(t(5), "before");
+        q.pop();
+        r.pop();
+        for (times, label) in [
+            (vec![t(90), t(5), t(70), t(5), t(90)], "s1"),
+            (vec![], "empty"),
+            (vec![t(70), t(5)], "s2"),
+        ] {
+            q.schedule_at(t(70), "wheel");
+            r.schedule_at(t(70), "wheel");
+            q.schedule_many(times.clone(), label);
+            r.schedule_many(times, label);
+        }
+        q.schedule_at(t(5), "after");
+        r.schedule_at(t(5), "after");
+        assert_eq!(q.pending(), r.pending());
+        while let Some(ev) = r.pop() {
+            assert_eq!(q.peek_time(), Some(ev.0));
+            assert_eq!(q.pop(), Some(ev));
+            assert_eq!((q.now(), q.pending()), (r.now(), r.pending()));
+        }
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.processed(), 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn stream_into_past_panics() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_ps(10), ());
+        q.pop();
+        q.schedule_many(vec![SimTime::from_ps(20), SimTime::from_ps(5)], ());
+    }
+
+    /// A horizon from now to deep wheel levels, from one random draw.
+    fn spread_delay(raw: u64) -> u64 {
+        raw.wrapping_mul(raw).wrapping_mul(1 + raw % 977) % (1 << (raw % 48))
     }
 
     proptest! {
         /// The tentpole contract: over random schedules — duplicate
-        /// times, interleaved push/pop, far-future horizons — the wheel
-        /// pops the exact event sequence of the heap reference,
-        /// including same-instant insertion-order tie-breaks.
+        /// times, interleaved push/pop, far-future horizons, and streams
+        /// tied with wheel events scheduled before and after them — the
+        /// production queue pops the exact event sequence of the heap
+        /// reference, including same-instant insertion-order tie-breaks.
         #[test]
         fn wheel_matches_heap_reference(
             ops in proptest::collection::vec((0u32..8, 0u64..64, 0u32..16), 1..200)
@@ -556,27 +771,59 @@ mod tests {
             let mut q = EventQueue::new();
             let mut r = reference::EventQueue::new();
             let mut label = 0u64;
+            // Instants scheduled so far, for later events to tie with.
+            let mut instants = vec![SimTime::ZERO];
             for (kind, raw, dup) in ops {
-                if kind == 0 {
-                    // Drain one event (no-op on empty).
-                    prop_assert_eq!(q.peek_time(), r.peek_time());
-                    prop_assert_eq!(q.pop(), r.pop());
-                } else {
-                    // Schedule a burst of `dup + 1` events at one instant
-                    // whose horizon spans from now to deep wheel levels.
-                    let delay = raw.wrapping_mul(raw).wrapping_mul(1 + raw % 977)
-                        % (1 << (raw % 48));
-                    let at = q.now() + SimTime::from_ps(delay);
-                    for _ in 0..=dup {
-                        q.schedule_at(at, label);
-                        r.schedule_at(at, label);
+                let now = q.now();
+                let recent = |k: u64| instants[(k % instants.len() as u64) as usize].max(now);
+                match kind {
+                    0 => {
+                        // Drain one event (no-op on empty).
+                        prop_assert_eq!(q.pop(), r.pop());
+                    }
+                    1 => {
+                        // A stream of `dup` unsorted times (none when
+                        // `dup` is 0): `now`, recent instants, fresh
+                        // horizons, with repeats.
+                        let times: Vec<SimTime> = (0..u64::from(dup))
+                            .map(|j| {
+                                let x = raw.wrapping_mul(31).wrapping_add(j * 17);
+                                match x % 4 {
+                                    0 => now,
+                                    1 => recent(x / 4),
+                                    _ => now + SimTime::from_ps(spread_delay(x % 64)),
+                                }
+                            })
+                            .collect();
+                        instants.extend(&times);
+                        q.schedule_many(times.clone(), label);
+                        r.schedule_many(times, label);
                         label += 1;
                     }
+                    _ => {
+                        // Schedule a burst of `dup + 1` events at one
+                        // instant: a recent one (kind 7) or a fresh
+                        // horizon from now to deep wheel levels.
+                        let at = if kind == 7 {
+                            recent(raw)
+                        } else {
+                            now + SimTime::from_ps(spread_delay(raw))
+                        };
+                        instants.push(at);
+                        for _ in 0..=dup {
+                            q.schedule_at(at, label);
+                            r.schedule_at(at, label);
+                            label += 1;
+                        }
+                    }
                 }
+                prop_assert_eq!(q.peek_time(), r.peek_time());
                 prop_assert_eq!(q.pending(), r.pending());
                 prop_assert_eq!(q.now(), r.now());
+                prop_assert_eq!(q.processed(), r.processed());
             }
             loop {
+                prop_assert_eq!(q.peek_time(), r.peek_time());
                 let (a, b) = (q.pop(), r.pop());
                 prop_assert_eq!(a, b);
                 if a.is_none() {

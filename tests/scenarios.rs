@@ -211,36 +211,57 @@ fn drive_with_invariants(fleet: &mut Fleet<'_>, cfg: &ServingConfig) -> FleetSna
 }
 
 /// A manual step-by-step drive and a `step_until` chunked drive both
-/// produce reports bit-identical to the run-to-completion wrapper.
+/// produce reports bit-identical to the run-to-completion wrapper, for a
+/// Poisson fleet and for a two-tenant trace fleet whose traces are
+/// unsorted and share instants (so `step_until` and `next_event_time`
+/// peek at trace arrivals tied with each other and with scheduler
+/// events).
 #[test]
 fn manual_drives_are_bit_identical_to_the_wrapper() {
     let model = googlenet();
     let base = ServingConfig::saturation(AcceleratorConfig::sconna(), 2, 8, 48);
     let capacity = base.estimated_capacity_fps(&model);
-    let cfg = base
+    let poisson = base
+        .clone()
         .with_poisson(2.0 * capacity)
         .with_queue_cap(2)
         .with_seed(17);
-    let reference = format!("{:?}", simulate_serving(&cfg, &model));
+    let step = 25_000_000u64;
+    let times_a: Vec<SimTime> = (0..30u64)
+        .map(|i| SimTime::from_ps(step * ((i * 11) % 16)))
+        .collect();
+    let times_b: Vec<SimTime> = (0..18u64)
+        .map(|i| SimTime::from_ps(step * ((i * 5) % 9 + 2)))
+        .collect();
+    let trace = base.with_queue_cap(2).with_tenants(vec![
+        TenantSpec::new("a", 0, ArrivalProcess::trace(times_a), 30).with_weight(2.0),
+        TenantSpec::new("b", 0, ArrivalProcess::trace(times_b), 18),
+    ]);
+    for cfg in [poisson, trace] {
+        let reference = format!("{:?}", simulate_serving(&cfg, &model));
 
-    // Step-by-step, with invariants checked at every boundary.
-    let mut stepped = Fleet::new(&cfg, &model);
-    drive_with_invariants(&mut stepped, &cfg);
-    assert_eq!(format!("{:?}", stepped.into_report()), reference);
+        // Step-by-step, with invariants checked at every boundary.
+        let mut stepped = Fleet::new(&cfg, &model);
+        drive_with_invariants(&mut stepped, &cfg);
+        assert_eq!(format!("{:?}", stepped.into_report()), reference);
 
-    // Chunked: advance the horizon 50 µs at a time.
-    let mut chunked = Fleet::new(&cfg, &model);
-    let chunk = SimTime::from_ns(50_000);
-    let mut horizon = chunk;
-    while !chunked.is_complete() {
-        chunked.step_until(horizon);
-        assert!(
-            chunked.now() <= horizon,
-            "step_until processed an event past its horizon"
-        );
-        horizon += chunk;
+        // Chunked: advance the horizon 50 µs at a time.
+        let mut chunked = Fleet::new(&cfg, &model);
+        let chunk = SimTime::from_ns(50_000);
+        let mut horizon = chunk;
+        while !chunked.is_complete() {
+            if let Some(next) = chunked.next_event_time() {
+                assert!(next >= chunked.now(), "the next event lies in the past");
+            }
+            chunked.step_until(horizon);
+            assert!(
+                chunked.now() <= horizon,
+                "step_until processed an event past its horizon"
+            );
+            horizon += chunk;
+        }
+        assert_eq!(format!("{:?}", chunked.into_report()), reference);
     }
-    assert_eq!(format!("{:?}", chunked.into_report()), reference);
 }
 
 /// Pre-refactor literal pin: closed-loop saturation of a 2×8 GoogleNet
@@ -927,4 +948,51 @@ fn multi_tenant_shuffled_trace_is_bit_identical() {
     shuffled_b.rotate_left(3);
     shuffled_b.reverse();
     assert_eq!(mk(shuffled_a, shuffled_b), baseline);
+}
+
+/// Energy bit pin: a two-tenant trace fleet on two models — so
+/// instances swap models — under `Degrade` admission, so batches book
+/// energy on both the native and the fallback tier. Every tenant's
+/// `energy_j` and energy per response, and the fleet's `energy_j`, are
+/// pinned to the bit, so a change to how batches book energy cannot
+/// move a term or reorder a sum unnoticed.
+#[test]
+fn pinned_multi_tenant_trace_energy_bits() {
+    let shuffle = shufflenet_v2();
+    let goog = googlenet();
+    // Unsorted traces with shared instants, inside and across tenants.
+    let step = 15_000_000u64;
+    let times_a: Vec<SimTime> = (0..32u64)
+        .map(|i| SimTime::from_ps(step * ((i * 13) % 20)))
+        .collect();
+    let times_b: Vec<SimTime> = (0..16u64)
+        .map(|i| SimTime::from_ps(step * ((i * 7) % 12)))
+        .collect();
+    let cfg = ServingConfig::saturation(AcceleratorConfig::sconna(), 2, 4, 48)
+        .with_queue_cap(2)
+        .with_admission(AdmissionPolicy::Degrade { fallback_bits: 4 })
+        .with_seed(41)
+        .with_tenants(vec![
+            TenantSpec::new("shuffle", 0, ArrivalProcess::trace(times_a), 32).with_weight(2.0),
+            TenantSpec::new("goog", 1, ArrivalProcess::trace(times_b), 16),
+        ]);
+    let r = Fleet::new_multi(&cfg, &[&shuffle, &goog]).into_report();
+    assert!(r.degraded > 0, "the fallback tier must book energy");
+    assert!(
+        r.tenants.iter().all(|t| t.model_swaps > 0),
+        "both tenants must pay model swaps"
+    );
+    let bits: Vec<(u64, u64)> = r
+        .tenants
+        .iter()
+        .map(|t| (t.energy_j.to_bits(), t.energy_per_inference_j.to_bits()))
+        .collect();
+    assert_eq!(
+        bits,
+        [
+            (0x3fc1_135b_087c_5689, 0x3f71_135b_087c_5689),
+            (0x3fd4_29cb_ac97_e598, 0x3f94_29cb_ac97_e598),
+        ]
+    );
+    assert_eq!(r.energy_j.to_bits(), 0x3fe3_4c9d_2076_dddb);
 }
