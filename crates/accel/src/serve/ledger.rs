@@ -4,7 +4,7 @@
 //! Each accounting event has exactly one write site, a `Ledger` method;
 //! the scheduler decides, the ledger records. Request counters exist
 //! once, per tenant ([`Tally`]): fleet totals are sums over tenants and
-//! the fleet latency summary is taken over the concatenated tenant
+//! the fleet latency summary is taken over the merged tenant
 //! samples, so tenant rows and totals agree by construction. The report
 //! is a projection of the settled ledger ([`Ledger::into_finished`]),
 //! with one rate projection ([`Tally::rates`]) shared by the usage rows
@@ -322,7 +322,7 @@ impl Ledger {
     /// serving; an instance still down at `final_now` accrues downtime
     /// up to it (but no MTTR — it never recovered).
     pub fn into_finished(
-        self,
+        mut self,
         cfg: &ServingConfig,
         specs: &[&TenantSpec],
         models: &[&str],
@@ -370,7 +370,7 @@ impl Ledger {
         let energy_j = self.energy.total_energy_j(makespan);
         let tenants: Vec<TenantUsage> = self
             .tallies
-            .iter()
+            .iter_mut()
             .zip(specs)
             .map(|(tally, spec)| {
                 let r = tally.rates(secs, tally.energy_j);
@@ -384,7 +384,7 @@ impl Ledger {
                     degraded: tally.degraded,
                     shed: tally.shed,
                     drop_rate: r.drop_rate,
-                    latency: summarize(&tally.latency),
+                    latency: summarize(&mut tally.latency),
                     served_fps: r.fps,
                     goodput_fps: r.goodput_fps,
                     batches: tally.batches,
@@ -396,12 +396,10 @@ impl Ledger {
                 }
             })
             .collect();
-        // Summaries sort before taking ranks and sum exact picoseconds,
-        // so concatenation order cannot move a bit.
-        let mut latency = LatencySamples::new();
-        for tally in &self.tallies {
-            latency.append(&tally.latency);
-        }
+        // The tenants' summaries left their samples sorted: the fleet set
+        // merges those runs. Summaries sum exact picoseconds, so merge
+        // order cannot move a bit.
+        let mut latency = LatencySamples::merge(self.tallies.into_iter().map(|t| t.latency));
         let r = total.rates(secs, energy_j);
         // The report outlives the run, and callers may keep many (a
         // benchmark keeps one per fleet served): drop the growth slack.
@@ -423,7 +421,7 @@ impl Ledger {
             makespan,
             fps: r.fps,
             goodput_fps: r.goodput_fps,
-            latency: summarize(&latency),
+            latency: summarize(&mut latency),
             queue_depth,
             utilization: if makespan > SimTime::ZERO {
                 self.util.iter().map(|u| u.ratio(makespan)).collect()
@@ -458,7 +456,7 @@ pub(crate) struct FinishedRun {
 /// [`LatencySummary`] of possibly-empty samples: the all-zero summary
 /// when nothing was recorded (degenerate all-shed runs), the real one
 /// otherwise.
-fn summarize(samples: &LatencySamples) -> LatencySummary {
+fn summarize(samples: &mut LatencySamples) -> LatencySummary {
     if samples.is_empty() {
         LatencySummary::default()
     } else {

@@ -75,11 +75,15 @@ impl LatencySamples {
         self.samples.push(latency);
     }
 
-    /// Records every sample of `other`. Summaries are order-free, so a
-    /// merged set summarizes exactly as if each sample had been recorded
-    /// into it directly.
-    pub fn append(&mut self, other: &LatencySamples) {
-        self.samples.extend_from_slice(&other.samples);
+    /// The union of `sets`, sorted. A stable sort of the concatenation
+    /// takes each already-sorted set (as [`LatencySamples::summary`]
+    /// leaves it) as one run, so sorted sets merge in linear passes.
+    /// Summaries are order-free: the union summarizes exactly as if each
+    /// sample had been recorded into one set directly.
+    pub fn merge(sets: impl IntoIterator<Item = LatencySamples>) -> LatencySamples {
+        let mut samples: Vec<SimTime> = sets.into_iter().flat_map(|s| s.samples).collect();
+        samples.sort();
+        LatencySamples { samples }
     }
 
     /// Number of samples recorded.
@@ -127,20 +131,22 @@ impl LatencySamples {
             .expect("invariant: non-empty asserted above")
     }
 
-    /// The full report summary (one sort for all percentiles).
+    /// The full report summary, after sorting the samples in place (one
+    /// sort for all percentiles; an already-sorted set is checked in one
+    /// linear pass).
     ///
     /// # Panics
     /// Panics if no samples were recorded.
-    pub fn summary(&self) -> LatencySummary {
+    pub fn summary(&mut self) -> LatencySummary {
         assert!(!self.samples.is_empty(), "summary of empty sample set");
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
+        self.samples.sort_unstable();
+        let sorted = &self.samples;
         LatencySummary {
             count: sorted.len(),
-            p50: nearest_rank(&sorted, 50.0),
-            p95: nearest_rank(&sorted, 95.0),
-            p99: nearest_rank(&sorted, 99.0),
-            mean: rounded_mean(&sorted),
+            p50: nearest_rank(sorted, 50.0),
+            p95: nearest_rank(sorted, 95.0),
+            p99: nearest_rank(sorted, 99.0),
+            mean: rounded_mean(sorted),
             max: sorted[sorted.len() - 1],
         }
     }
@@ -416,6 +422,21 @@ mod tests {
         assert_eq!(s.mean, l.mean());
         assert_eq!(s.max, l.max());
         assert!(s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max);
+    }
+
+    #[test]
+    fn merged_sets_summarize_like_one_set() {
+        let mut all = LatencySamples::new();
+        let mut sets = [LatencySamples::new(), LatencySamples::new()];
+        for k in 0..500u64 {
+            let t = SimTime::from_ps((k * 7919) % 10_007);
+            all.record(t);
+            sets[usize::from(k % 3 == 0)].record(t);
+        }
+        // One sorted run (summarized), one unsorted.
+        let _ = sets[1].summary();
+        let mut merged = LatencySamples::merge(sets);
+        assert_eq!(merged.summary(), all.summary());
     }
 
     #[test]

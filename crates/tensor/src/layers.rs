@@ -24,20 +24,24 @@
 //! layer, group, output position, kernel) coordinates — never from
 //! execution order or batch composition — so the result is
 //! bit-identical for any batch and any outer parallelism.
-//! [`QConv2d::forward`],
-//! [`QConv2d::forward_preactivation`] and [`QFc::forward_logits`] are
-//! single-image conveniences over the same path, preparing the weights on
-//! the fly (bit-identical by the `vdp_batch_prepared` contract).
 //!
 //! The only other path is the per-pair oracle:
 //! [`QConv2d::forward_reference`] and [`QFc::forward_logits_reference`]
 //! gather each patch per pixel and make one [`VdpEngine::vdp_keyed`] call
 //! per (position, kernel) under the same noise keys — the parity
 //! reference the tile path is property-tested against.
+//!
+//! Both conv paths end in an **epilogue** that turns each biased
+//! accumulator into its output code: [`Requant::apply`] (ReLU folded into
+//! the clamp at zero) for a plain conv, or the caller's own through the
+//! crate's `QConv2d::forward_batch_with` / `forward_reference_with` — how
+//! a residual block's closing conv requantizes signed and merges its skip
+//! ([`crate::network::Residual`]). Layers take batches only; a single
+//! image is a batch of one.
 
 use crate::arena::{BatchArena, ConvScratch};
 use crate::engine::{combine_keys, mix_key, PreparedWeights, VdpEngine, WeightMatrix};
-use crate::quant::Requant;
+use crate::quant::{ActivationQuant, Requant, WeightQuant};
 use crate::tensor::Tensor;
 use sconna_sim::parallel::block_ranges;
 
@@ -107,6 +111,32 @@ pub struct QConv2d {
 }
 
 impl QConv2d {
+    /// Quantizes a float conv (weights `[L, D, K, K]`, per-kernel bias)
+    /// reading `in_q` codes and requantizing to `out_q`: stride 1, "same"
+    /// padding `K / 2`, one group. The bias moves into accumulator units
+    /// `in_q.scale · wq.scale`.
+    pub(crate) fn from_float(
+        name: &str,
+        weights: &Tensor<f32>,
+        bias: &[f32],
+        in_q: ActivationQuant,
+        wq: WeightQuant,
+        out_q: ActivationQuant,
+    ) -> Self {
+        Self {
+            name: name.into(),
+            weights: wq.quantize_tensor(weights),
+            bias: bias
+                .iter()
+                .map(|&b| (b / (in_q.scale * wq.scale)) as f64)
+                .collect(),
+            stride: 1,
+            padding: weights.dims()[2] / 2,
+            groups: 1,
+            requant: Requant::new(in_q, wq, out_q),
+        }
+    }
+
     /// Output spatial size for an input of `(h, w)`.
     ///
     /// # Panics
@@ -135,51 +165,6 @@ impl QConv2d {
     /// Stable per-layer noise-key component (FNV-1a of the layer name).
     pub fn layer_key(&self) -> u64 {
         name_key(&self.name)
-    }
-
-    /// Runs the convolution on one image under [`QConv2d::layer_key`]
-    /// (ReLU folded into the requantizer's clamp at zero): the weights are
-    /// prepared on the fly and the image runs as a batch of one through
-    /// the [`QConv2d::forward_batch`] tile kernel.
-    ///
-    /// # Panics
-    /// Panics if the input channel count does not match the weights and
-    /// groups, or the kernel does not fit the padded input.
-    pub fn forward(&self, input: &Tensor<u32>, engine: &dyn VdpEngine) -> Tensor<u32> {
-        self.forward_one(input, engine, Requant::apply)
-    }
-
-    /// [`QConv2d::forward`] keeping **signed pre-activation codes** (same
-    /// scale, no ReLU clamp) — what a residual branch produces before the
-    /// skip addition.
-    pub fn forward_preactivation(
-        &self,
-        input: &Tensor<u32>,
-        engine: &dyn VdpEngine,
-    ) -> Tensor<i32> {
-        self.forward_one(input, engine, Requant::apply_signed)
-    }
-
-    fn forward_one<T: Copy + Default>(
-        &self,
-        input: &Tensor<u32>,
-        engine: &dyn VdpEngine,
-        convert: impl Fn(&Requant, f64) -> T,
-    ) -> Tensor<T> {
-        let prepared = self.prepare(engine);
-        let arena = BatchArena::new();
-        let key = self.layer_key();
-        self.forward_blocks(
-            &[input],
-            engine,
-            &prepared,
-            &[key],
-            &arena,
-            Tensor::zeros,
-            convert,
-        )
-        .pop()
-        .expect("invariant: forward_blocks yields one output per input")
     }
 
     /// A lower-weight-precision copy of this layer: weight codes are
@@ -248,16 +233,8 @@ impl QConv2d {
         base_keys: &[u64],
         arena: &BatchArena,
     ) -> Vec<Tensor<u32>> {
-        let alloc = |dims: &[usize]| arena.tensor(dims);
-        self.forward_blocks(
-            inputs,
-            engine,
-            prepared,
-            base_keys,
-            arena,
-            alloc,
-            Requant::apply,
-        )
+        let requant = |_: usize, _: usize, acc: f64| self.requant.apply(acc);
+        self.forward_batch_with(inputs, engine, prepared, base_keys, arena, requant)
     }
 
     /// The per-pair oracle: per-pixel patch gather and one
@@ -270,6 +247,20 @@ impl QConv2d {
         input: &Tensor<u32>,
         engine: &dyn VdpEngine,
         base_key: u64,
+    ) -> Tensor<u32> {
+        self.forward_reference_with(input, engine, base_key, |_, acc| self.requant.apply(acc))
+    }
+
+    /// [`QConv2d::forward_reference`] with a caller-supplied epilogue:
+    /// `epilogue(i, acc)` turns the biased accumulator at flat output
+    /// index `i` into its code — the oracle of
+    /// [`QConv2d::forward_batch_with`] under the same epilogue.
+    pub(crate) fn forward_reference_with(
+        &self,
+        input: &Tensor<u32>,
+        engine: &dyn VdpEngine,
+        base_key: u64,
+        epilogue: impl Fn(usize, f64) -> u32,
     ) -> Tensor<u32> {
         let geo = self.validate(input);
         let mut out = Tensor::<u32>::zeros(&[geo.l, geo.h_out, geo.w_out]);
@@ -286,7 +277,8 @@ impl QConv2d {
                             &self.weights.as_slice()[k * geo.patch_len..(k + 1) * geo.patch_len];
                         let acc = engine.vdp_keyed(&patch, wrow, combine_keys(pkey, kg as u64))
                             + self.bias[k];
-                        out.set3(k, oy, ox, self.requant.apply(acc));
+                        let i = (k * geo.h_out + oy) * geo.w_out + ox;
+                        out.as_mut_slice()[i] = epilogue(i, acc);
                     }
                 }
             }
@@ -411,25 +403,26 @@ impl QConv2d {
         }
     }
 
-    /// The tile kernel behind every conv forward: row blocks → im2col
-    /// gather (all images of the batch stacked) → one
-    /// `vdp_batch_prepared` tile per group → `convert` into the output
-    /// tensors, one block after another. im2col scratch is checked out of
-    /// `arena`; output tensors come from `alloc`.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_blocks<T>(
+    /// [`QConv2d::forward_batch`] with a caller-supplied epilogue — the
+    /// tile kernel behind every conv forward: row blocks → im2col gather
+    /// (all images of the batch stacked) → one `vdp_batch_prepared` tile
+    /// per group → `epilogue(b, i, acc)`, which turns image `b`'s biased
+    /// accumulator at flat output index `i` into its code, one block
+    /// after another. im2col scratch and output tensors come from
+    /// `arena`. Bit-identical to [`QConv2d::forward_reference_with`]
+    /// under the same keys and epilogue.
+    ///
+    /// # Panics
+    /// As [`QConv2d::forward_batch`].
+    pub(crate) fn forward_batch_with(
         &self,
         inputs: &[&Tensor<u32>],
         engine: &dyn VdpEngine,
         prepared: &[PreparedWeights],
         base_keys: &[u64],
         arena: &BatchArena,
-        alloc: impl Fn(&[usize]) -> Tensor<T>,
-        convert: impl Fn(&Requant, f64) -> T,
-    ) -> Vec<Tensor<T>>
-    where
-        T: Copy + Default,
-    {
+        epilogue: impl Fn(usize, usize, f64) -> u32,
+    ) -> Vec<Tensor<u32>> {
         assert_eq!(base_keys.len(), inputs.len(), "one base key per image");
         let Some(first) = inputs.first() else {
             // Empty batch: nothing to compute (mirrors the FC batch API).
@@ -460,9 +453,9 @@ impl QConv2d {
         }
         let rows_per_block = (CONV_BLOCK_PATCHES / geo.w_out.max(1)).clamp(1, 16);
         let kpg = geo.kernels_per_group;
-        let mut outs: Vec<Tensor<T>> = inputs
+        let mut outs: Vec<Tensor<u32>> = inputs
             .iter()
-            .map(|_| alloc(&[geo.l, geo.h_out, geo.w_out]))
+            .map(|_| arena.tensor(&[geo.l, geo.h_out, geo.w_out]))
             .collect();
         // The im2col gather buffers are checked out of the arena once and
         // re-zeroed per row block.
@@ -506,7 +499,7 @@ impl QConv2d {
                         let dst = (k * geo.h_out + rows.start) * geo.w_out;
                         for li in 0..n_local {
                             let acc = accs[(b * n_local + li) * kpg + kg] + self.bias[k];
-                            od[dst + li] = convert(&self.requant, acc);
+                            od[dst + li] = epilogue(b, dst + li, acc);
                         }
                     }
                 }
@@ -528,21 +521,6 @@ struct ConvGeometry {
     w_out: usize,
     patch_len: usize,
     kernels_per_group: usize,
-}
-
-/// Residual merge on codes: signed pre-activation branch + unsigned skip
-/// at the **same scale**, ReLU'd and saturated back into activation
-/// codes. (The standard int8 residual-add discipline: the branch's
-/// requantizer targets the skip's scale.)
-///
-/// # Panics
-/// Panics on shape mismatch.
-pub fn residual_relu_add(branch: &Tensor<i32>, skip: &Tensor<u32>, qmax: u32) -> Tensor<u32> {
-    assert_eq!(branch.dims(), skip.dims(), "residual shape mismatch");
-    Tensor::from_fn(branch.dims(), |i| {
-        let v = branch.as_slice()[i] as i64 + skip.as_slice()[i] as i64;
-        v.clamp(0, qmax as i64) as u32
-    })
 }
 
 #[inline]
@@ -654,25 +632,6 @@ impl QFc {
     /// Stable per-layer noise-key component (FNV-1a of the layer name).
     pub fn layer_key(&self) -> u64 {
         name_key(&self.name)
-    }
-
-    /// Computes real-valued logits for one image under
-    /// [`QFc::layer_key`]: the weights are prepared on the fly and the
-    /// image runs as a batch of one through [`QFc::forward_logits_batch`].
-    ///
-    /// # Panics
-    /// Panics if the input length does not match the weight matrix.
-    pub fn forward_logits(&self, input: &Tensor<u32>, engine: &dyn VdpEngine) -> Vec<f32> {
-        let prepared = self.prepare(engine);
-        self.forward_logits_batch(
-            &[input],
-            engine,
-            &prepared,
-            &[self.layer_key()],
-            &BatchArena::new(),
-        )
-        .pop()
-        .expect("invariant: forward_logits_batch yields one row per input")
     }
 
     /// A lower-weight-precision copy of the classifier: weight codes are
@@ -802,6 +761,22 @@ mod tests {
     use crate::engine::ExactEngine;
     use crate::quant::{ActivationQuant, Requant, WeightQuant};
 
+    /// Runs `conv` on one image as a batch of one under `ExactEngine`,
+    /// checked against the per-pair oracle under the same key.
+    fn exact(conv: &QConv2d, input: &Tensor<u32>) -> Tensor<u32> {
+        let (prepared, key) = (conv.prepare(&ExactEngine), conv.layer_key());
+        let out = conv.forward_batch(
+            &[input],
+            &ExactEngine,
+            &prepared,
+            &[key],
+            &BatchArena::new(),
+        );
+        let reference = conv.forward_reference(input, &ExactEngine, key);
+        assert_eq!(out[0].as_slice(), reference.as_slice());
+        reference
+    }
+
     fn unit_requant() -> Requant {
         Requant::new(
             ActivationQuant {
@@ -832,7 +807,7 @@ mod tests {
             requant: unit_requant(),
         };
         let input = Tensor::<u32>::from_vec(&[1, 2, 2], vec![1, 2, 3, 4]);
-        let out = conv.forward(&input, &ExactEngine);
+        let out = exact(&conv, &input);
         assert_eq!(out.as_slice(), &[1, 2, 3, 4]);
     }
 
@@ -850,7 +825,7 @@ mod tests {
             requant: unit_requant(),
         };
         let input = Tensor::<u32>::from_vec(&[1, 3, 3], vec![1; 9]);
-        let out = conv.forward(&input, &ExactEngine);
+        let out = exact(&conv, &input);
         assert_eq!(out.dims(), &[1, 1, 1]);
         assert_eq!(out.as_slice(), &[9]);
     }
@@ -868,7 +843,7 @@ mod tests {
             requant: unit_requant(),
         };
         let input = Tensor::<u32>::from_vec(&[1, 3, 3], vec![1; 9]);
-        let out = conv.forward(&input, &ExactEngine);
+        let out = exact(&conv, &input);
         assert_eq!(out.dims(), &[1, 3, 3]);
         assert_eq!(out.at3(0, 0, 0), 4);
         assert_eq!(out.at3(0, 1, 1), 9);
@@ -887,7 +862,7 @@ mod tests {
             requant: unit_requant(),
         };
         let input = Tensor::<u32>::from_fn(&[1, 4, 4], |i| i as u32);
-        let out = conv.forward(&input, &ExactEngine);
+        let out = exact(&conv, &input);
         assert_eq!(out.dims(), &[1, 2, 2]);
         assert_eq!(out.as_slice(), &[0, 2, 8, 10]);
     }
@@ -907,7 +882,7 @@ mod tests {
             requant: unit_requant(),
         };
         let input = Tensor::<u32>::from_fn(&[1, 4, 4], |i| i as u32);
-        let out = conv.forward(&input, &ExactEngine);
+        let out = exact(&conv, &input);
         assert_eq!(out.dims(), &[1, 2, 2]);
         assert_eq!(out.as_slice(), &[10, 24, 51, 90]);
 
@@ -938,7 +913,7 @@ mod tests {
             ),
         };
         let input = Tensor::from_fn(&[c_in, hw, hw], |i| (i as u32 * 5) % 256);
-        let out = conv.forward(&input, &ExactEngine);
+        let out = exact(&conv, &input);
         let (h_out, w_out) = conv.output_hw(hw, hw);
         let w = conv.weights.as_slice();
         for k in 0..k_out {
@@ -976,7 +951,7 @@ mod tests {
             requant: unit_requant(),
         };
         let input = Tensor::<u32>::from_vec(&[1, 1, 1], vec![5]);
-        let out = conv.forward(&input, &ExactEngine);
+        let out = exact(&conv, &input);
         assert_eq!(out.as_slice(), &[0]);
     }
 
@@ -994,7 +969,7 @@ mod tests {
             requant: unit_requant(),
         };
         let input = Tensor::<u32>::from_vec(&[2, 1, 2], vec![1, 2, 10, 20]);
-        let out = conv.forward(&input, &ExactEngine);
+        let out = exact(&conv, &input);
         assert_eq!(out.as_slice(), &[2, 4, 30, 60]);
     }
 
@@ -1010,7 +985,7 @@ mod tests {
             requant: unit_requant(),
         };
         let input = Tensor::<u32>::from_vec(&[1, 1, 1], vec![5]);
-        assert_eq!(conv.forward(&input, &ExactEngine).as_slice(), &[15]);
+        assert_eq!(exact(&conv, &input).as_slice(), &[15]);
     }
 
     #[test]
@@ -1057,7 +1032,17 @@ mod tests {
             dequant: 0.1,
         };
         let input = Tensor::<u32>::from_vec(&[3], vec![10, 20, 30]);
-        let logits = fc.forward_logits(&input, &ExactEngine);
+        let prepared = fc.prepare(&ExactEngine);
+        let key = fc.layer_key();
+        let logits = fc
+            .forward_logits_batch(
+                &[&input],
+                &ExactEngine,
+                &prepared,
+                &[key],
+                &BatchArena::new(),
+            )
+            .remove(0);
         // row0: 10 - 30 = -20 → -2.0 + 0.5 = -1.5
         // row1: 2*(60) = 120 → 12.0 - 1.0 = 11.0
         assert!((logits[0] + 1.5).abs() < 1e-6);
@@ -1104,9 +1089,17 @@ mod tests {
             requant: unit_requant(),
         };
         let input = Tensor::<u32>::from_fn(&[4, 7, 7], |i| (i % 256) as u32);
-        let batched = conv.forward(&input, &ExactEngine);
-        let reference = conv.forward_reference(&input, &ExactEngine, conv.layer_key());
-        assert_eq!(batched.as_slice(), reference.as_slice());
+        let key = conv.layer_key();
+        let prepared = conv.prepare(&ExactEngine);
+        let batched = conv.forward_batch(
+            &[&input],
+            &ExactEngine,
+            &prepared,
+            &[key],
+            &BatchArena::new(),
+        );
+        let reference = conv.forward_reference(&input, &ExactEngine, key);
+        assert_eq!(batched[0].as_slice(), reference.as_slice());
     }
 
     #[test]
@@ -1145,9 +1138,24 @@ mod tests {
             groups: 1,
             requant: unit_requant(),
         };
+        // Both paths hand the epilogue the biased accumulator before any
+        // ReLU clamp, at its flat output index: a signed requant keeps
+        // -5 and -3, which the index-dependent offset lifts to codes.
         let input = Tensor::<u32>::from_vec(&[1, 1, 2], vec![5, 3]);
-        let pre = conv.forward_preactivation(&input, &ExactEngine);
-        assert_eq!(pre.as_slice(), &[-5, -3]);
+        let signed =
+            |i: usize, acc: f64| (conv.requant.apply_signed(acc) + 10 * (i as i32 + 1)) as u32;
+        let key = conv.layer_key();
+        let reference = conv.forward_reference_with(&input, &ExactEngine, key, signed);
+        assert_eq!(reference.as_slice(), &[5, 17]);
+        let batched = conv.forward_batch_with(
+            &[&input],
+            &ExactEngine,
+            &conv.prepare(&ExactEngine),
+            &[key],
+            &BatchArena::new(),
+            |_, i, acc| signed(i, acc),
+        );
+        assert_eq!(batched[0].as_slice(), &[5, 17]);
     }
 
     #[test]
@@ -1163,7 +1171,7 @@ mod tests {
             requant: unit_requant(),
         };
         let input = Tensor::<u32>::zeros(&[3, 2, 2]);
-        let _ = conv.forward(&input, &ExactEngine);
+        let _ = exact(&conv, &input);
     }
 
     #[test]

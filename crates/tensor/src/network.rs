@@ -1,5 +1,8 @@
 //! Quantized network container: an ordered stack of quantized layers that
-//! runs end-to-end on any [`VdpEngine`].
+//! runs end-to-end on any [`VdpEngine`]. Layers nest: a
+//! [`QLayer::Residual`] block holds its own branch of layers and merges
+//! it with the block's input, so one walk serves plain and residual
+//! networks alike.
 //!
 //! A network has exactly two forwards, one fast and one oracle:
 //!
@@ -19,7 +22,7 @@
 use crate::arena::BatchArena;
 use crate::engine::{combine_keys, PreparedWeights, VdpEngine};
 use crate::layers::{GlobalAvgPool, MaxPool2d, QConv2d, QFc};
-use crate::quant::ActivationQuant;
+use crate::quant::{ActivationQuant, Requant};
 use crate::tensor::Tensor;
 use sconna_sim::parallel::parallel_map_with;
 
@@ -32,8 +35,48 @@ pub enum QLayer {
     MaxPool(MaxPool2d),
     /// Global average pooling to a rank-1 tensor.
     GlobalAvgPool,
+    /// Identity-skip residual block.
+    Residual(Residual),
     /// Final classifier producing logits; must be last.
     Fc(QFc),
+}
+
+/// Identity-skip residual block, merged by the int8 residual-add rule
+/// (Jacob et al., CVPR 2018): `branch` runs on the block's input and its
+/// closing conv requantizes **signed** (no ReLU clamp) onto the merge
+/// grid; the block's input codes (the skip) are rescaled onto that grid,
+/// and the sum is ReLU'd and saturated —
+/// `clamp(pre + min(round(skip · skip_rescale), qmax), 0, qmax)`, `qmax`
+/// being the closing conv's code ceiling.
+#[derive(Debug, Clone)]
+pub struct Residual {
+    /// Branch layers; the last must be a [`QLayer::Conv`].
+    pub branch: Vec<QLayer>,
+    /// Skip scale over merge scale: maps the block's input codes onto the
+    /// closing conv's output grid.
+    pub skip_rescale: f32,
+}
+
+impl Residual {
+    /// The branch split into its body and closing conv.
+    ///
+    /// # Panics
+    /// Panics unless the branch ends in a conv.
+    fn split(&self) -> (&[QLayer], &QConv2d) {
+        match self.branch.split_last() {
+            Some((QLayer::Conv(close), body)) => (body, close),
+            _ => panic!("a residual branch must end in a conv"),
+        }
+    }
+
+    /// The merge of one output: the closing conv's biased accumulator
+    /// `acc`, requantized signed, plus the `skip` code rescaled and
+    /// saturated onto the same grid, ReLU'd and saturated.
+    fn merge(&self, close: &QConv2d, acc: f64, skip: u32) -> u32 {
+        let qmax = (1u32 << close.requant.bits) - 1;
+        let skip = ((skip as f32 * self.skip_rescale).round() as u32).min(qmax);
+        (close.requant.apply_signed(acc) as i64 + skip as i64).clamp(0, qmax as i64) as u32
+    }
 }
 
 /// An integer-quantized CNN.
@@ -43,6 +86,123 @@ pub struct QuantizedNetwork {
     pub input_quant: ActivationQuant,
     /// Layers in execution order; the last must be [`QLayer::Fc`].
     pub layers: Vec<QLayer>,
+}
+
+/// Panics unless the closing conv maps `inner` onto the skip's shape.
+fn check_skip(close: &QConv2d, inner: &Tensor<u32>, skip: &Tensor<u32>) {
+    let (h, w) = close.output_hw(inner.dims()[1], inner.dims()[2]);
+    let out = [close.weights.dims()[0], h, w];
+    assert_eq!(
+        out,
+        skip.dims(),
+        "residual branch must keep the skip's shape"
+    );
+}
+
+/// The oracle walk of `layers` (no FC) from `act` for the image keyed
+/// `image_key`.
+fn walk_reference(
+    layers: &[QLayer],
+    mut act: Tensor<u32>,
+    engine: &dyn VdpEngine,
+    image_key: u64,
+) -> Tensor<u32> {
+    for layer in layers {
+        act = match layer {
+            QLayer::Conv(conv) => {
+                conv.forward_reference(&act, engine, combine_keys(image_key, conv.layer_key()))
+            }
+            QLayer::MaxPool(pool) => pool.forward(&act),
+            QLayer::GlobalAvgPool => GlobalAvgPool.forward(&act),
+            QLayer::Residual(block) => {
+                let (body, close) = block.split();
+                let inner = walk_reference(body, act.clone(), engine, image_key);
+                check_skip(close, &inner, &act);
+                let key = combine_keys(image_key, close.layer_key());
+                close.forward_reference_with(&inner, engine, key, |i, acc| {
+                    block.merge(close, acc, act.as_slice()[i])
+                })
+            }
+            QLayer::Fc(_) => panic!("FC must be the final layer"),
+        };
+    }
+    act
+}
+
+/// [`QuantizedNetwork::with_weight_bits`] over `layers`.
+fn weight_bits(layers: &[QLayer], bits: u8) -> Vec<QLayer> {
+    layers
+        .iter()
+        .map(|layer| match layer {
+            QLayer::Conv(conv) => QLayer::Conv(conv.with_weight_bits(bits)),
+            QLayer::Residual(block) => QLayer::Residual(Residual {
+                branch: weight_bits(&block.branch, bits),
+                skip_rescale: block.skip_rescale,
+            }),
+            QLayer::Fc(fc) => QLayer::Fc(fc.with_weight_bits(bits)),
+            weight_free => weight_free.clone(),
+        })
+        .collect()
+}
+
+/// Ratio an activation scale grows by when an `old`-bit range is re-fit
+/// onto the `bits`-bit grid (1 when it already fits).
+fn act_ratio(old: u8, bits: u8) -> f64 {
+    if bits >= old {
+        1.0
+    } else {
+        (((1u32 << old) - 1) as f64) / (((1u32 << bits) - 1) as f64)
+    }
+}
+
+/// [`QuantizedNetwork::degraded`] over `layers`, tracking in `in_ratio`
+/// the scale growth of the incoming activation grid: each conv's
+/// requantizer couples its input scale, weight scale and output scale,
+/// and all three move.
+fn degrade_layers(layers: &[QLayer], bits: u8, in_ratio: &mut f64) -> Vec<QLayer> {
+    layers
+        .iter()
+        .map(|layer| match layer {
+            QLayer::Conv(conv) => {
+                let narrowed = conv.with_weight_bits(bits);
+                let w_ratio = narrowed.requant.multiplier as f64 / conv.requant.multiplier as f64;
+                let out_ratio = act_ratio(conv.requant.bits, bits);
+                let next = QConv2d {
+                    // Accumulator units shrink by the input and weight
+                    // re-scaling; the output grid supplies the new
+                    // requantization target.
+                    bias: narrowed.bias.iter().map(|b| b / *in_ratio).collect(),
+                    requant: Requant {
+                        multiplier: (conv.requant.multiplier as f64 * *in_ratio * w_ratio
+                            / out_ratio) as f32,
+                        bits: bits.min(conv.requant.bits),
+                    },
+                    ..narrowed
+                };
+                *in_ratio = out_ratio;
+                QLayer::Conv(next)
+            }
+            QLayer::Residual(block) => {
+                // The skip bridges the block's input grid and the merge
+                // grid (the closing conv's output): it follows both.
+                let skip_ratio = *in_ratio;
+                let branch = degrade_layers(&block.branch, bits, in_ratio);
+                QLayer::Residual(Residual {
+                    branch,
+                    skip_rescale: (block.skip_rescale as f64 * skip_ratio / *in_ratio) as f32,
+                })
+            }
+            QLayer::Fc(fc) => {
+                let narrowed = fc.with_weight_bits(bits);
+                let w_ratio = narrowed.dequant as f64 / fc.dequant as f64;
+                QLayer::Fc(QFc {
+                    dequant: (fc.dequant as f64 * *in_ratio * w_ratio) as f32,
+                    ..narrowed
+                })
+            }
+            weight_free => weight_free.clone(),
+        })
+        .collect()
 }
 
 impl QuantizedNetwork {
@@ -59,44 +219,30 @@ impl QuantizedNetwork {
 
     /// The network oracle: runs one image through the per-pair layer
     /// references with an **image key** mixed into every layer's noise
-    /// key. Distinct keys give stochastic engines statistically
-    /// independent noise per image, while the result stays a pure
-    /// function of `(image, key)`. [`PreparedNetwork::forward_batch`]
-    /// reproduces it bit for bit at any batch composition and worker
-    /// count.
+    /// key (residual branches included). Distinct keys give stochastic
+    /// engines statistically independent noise per image, while the
+    /// result stays a pure function of `(image, key)`.
+    /// [`PreparedNetwork::forward_batch`] reproduces it bit for bit at any
+    /// batch composition and worker count.
     pub fn forward_keyed(
         &self,
         image: &Tensor<f32>,
         engine: &dyn VdpEngine,
         image_key: u64,
     ) -> Vec<f32> {
-        let mut act: Tensor<u32> = self.input_quant.quantize_tensor(image);
-        let last = self.last_index();
-        for (i, layer) in self.layers.iter().enumerate() {
-            match layer {
-                QLayer::Conv(conv) => {
-                    let key = combine_keys(image_key, conv.layer_key());
-                    act = conv.forward_reference(&act, engine, key);
-                }
-                QLayer::MaxPool(pool) => act = pool.forward(&act),
-                QLayer::GlobalAvgPool => act = GlobalAvgPool.forward(&act),
-                QLayer::Fc(fc) => {
-                    assert_eq!(i, last, "FC must be the final layer");
-                    let key = combine_keys(image_key, fc.layer_key());
-                    return fc.forward_logits_reference(&act, engine, key);
-                }
-            }
-        }
-        panic!("network must end in an FC classifier");
+        let (body, fc) = self.split_head();
+        let input = self.input_quant.quantize_tensor(image);
+        let act = walk_reference(body, input, engine, image_key);
+        fc.forward_logits_reference(&act, engine, combine_keys(image_key, fc.layer_key()))
     }
 
-    /// Index of the final layer, where the FC classifier must sit.
-    fn last_index(&self) -> usize {
-        assert!(
-            !self.layers.is_empty(),
-            "network has no layers: it must end in an FC classifier"
-        );
-        self.layers.len() - 1
+    /// The layers before the FC classifier, and the classifier.
+    fn split_head(&self) -> (&[QLayer], &QFc) {
+        match self.layers.split_last() {
+            None => panic!("network has no layers: it must end in an FC classifier"),
+            Some((QLayer::Fc(fc), body)) => (body, fc),
+            Some(_) => panic!("network must end in an FC classifier"),
+        }
     }
 
     /// Predicted class for an image.
@@ -128,16 +274,7 @@ impl QuantizedNetwork {
     pub fn with_weight_bits(&self, bits: u8) -> QuantizedNetwork {
         QuantizedNetwork {
             input_quant: self.input_quant,
-            layers: self
-                .layers
-                .iter()
-                .map(|layer| match layer {
-                    QLayer::Conv(conv) => QLayer::Conv(conv.with_weight_bits(bits)),
-                    QLayer::MaxPool(pool) => QLayer::MaxPool(*pool),
-                    QLayer::GlobalAvgPool => QLayer::GlobalAvgPool,
-                    QLayer::Fc(fc) => QLayer::Fc(fc.with_weight_bits(bits)),
-                })
-                .collect(),
+            layers: weight_bits(&self.layers, bits),
         }
     }
 
@@ -163,69 +300,15 @@ impl QuantizedNetwork {
             (2..=16).contains(&bits),
             "degraded precision must be in 2..=16, got {bits}"
         );
-        // Ratio the activation scale grows by when re-fitting an
-        // `old`-bit range onto the `bits`-bit grid (1 when it already
-        // fits).
-        let act_ratio = |old: u8| -> f64 {
-            if bits >= old {
-                1.0
-            } else {
-                (((1u32 << old) - 1) as f64) / (((1u32 << bits) - 1) as f64)
-            }
-        };
-        let degrade_act = |q: ActivationQuant| -> ActivationQuant {
-            if bits >= q.bits {
-                q
-            } else {
-                ActivationQuant {
-                    scale: (q.scale as f64 * act_ratio(q.bits)) as f32,
-                    bits,
-                }
-            }
-        };
-        // Walk the layers tracking the incoming activation precision:
-        // each conv's requantizer couples its input scale, weight scale
-        // and output scale, and all three move.
-        let mut in_ratio = act_ratio(self.input_quant.bits);
-        let layers = self
-            .layers
-            .iter()
-            .map(|layer| match layer {
-                QLayer::Conv(conv) => {
-                    let narrowed = conv.with_weight_bits(bits);
-                    let w_ratio =
-                        narrowed.requant.multiplier as f64 / conv.requant.multiplier as f64;
-                    let out_ratio = act_ratio(conv.requant.bits);
-                    let next = QConv2d {
-                        // Accumulator units shrink by the input and
-                        // weight re-scaling; the output grid supplies
-                        // the new requantization target.
-                        bias: narrowed.bias.iter().map(|b| b / in_ratio).collect(),
-                        requant: crate::quant::Requant {
-                            multiplier: (conv.requant.multiplier as f64 * in_ratio * w_ratio
-                                / out_ratio) as f32,
-                            bits: bits.min(conv.requant.bits),
-                        },
-                        ..narrowed
-                    };
-                    in_ratio = out_ratio;
-                    QLayer::Conv(next)
-                }
-                QLayer::MaxPool(pool) => QLayer::MaxPool(*pool),
-                QLayer::GlobalAvgPool => QLayer::GlobalAvgPool,
-                QLayer::Fc(fc) => {
-                    let narrowed = fc.with_weight_bits(bits);
-                    let w_ratio = narrowed.dequant as f64 / fc.dequant as f64;
-                    QLayer::Fc(QFc {
-                        dequant: (fc.dequant as f64 * in_ratio * w_ratio) as f32,
-                        ..narrowed
-                    })
-                }
-            })
-            .collect();
+        let q = self.input_quant;
+        let mut in_ratio = act_ratio(q.bits, bits);
         QuantizedNetwork {
-            input_quant: degrade_act(self.input_quant),
-            layers,
+            // A ratio of 1 leaves the scale's bits unchanged.
+            input_quant: ActivationQuant {
+                scale: (q.scale as f64 * in_ratio) as f32,
+                bits: bits.min(q.bits),
+            },
+            layers: degrade_layers(&self.layers, bits, &mut in_ratio),
         }
     }
 
@@ -267,8 +350,49 @@ enum PreparedLayer {
     Conv(Vec<PreparedWeights>),
     /// Weight-free layer (pooling): nothing to prepare.
     Direct,
+    /// Residual block: its branch's handles, aligned with the branch.
+    Residual(Vec<PreparedLayer>),
     /// Classifier head: one handle.
     Fc(PreparedWeights),
+}
+
+fn prepare_layers(layers: &[QLayer], engine: &dyn VdpEngine) -> Vec<PreparedLayer> {
+    layers
+        .iter()
+        .map(|layer| match layer {
+            QLayer::Conv(conv) => PreparedLayer::Conv(conv.prepare(engine)),
+            QLayer::MaxPool(_) | QLayer::GlobalAvgPool => PreparedLayer::Direct,
+            QLayer::Residual(block) => {
+                PreparedLayer::Residual(prepare_layers(&block.branch, engine))
+            }
+            QLayer::Fc(fc) => PreparedLayer::Fc(fc.prepare(engine)),
+        })
+        .collect()
+}
+
+/// Each image's base key for the layer keyed `layer_key`.
+fn layer_keys(image_keys: &[u64], layer_key: u64) -> Vec<u64> {
+    image_keys
+        .iter()
+        .map(|&k| combine_keys(k, layer_key))
+        .collect()
+}
+
+/// A batch's activations mid-walk. Tensors drawn from the arena
+/// (`pooled`) go back to it once the next layer has consumed them.
+struct Acts {
+    tensors: Vec<Tensor<u32>>,
+    pooled: bool,
+}
+
+impl Acts {
+    fn release(self, arena: &BatchArena) {
+        if self.pooled {
+            for t in self.tensors {
+                arena.recycle(t);
+            }
+        }
+    }
 }
 
 /// A [`QuantizedNetwork`] bound to one engine, with every layer's weights
@@ -314,30 +438,11 @@ pub struct PreparedNetwork<'a> {
 impl<'a> PreparedNetwork<'a> {
     /// Prepares every layer of `net` for `engine`.
     pub fn new(net: &'a QuantizedNetwork, engine: &'a dyn VdpEngine) -> Self {
-        let layers = net
-            .layers
-            .iter()
-            .map(|layer| match layer {
-                QLayer::Conv(conv) => PreparedLayer::Conv(conv.prepare(engine)),
-                QLayer::MaxPool(_) | QLayer::GlobalAvgPool => PreparedLayer::Direct,
-                QLayer::Fc(fc) => PreparedLayer::Fc(fc.prepare(engine)),
-            })
-            .collect();
         Self {
             net,
             engine,
-            layers,
+            layers: prepare_layers(&net.layers, engine),
         }
-    }
-
-    /// The underlying network.
-    pub fn network(&self) -> &QuantizedNetwork {
-        self.net
-    }
-
-    /// The engine the weights were prepared for.
-    pub fn engine(&self) -> &dyn VdpEngine {
-        self.engine
     }
 
     /// Runs a whole serving batch through the network with **stacked
@@ -352,12 +457,14 @@ impl<'a> PreparedNetwork<'a> {
     ///
     /// Every im2col scratch tile and conv activation tensor is drawn from
     /// `arena`, and conv outputs go back to it as soon as the next layer
-    /// has consumed them (recycled buffers are re-zeroed; noise keys are
+    /// has consumed them — a residual block's input only once its merge
+    /// has read the skip (recycled buffers are re-zeroed; noise keys are
     /// pure coordinate functions). Pooling layers allocate their own
     /// small outputs, which are dropped, so the pool never holds more
-    /// than one batch's conv activations per concurrent caller, however
-    /// many batches run through it. Callers with no long-lived arena pass
-    /// `&BatchArena::new()`.
+    /// than the conv activations one batch has live at once per
+    /// concurrent caller (one set, plus two per enclosing residual
+    /// block), however many batches run through it. Callers with no
+    /// long-lived arena pass `&BatchArena::new()`.
     ///
     /// # Panics
     /// Panics if `image_keys` is not one key per image, the images
@@ -372,57 +479,96 @@ impl<'a> PreparedNetwork<'a> {
         if images.is_empty() {
             return Vec::new();
         }
-        let mut acts: Vec<Tensor<u32>> = images
+        let input: Vec<Tensor<u32>> = images
             .iter()
             .map(|im| self.net.input_quant.quantize_tensor(im))
             .collect();
-        // Replaces the current activations; the old set goes back to the
-        // arena for the next conv to draw on if it came from there.
-        let mut pooled = false;
-        let mut swap = |acts: &mut Vec<Tensor<u32>>, next: Vec<Tensor<u32>>, next_pooled: bool| {
-            let old = std::mem::replace(acts, next);
-            if std::mem::replace(&mut pooled, next_pooled) {
-                for t in old {
-                    arena.recycle(t);
-                }
-            }
+        let (body, fc) = self.net.split_head();
+        let feats = self.walk(body, &self.layers, &input, image_keys, arena);
+        let PreparedLayer::Fc(handle) = &self.layers[body.len()] else {
+            unreachable!("prepared layers are aligned by construction");
         };
-        let last = self.net.last_index();
-        for (i, (layer, prep)) in self.net.layers.iter().zip(&self.layers).enumerate() {
-            match (layer, prep) {
-                (QLayer::Conv(conv), PreparedLayer::Conv(handles)) => {
-                    let base_keys: Vec<u64> = image_keys
-                        .iter()
-                        .map(|&k| combine_keys(k, conv.layer_key()))
-                        .collect();
-                    let refs: Vec<&Tensor<u32>> = acts.iter().collect();
-                    let next = conv.forward_batch(&refs, self.engine, handles, &base_keys, arena);
-                    swap(&mut acts, next, true);
-                }
-                (QLayer::MaxPool(pool), _) => {
-                    let next = acts.iter().map(|a| pool.forward(a)).collect();
-                    swap(&mut acts, next, false);
-                }
-                (QLayer::GlobalAvgPool, _) => {
-                    let next = acts.iter().map(|a| GlobalAvgPool.forward(a)).collect();
-                    swap(&mut acts, next, false);
-                }
-                (QLayer::Fc(fc), PreparedLayer::Fc(handle)) => {
-                    assert_eq!(i, last, "FC must be the final layer");
-                    let base_keys: Vec<u64> = image_keys
-                        .iter()
-                        .map(|&k| combine_keys(k, fc.layer_key()))
-                        .collect();
-                    let refs: Vec<&Tensor<u32>> = acts.iter().collect();
-                    let logits =
-                        fc.forward_logits_batch(&refs, self.engine, handle, &base_keys, arena);
-                    swap(&mut acts, Vec::new(), false);
-                    return logits;
-                }
-                _ => unreachable!("prepared layers are aligned by construction"),
+        let refs: Vec<&Tensor<u32>> = feats
+            .as_ref()
+            .map_or(&input, |a| &a.tensors)
+            .iter()
+            .collect();
+        let keys = layer_keys(image_keys, fc.layer_key());
+        let logits = fc.forward_logits_batch(&refs, self.engine, handle, &keys, arena);
+        if let Some(feats) = feats {
+            feats.release(arena);
+        }
+        logits
+    }
+
+    /// Runs `layers` (no FC) over the batch `input` with their aligned
+    /// `prepared` handles; `None` when `layers` is empty. `input` is
+    /// borrowed, so it is never recycled here.
+    fn walk(
+        &self,
+        layers: &[QLayer],
+        prepared: &[PreparedLayer],
+        input: &[Tensor<u32>],
+        image_keys: &[u64],
+        arena: &BatchArena,
+    ) -> Option<Acts> {
+        let mut acts: Option<Acts> = None;
+        for (layer, prep) in layers.iter().zip(prepared) {
+            let current = acts.as_ref().map_or(input, |a| &a.tensors);
+            let next = self.layer(layer, prep, current, image_keys, arena);
+            if let Some(consumed) = acts.replace(next) {
+                consumed.release(arena);
             }
         }
-        panic!("network must end in an FC classifier");
+        acts
+    }
+
+    /// One layer of [`PreparedNetwork::walk`].
+    fn layer(
+        &self,
+        layer: &QLayer,
+        prep: &PreparedLayer,
+        input: &[Tensor<u32>],
+        image_keys: &[u64],
+        arena: &BatchArena,
+    ) -> Acts {
+        let (tensors, pooled) = match (layer, prep) {
+            (QLayer::Conv(conv), PreparedLayer::Conv(handles)) => {
+                let refs: Vec<&Tensor<u32>> = input.iter().collect();
+                let keys = layer_keys(image_keys, conv.layer_key());
+                let out = conv.forward_batch(&refs, self.engine, handles, &keys, arena);
+                (out, true)
+            }
+            (QLayer::MaxPool(pool), _) => (input.iter().map(|a| pool.forward(a)).collect(), false),
+            (QLayer::GlobalAvgPool, _) => (
+                input.iter().map(|a| GlobalAvgPool.forward(a)).collect(),
+                false,
+            ),
+            (QLayer::Residual(block), PreparedLayer::Residual(prepared)) => {
+                // The block's input is the skip: it stays borrowed, out
+                // of the arena, until the merge below has read it.
+                let (body, close) = block.split();
+                let PreparedLayer::Conv(handles) = &prepared[body.len()] else {
+                    unreachable!("prepared layers are aligned by construction");
+                };
+                let inner = self.walk(body, prepared, input, image_keys, arena);
+                let branch_out = inner.as_ref().map_or(input, |a| &a.tensors);
+                check_skip(close, &branch_out[0], &input[0]);
+                let refs: Vec<&Tensor<u32>> = branch_out.iter().collect();
+                let keys = layer_keys(image_keys, close.layer_key());
+                let merge =
+                    |b: usize, i: usize, acc| block.merge(close, acc, input[b].as_slice()[i]);
+                let out =
+                    close.forward_batch_with(&refs, self.engine, handles, &keys, arena, merge);
+                if let Some(inner) = inner {
+                    inner.release(arena);
+                }
+                (out, true)
+            }
+            (QLayer::Fc(_), _) => panic!("FC must be the final layer"),
+            _ => unreachable!("prepared layers are aligned by construction"),
+        };
+        Acts { tensors, pooled }
     }
 
     /// Predicted classes for a whole batch (argmax of
@@ -511,6 +657,90 @@ mod tests {
         }
     }
 
+    /// One channel through a 1x1 stem and a residual block whose branch
+    /// moves onto a 2x coarser merge grid and whose closing conv negates
+    /// at half weight.
+    fn tiny_residual_network() -> QuantizedNetwork {
+        let aq = ActivationQuant {
+            scale: 1.0 / 255.0,
+            bits: 8,
+        };
+        let mid = ActivationQuant {
+            scale: 2.0 / 255.0,
+            bits: 8,
+        };
+        let wq = WeightQuant {
+            scale: 1.0 / 127.0,
+            bits: 8,
+        };
+        let conv = |name: &str, w: i32, input: ActivationQuant, out: ActivationQuant| {
+            QLayer::Conv(QConv2d {
+                name: name.into(),
+                weights: Tensor::from_vec(&[1, 1, 1, 1], vec![w]),
+                bias: vec![0.0],
+                stride: 1,
+                padding: 0,
+                groups: 1,
+                requant: Requant::new(input, wq, out),
+            })
+        };
+        QuantizedNetwork {
+            input_quant: aq,
+            layers: vec![
+                conv("stem", 127, aq, aq),
+                QLayer::Residual(Residual {
+                    branch: vec![conv("b1", 127, aq, mid), conv("b2", -64, mid, mid)],
+                    skip_rescale: aq.scale / mid.scale,
+                }),
+                QLayer::GlobalAvgPool,
+                QLayer::Fc(QFc {
+                    name: "fc".into(),
+                    weights: Tensor::from_vec(&[1, 1], vec![127]),
+                    bias: vec![0.0],
+                    dequant: mid.scale * wq.scale,
+                }),
+            ],
+        }
+    }
+
+    #[test]
+    fn residual_block_merges_signed_branch_with_rescaled_skip() {
+        // Input code 128 passes the stem, b1 halves it onto the merge
+        // grid (64), the closing conv requantizes -64·64/127 to -32
+        // *signed*, the skip rescales 128·0.5 to 64, and the merge gives
+        // 32. An unsigned closing conv would give 64, an unscaled skip 96,
+        // and a merge that read b1's output instead of the skip 0.
+        let net = tiny_residual_network();
+        let image = Tensor::from_fn(&[1, 2, 2], |_| 0.5);
+        let QLayer::Fc(fc) = &net.layers[3] else {
+            panic!("fc last")
+        };
+        let want = vec![(32 * 127) as f32 * fc.dequant];
+        assert_eq!(net.forward_keyed(&image, &ExactEngine, 3), want);
+        let prepared = net.prepare(&ExactEngine);
+        assert_eq!(
+            prepared.forward_batch(&[&image], &[3], &BatchArena::new()),
+            vec![want]
+        );
+    }
+
+    #[test]
+    fn degraded_residual_network_at_native_precision_is_identity() {
+        let net = tiny_residual_network();
+        assert_eq!(
+            format!("{:?}", net.degraded(8)),
+            format!("{net:?}"),
+            "an 8-bit network degraded to 8 bits must not move a bit"
+        );
+        // Below native precision the skip follows the grids it bridges:
+        // the block's input and the merge grid grow by the same ratio.
+        let deg = net.degraded(4);
+        let QLayer::Residual(block) = &deg.layers[1] else {
+            panic!("block second")
+        };
+        assert_eq!(block.skip_rescale, 0.5);
+    }
+
     #[test]
     fn forward_produces_logits() {
         let net = tiny_network();
@@ -587,19 +817,21 @@ mod tests {
     #[test]
     fn arena_pool_stays_bounded_across_batches() {
         // Only arena-drawn conv outputs go back to the pool, so any number
-        // of batches through one arena leaves at most one batch of
-        // tensors pooled.
-        let net = tiny_network();
-        let prepared = net.prepare(&ExactEngine);
+        // of batches through one arena leaves at most the sets a batch
+        // holds at once pooled: one for a plain network, three inside a
+        // residual block (its input, the branch output, the merge).
         let images: Vec<Tensor<f32>> = (0..3)
             .map(|b| Tensor::from_fn(&[1, 4, 4], |i| ((b * 5 + i) % 16) as f32 / 16.0))
             .collect();
         let refs: Vec<&Tensor<f32>> = images.iter().collect();
-        let arena = BatchArena::new();
-        for _ in 0..10 {
-            prepared.forward_batch(&refs, &[1, 2, 3], &arena);
+        for (net, live_sets) in [(tiny_network(), 1), (tiny_residual_network(), 3)] {
+            let prepared = net.prepare(&ExactEngine);
+            let arena = BatchArena::new();
+            for _ in 0..10 {
+                prepared.forward_batch(&refs, &[1, 2, 3], &arena);
+            }
+            assert!(arena.pooled_tensors() <= live_sets * refs.len());
         }
-        assert!(arena.pooled_tensors() <= refs.len());
     }
 
     #[test]

@@ -10,15 +10,16 @@
 //! compute noise.
 //!
 //! Topology: conv3×3(c) → ReLU → maxpool2 → [conv3×3(c) → ReLU →
-//! conv3×3(c) → +skip → ReLU] → maxpool2 → FC. Int8 quantization follows
-//! the standard residual discipline: the branch's second conv
-//! requantizes to the skip's scale and the merge saturates.
+//! conv3×3(c) → +skip → ReLU] → maxpool2 → FC. Int8 quantization
+//! yields a [`QuantizedNetwork`] whose block is a [`Residual`]: the
+//! branch's second conv requantizes to the merge scale and the merge
+//! saturates.
 
 use crate::dataset::Sample;
-use crate::engine::VdpEngine;
 use crate::fp;
-use crate::layers::{residual_relu_add, MaxPool2d, QConv2d, QFc};
-use crate::quant::{ActivationQuant, Requant, WeightQuant};
+use crate::layers::{MaxPool2d, QConv2d, QFc};
+use crate::network::{QLayer, QuantizedNetwork, Residual};
+use crate::quant::{ActivationQuant, WeightQuant};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -190,11 +191,11 @@ impl SmallResNet {
         last
     }
 
-    /// Post-training quantization into the residual int8 model.
+    /// Post-training quantization into the residual int8 network.
     ///
     /// # Panics
     /// Panics on an empty calibration set.
-    pub fn quantize(&self, calibration: &[Sample], bits: u8) -> QuantizedSmallResNet {
+    pub fn quantize(&self, calibration: &[Sample], bits: u8) -> QuantizedNetwork {
         assert!(!calibration.is_empty(), "calibration set must be non-empty");
         let mut a0_max = 0f32;
         let mut a1_max = 0f32;
@@ -211,49 +212,38 @@ impl SmallResNet {
         // The merge output saturates into the skip scale; calibrating on
         // a2 keeps headroom for the sum.
         let act2_q = ActivationQuant::fit(a2_max.max(1e-6).max(a0_max), bits);
-        let wq_stem = WeightQuant::fit(self.w_stem.max_abs().max(1e-6), bits);
-        let wq1 = WeightQuant::fit(self.w1.max_abs().max(1e-6), bits);
-        let wq2 = WeightQuant::fit(self.w2.max_abs().max(1e-6), bits);
-        let wqf = WeightQuant::fit(self.wf.max_abs().max(1e-6), bits);
-
-        let conv = |name: &str,
-                    w: &Tensor<f32>,
-                    b: &[f32],
-                    wq: WeightQuant,
-                    in_q: ActivationQuant,
-                    out_q: ActivationQuant| QConv2d {
-            name: name.into(),
-            weights: wq.quantize_tensor(w),
-            bias: b
-                .iter()
-                .map(|&v| (v / (in_q.scale * wq.scale)) as f64)
-                .collect(),
-            stride: 1,
-            padding: 1,
-            groups: 1,
-            requant: Requant::new(in_q, wq, out_q),
+        let wq = |w: &Tensor<f32>| WeightQuant::fit(w.max_abs().max(1e-6), bits);
+        let conv = |name, w, b, in_q, out_q| {
+            QLayer::Conv(QConv2d::from_float(name, w, b, in_q, wq(w), out_q))
         };
-
-        QuantizedSmallResNet {
+        let wqf = wq(&self.wf);
+        let pool = QLayer::MaxPool(MaxPool2d {
+            kernel: 2,
+            stride: 2,
+            padding: 0,
+        });
+        QuantizedNetwork {
             input_quant: input_q,
-            stem: conv("stem", &self.w_stem, &self.b_stem, wq_stem, input_q, act0_q),
-            // Skip and branch meet at act2 scale: requantize p0 codes from
-            // act0 to act2 via the scale ratio.
-            skip_rescale: act0_q.scale / act2_q.scale,
-            conv1: conv("block.conv1", &self.w1, &self.b1, wq1, act0_q, act1_q),
-            conv2: conv("block.conv2", &self.w2, &self.b2, wq2, act1_q, act2_q),
-            pool: MaxPool2d {
-                kernel: 2,
-                stride: 2,
-                padding: 0,
-            },
-            fc: QFc {
-                name: "fc".into(),
-                weights: wqf.quantize_tensor(&self.wf),
-                bias: self.bf.clone(),
-                dequant: act2_q.scale * wqf.scale,
-            },
-            qmax: (1u32 << bits) - 1,
+            layers: vec![
+                conv("stem", &self.w_stem, &self.b_stem, input_q, act0_q),
+                pool.clone(),
+                QLayer::Residual(Residual {
+                    branch: vec![
+                        conv("block.conv1", &self.w1, &self.b1, act0_q, act1_q),
+                        conv("block.conv2", &self.w2, &self.b2, act1_q, act2_q),
+                    ],
+                    // Skip and branch meet at act2 scale: requantize p0
+                    // codes from act0 to act2 via the scale ratio.
+                    skip_rescale: act0_q.scale / act2_q.scale,
+                }),
+                pool,
+                QLayer::Fc(QFc {
+                    name: "fc".into(),
+                    weights: wqf.quantize_tensor(&self.wf),
+                    bias: self.bf.clone(),
+                    dequant: act2_q.scale * wqf.scale,
+                }),
+            ],
         }
     }
 }
@@ -267,71 +257,6 @@ fn step(param: &mut Tensor<f32>, grad: &Tensor<f32>, lr: f32) {
 fn step_vec(param: &mut [f32], grad: &[f32], lr: f32) {
     for (p, g) in param.iter_mut().zip(grad) {
         *p -= lr * g;
-    }
-}
-
-/// The quantized residual model: a short composition of single-image
-/// layer calls ([`QConv2d::forward`], [`QConv2d::forward_preactivation`],
-/// [`QFc::forward_logits`]).
-///
-/// **Shared noise across images.** Every layer runs under its layer key
-/// alone — no image key is mixed in — so on a stochastic engine every
-/// test image sees the *same* ADC noise draw at each accumulator
-/// position, and an accuracy run measures one noise realization rather
-/// than an average over independent draws. That fits the `table5`
-/// capacity trend: the residual drop swings from 4.25 pp at seed 7 to
-/// 24.75 pp at seed 21, and its mean (10.58 pp) is worse than the plain
-/// CNN's (8.25 pp), against the paper's trend. Keying each image (as
-/// [`crate::network::QuantizedNetwork::evaluate`] does) would change the
-/// `table5` output, so it is an open ROADMAP item rather than done here.
-#[derive(Debug, Clone)]
-pub struct QuantizedSmallResNet {
-    /// Input quantizer.
-    pub input_quant: ActivationQuant,
-    /// Stem convolution.
-    pub stem: QConv2d,
-    /// Code-domain rescale applied to the skip before the merge
-    /// (act0 scale → act2 scale).
-    pub skip_rescale: f32,
-    /// Residual branch convs.
-    pub conv1: QConv2d,
-    /// Second branch conv; requantizes (signed) to the merge scale.
-    pub conv2: QConv2d,
-    /// Shared 2×2 pool.
-    pub pool: MaxPool2d,
-    /// Classifier.
-    pub fc: QFc,
-    /// Activation code ceiling.
-    pub qmax: u32,
-}
-
-impl QuantizedSmallResNet {
-    /// Runs the quantized network on an engine and returns logits.
-    pub fn forward(&self, image: &Tensor<f32>, engine: &dyn VdpEngine) -> Vec<f32> {
-        let x = self.input_quant.quantize_tensor(image);
-        let a0 = self.stem.forward(&x, engine);
-        let p0 = self.pool.forward(&a0);
-        let a1 = self.conv1.forward(&p0, engine);
-        let pre = self.conv2.forward_preactivation(&a1, engine);
-        // Rescale the skip into the merge scale.
-        let skip = p0.map(|v| ((v as f32 * self.skip_rescale).round() as u32).min(self.qmax));
-        let a2 = residual_relu_add(&pre, &skip, self.qmax);
-        let p2 = self.pool.forward(&a2);
-        let mut flat = p2;
-        flat.reshape(&[flat.len()]);
-        self.fc.forward_logits(&flat, engine)
-    }
-
-    /// Top-1 accuracy over a labelled set.
-    pub fn accuracy(&self, samples: &[Sample], engine: &dyn VdpEngine) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let ok = samples
-            .iter()
-            .filter(|s| crate::layers::argmax(&self.forward(&s.image, engine)) == s.label)
-            .count();
-        ok as f64 / samples.len() as f64
     }
 }
 
@@ -398,6 +323,54 @@ mod tests {
     }
 
     #[test]
+    fn exact_logits_and_top1_are_pinned() {
+        // The exact int8 forward, pinned bit for bit: the residual block's
+        // signed requantization, skip rescale and saturating merge must
+        // reproduce these logits on any forward path.
+        let data = SyntheticDataset::new(6, 12, 0.2, 11);
+        let train = data.batch(20, 1);
+        let test = data.batch(8, 2);
+        let mut net = SmallResNet::new(small_cfg(), 0);
+        net.train(&train, 10, 0.04);
+        let qnet = net.quantize(&train, 8);
+        let bits: Vec<Vec<u32>> = test[..3]
+            .iter()
+            .map(|s| {
+                let logits = qnet.forward(&s.image, &ExactEngine);
+                logits.iter().map(|l| l.to_bits()).collect()
+            })
+            .collect();
+        let pinned: [[u32; 6]; 3] = [
+            [
+                0x4116_7646,
+                0xc093_c34c,
+                0xc09f_e248,
+                0x401a_0618,
+                0xc038_a035,
+                0xc01f_c478,
+            ],
+            [
+                0x4107_7425,
+                0xc0d4_d593,
+                0xbce6_cf48,
+                0x3f60_18ef,
+                0xbf58_1c89,
+                0xc087_abea,
+            ],
+            [
+                0x4108_bf9f,
+                0xc08d_ca7b,
+                0xc078_12ba,
+                0x4039_ea80,
+                0xc02f_71ba,
+                0xc057_cc6d,
+            ],
+        ];
+        assert_eq!(bits, pinned.map(Vec::from));
+        assert_eq!(qnet.accuracy(&test, &ExactEngine), 1.0);
+    }
+
+    #[test]
     fn residual_merge_uses_the_skip() {
         // Zero branch weights: the quantized forward must reduce to
         // (rescaled) skip activations, not zeros.
@@ -406,7 +379,13 @@ mod tests {
         let mut net = SmallResNet::new(small_cfg(), 0);
         net.train(&train, 4, 0.04);
         let mut qnet = net.quantize(&train, 8);
-        qnet.conv2.weights = Tensor::zeros(qnet.conv2.weights.dims());
+        let QLayer::Residual(block) = &mut qnet.layers[2] else {
+            panic!("the block follows the stem and its pool");
+        };
+        let QLayer::Conv(conv2) = &mut block.branch[1] else {
+            panic!("the branch closes with a conv");
+        };
+        conv2.weights = Tensor::zeros(conv2.weights.dims());
         let logits = qnet.forward(&train[0].image, &ExactEngine);
         assert!(
             logits.iter().any(|&l| l.abs() > 1e-6),

@@ -11,7 +11,7 @@ use crate::dataset::Sample;
 use crate::fp;
 use crate::layers::{MaxPool2d, QConv2d, QFc};
 use crate::network::{QLayer, QuantizedNetwork};
-use crate::quant::{ActivationQuant, Requant, WeightQuant};
+use crate::quant::{ActivationQuant, WeightQuant};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -203,37 +203,17 @@ impl SmallCnn {
         QuantizedNetwork {
             input_quant: input_q,
             layers: vec![
-                QLayer::Conv(QConv2d {
-                    name: "conv1".into(),
-                    weights: wq1.quantize_tensor(&self.w1),
-                    bias: self
-                        .b1
-                        .iter()
-                        .map(|&b| (b / (input_q.scale * wq1.scale)) as f64)
-                        .collect(),
-                    stride: 1,
-                    padding: 1,
-                    groups: 1,
-                    requant: Requant::new(input_q, wq1, act1_q),
-                }),
+                QLayer::Conv(QConv2d::from_float(
+                    "conv1", &self.w1, &self.b1, input_q, wq1, act1_q,
+                )),
                 QLayer::MaxPool(MaxPool2d {
                     kernel: 2,
                     stride: 2,
                     padding: 0,
                 }),
-                QLayer::Conv(QConv2d {
-                    name: "conv2".into(),
-                    weights: wq2.quantize_tensor(&self.w2),
-                    bias: self
-                        .b2
-                        .iter()
-                        .map(|&b| (b / (act1_q.scale * wq2.scale)) as f64)
-                        .collect(),
-                    stride: 1,
-                    padding: 1,
-                    groups: 1,
-                    requant: Requant::new(act1_q, wq2, act2_q),
-                }),
+                QLayer::Conv(QConv2d::from_float(
+                    "conv2", &self.w2, &self.b2, act1_q, wq2, act2_q,
+                )),
                 QLayer::MaxPool(MaxPool2d {
                     kernel: 2,
                     stride: 2,

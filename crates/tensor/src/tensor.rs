@@ -124,22 +124,6 @@ impl<T: Copy + Default> Tensor<T> {
             data: self.data.iter().map(|&v| f(v)).collect(),
         }
     }
-
-    /// Reshapes in place to a shape with the same element count.
-    ///
-    /// # Panics
-    /// Panics if the element counts differ.
-    pub fn reshape(&mut self, dims: &[usize]) {
-        let len = checked_len(dims);
-        assert_eq!(
-            len,
-            self.data.len(),
-            "reshape {:?} -> {:?}",
-            self.dims,
-            dims
-        );
-        self.dims = dims.to_vec();
-    }
 }
 
 impl Tensor<f32> {
@@ -209,14 +193,6 @@ mod tests {
         let t = Tensor::<u8>::from_vec(&[4], vec![1, 2, 3, 4]);
         let f = t.map(|v| v as f32 * 0.5);
         assert_eq!(f.as_slice(), &[0.5, 1.0, 1.5, 2.0]);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let mut t = Tensor::<i32>::from_vec(&[2, 6], (0..12).collect());
-        t.reshape(&[3, 4]);
-        assert_eq!(t.dims(), &[3, 4]);
-        assert_eq!(t.as_slice()[11], 11);
     }
 
     #[test]

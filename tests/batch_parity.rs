@@ -13,7 +13,8 @@ use sconna::photonics::pca::{AdcModel, DEFAULT_ADC_NOISE_SIGMA};
 use sconna::sc::Precision;
 use sconna::tensor::arena::BatchArena;
 use sconna::tensor::engine::{combine_keys, ExactEngine, PatchMatrix, VdpEngine, WeightMatrix};
-use sconna::tensor::layers::QConv2d;
+use sconna::tensor::layers::{MaxPool2d, QConv2d, QFc};
+use sconna::tensor::network::{QLayer, QuantizedNetwork, Residual};
 use sconna::tensor::quant::{ActivationQuant, Requant, WeightQuant};
 use sconna::tensor::Tensor;
 
@@ -136,11 +137,10 @@ proptest! {
         assert_batch_parity(&ExactEngine, &patches, &wm, &keys);
     }
 
-    /// im2col + batched tiles ≡ per-pixel gather + single-vector calls on
-    /// random conv geometries (stride / padding / groups / kernel size),
-    /// and the prepared batch forward agrees with both — all
-    /// checked on the *noisy* engine, where any key or gather mismatch
-    /// shows up as a bit difference.
+    /// im2col + batched tiles over prepared weights ≡ per-pixel gather +
+    /// single-vector calls on random conv geometries (stride / padding /
+    /// groups / kernel size) — checked on the *noisy* engine too, where
+    /// any key or gather mismatch shows up as a bit difference.
     #[test]
     fn prop_conv_forward_matches_reference_gather(
         d_g in 1usize..=3,
@@ -177,13 +177,10 @@ proptest! {
         };
         let key = conv.layer_key();
         let reference = conv.forward_reference(&input, engine.as_ref(), key);
-        let batched = conv.forward(&input, engine.as_ref());
-        prop_assert_eq!(reference.as_slice(), batched.as_slice());
-
         let prepared = conv.prepare(engine.as_ref());
-        let prepared_out = conv.forward_batch(
+        let batched = conv.forward_batch(
             &[&input], engine.as_ref(), &prepared, &[key], &BatchArena::new());
-        prop_assert_eq!(batched.as_slice(), prepared_out[0].as_slice());
+        prop_assert_eq!(reference.as_slice(), batched[0].as_slice());
     }
 
     /// The weight-stationary serving path — prepared per-group handles +
@@ -264,7 +261,9 @@ proptest! {
     /// serving-instance usage) is bit-identical to the per-pair
     /// `QuantizedNetwork::forward_keyed` oracle, logits compared exactly —
     /// on the primary network and on its `degraded(4)` fallback tier run
-    /// by a B4 SCONNA engine with ADC (the overload fleet's shed path).
+    /// by a B4 SCONNA engine with ADC (the overload fleet's shed path),
+    /// for a plain network and for one with a residual block (two branch
+    /// convs, a skip rescale below 1).
     #[test]
     fn prop_network_forward_batch_in_arena_is_bit_identical(
         n_images in 1usize..=3,
@@ -274,30 +273,48 @@ proptest! {
         let noisy = noisy == 1;
         let aq = ActivationQuant { scale: 1.0 / 255.0, bits: 8 };
         let wq = WeightQuant { scale: 1.0 / 127.0, bits: 8 };
-        let net = sconna::tensor::network::QuantizedNetwork {
+        // The branch works on a 4x coarser grid, so its accumulators land
+        // inside the code range and its closing conv sees both signs.
+        let mid = ActivationQuant { scale: 4.0 / 255.0, bits: 8 };
+        let conv = |name: &str, d: usize, mul: u64, bias: f64, rq: Requant| {
+            QLayer::Conv(QConv2d {
+                name: format!("net-{name}-{seed}"),
+                weights: Tensor::from_fn(&[4, d, 3, 3], |i| ((i as u64 * mul + seed) % 255) as i32 - 127),
+                bias: (0..4).map(|k| k as f64 * bias - 1.5 * bias).collect(),
+                stride: 1,
+                padding: 1,
+                groups: 1,
+                requant: rq,
+            })
+        };
+        let pool = QLayer::MaxPool(MaxPool2d { kernel: 2, stride: 2, padding: 0 });
+        let fc = |out_scale: f32| {
+            QLayer::Fc(QFc {
+                name: format!("net-fc-{seed}"),
+                weights: Tensor::from_fn(&[3, 4], |i| ((i as u64 * 67 + seed) % 255) as i32 - 127),
+                bias: vec![0.0; 3],
+                dequant: out_scale * wq.scale,
+            })
+        };
+        let stem = conv("c1", 1, 29, 0.0, Requant::new(aq, wq, aq));
+        let plain = QuantizedNetwork {
+            input_quant: aq,
+            layers: vec![stem.clone(), pool.clone(), QLayer::GlobalAvgPool, fc(aq.scale)],
+        };
+        let residual = QuantizedNetwork {
             input_quant: aq,
             layers: vec![
-                sconna::tensor::network::QLayer::Conv(QConv2d {
-                    name: format!("net-c1-{seed}"),
-                    weights: Tensor::from_fn(&[4, 1, 3, 3], |i| ((i as u64 * 29 + seed) % 255) as i32 - 127),
-                    bias: vec![0.0; 4],
-                    stride: 1,
-                    padding: 1,
-                    groups: 1,
-                    requant: Requant::new(aq, wq, aq),
+                stem,
+                pool,
+                QLayer::Residual(Residual {
+                    branch: vec![
+                        conv("b1", 4, 37, 50.0, Requant::new(aq, wq, mid)),
+                        conv("b2", 4, 41, 50.0, Requant::new(mid, wq, mid)),
+                    ],
+                    skip_rescale: aq.scale / mid.scale,
                 }),
-                sconna::tensor::network::QLayer::MaxPool(sconna::tensor::layers::MaxPool2d {
-                    kernel: 2,
-                    stride: 2,
-                    padding: 0,
-                }),
-                sconna::tensor::network::QLayer::GlobalAvgPool,
-                sconna::tensor::network::QLayer::Fc(sconna::tensor::layers::QFc {
-                    name: format!("net-fc-{seed}"),
-                    weights: Tensor::from_fn(&[3, 4], |i| ((i as u64 * 67 + seed) % 255) as i32 - 127),
-                    bias: vec![0.0; 3],
-                    dequant: aq.scale * wq.scale,
-                }),
+                QLayer::GlobalAvgPool,
+                fc(mid.scale),
             ],
         };
         let engine: Box<dyn VdpEngine> = if noisy {
@@ -310,16 +327,18 @@ proptest! {
             .collect();
         let keys: Vec<u64> = (0..n_images as u64).map(|b| seed.wrapping_add(b * 977)).collect();
 
-        assert_network_matches_oracle(&net, engine.as_ref(), &images, &keys);
         let fallback = SconnaEngine::new(Precision::new(4), 176, Some(AdcModel::sconna_default()), seed);
-        assert_network_matches_oracle(&net.degraded(4), &fallback, &images, &keys);
+        for net in [&plain, &residual] {
+            assert_network_matches_oracle(net, engine.as_ref(), &images, &keys);
+            assert_network_matches_oracle(&net.degraded(4), &fallback, &images, &keys);
+        }
     }
 }
 
 /// Runs `images` through one long-lived arena three times and requires
 /// every batch's logits to equal the per-image oracle exactly.
 fn assert_network_matches_oracle(
-    net: &sconna::tensor::network::QuantizedNetwork,
+    net: &QuantizedNetwork,
     engine: &dyn VdpEngine,
     images: &[Tensor<f32>],
     keys: &[u64],
