@@ -324,14 +324,17 @@ mod tests {
 
     #[test]
     fn exact_logits_and_top1_are_pinned() {
-        // The exact int8 forward, pinned bit for bit: the residual block's
-        // signed requantization, skip rescale and saturating merge must
-        // reproduce these logits on any forward path.
+        // Training and the exact int8 forward, pinned bit for bit: the
+        // final-epoch loss must not move under a refactor of the float
+        // path, and the residual block's signed requantization, skip
+        // rescale and saturating merge must reproduce these logits on any
+        // forward path.
         let data = SyntheticDataset::new(6, 12, 0.2, 11);
         let train = data.batch(20, 1);
         let test = data.batch(8, 2);
         let mut net = SmallResNet::new(small_cfg(), 0);
-        net.train(&train, 10, 0.04);
+        let loss = net.train(&train, 10, 0.04);
+        assert_eq!(loss.to_bits(), 0x3a87_963b, "final-epoch loss {loss}");
         let qnet = net.quantize(&train, 8);
         let bits: Vec<Vec<u32>> = test[..3]
             .iter()

@@ -316,6 +316,55 @@ mod tests {
     }
 
     #[test]
+    fn exact_logits_and_top1_are_pinned() {
+        // Training, calibration and the exact int8 forward, pinned bit
+        // for bit: the final-epoch loss and these logits must not move
+        // under a refactor of the float or the quantized path.
+        let data = SyntheticDataset::new(6, 12, 0.15, 11);
+        let train = data.batch(25, 1);
+        let test = data.batch(10, 2);
+        let mut net = SmallCnn::new(small_cfg(), 0);
+        let loss = net.train(&train, 10, 0.05);
+        let qnet = net.quantize(&train, 8);
+        let bits: Vec<Vec<u32>> = test[..3]
+            .iter()
+            .map(|s| {
+                let logits = qnet.forward(&s.image, &ExactEngine);
+                logits.iter().map(|l| l.to_bits()).collect()
+            })
+            .collect();
+        assert_eq!(loss.to_bits(), 0x3aee_536d, "final-epoch loss {loss}");
+        let pinned: [[u32; 6]; 3] = [
+            [
+                0x40e7_a68d,
+                0xc067_7965,
+                0xc065_bc82,
+                0x3fa4_358e,
+                0xbf9a_df52,
+                0xc07e_8e2f,
+            ],
+            [
+                0x4103_168e,
+                0xc0b1_7d2a,
+                0x3e9b_4d58,
+                0xbd3b_42a2,
+                0xbfc0_0a7f,
+                0xc095_7e58,
+            ],
+            [
+                0x40cf_c07a,
+                0xc067_22d2,
+                0xc022_6788,
+                0x3fd8_f77f,
+                0xbfb9_cae4,
+                0xc083_4585,
+            ],
+        ];
+        assert_eq!(bits, pinned.map(Vec::from));
+        assert_eq!(qnet.accuracy(&test, &ExactEngine), 1.0);
+    }
+
+    #[test]
     #[should_panic(expected = "divisible by 4")]
     fn odd_input_size_rejected() {
         let _ = SmallCnn::new(
