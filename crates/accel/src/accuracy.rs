@@ -1,7 +1,8 @@
 //! Inference-accuracy experiments (Table V of the paper).
 //!
 //! Two complementary experiments replace the paper's PyTorch + ImageNet
-//! pipeline (substitution documented in DESIGN.md §2.3):
+//! pipeline (substitution listed under "Substitutions and calibrations"
+//! in ARCHITECTURE.md):
 //!
 //! 1. **End-to-end accuracy** — train the small CNN on the synthetic
 //!    dataset, post-training-quantize to int8, and compare Top-1/Top-k
@@ -22,7 +23,7 @@ use sconna_sc::error::rmse;
 use sconna_tensor::dataset::SyntheticDataset;
 use sconna_tensor::engine::{ExactEngine, VdpEngine};
 use sconna_tensor::models::CnnModel;
-use sconna_tensor::smallcnn::{SmallCnn, SmallCnnConfig};
+use sconna_tensor::smallcnn::{SmallCnn, SmallCnnConfig, SmallResNetConfig};
 use serde::{Deserialize, Serialize};
 
 /// End-to-end accuracy comparison result.
@@ -88,25 +89,40 @@ impl Default for AccuracyExperiment {
 }
 
 impl AccuracyExperiment {
-    /// Runs the experiment: train → quantize → evaluate on both engines.
-    /// Evaluation parallelizes over test images (one forward pass per
-    /// sample yields both Top-1 and Top-k). Each engine's model is
-    /// prepared once (weight-stationary — DKV/LUT stream conversion and
-    /// narrow GEMM forms at load, not per image), which by the
-    /// `vdp_batch_prepared` contract cannot change a single logit.
+    /// Runs the experiment on the plain small CNN.
     pub fn run(&self) -> AccuracyResult {
-        let data = SyntheticDataset::new(self.classes, self.image_size, self.noise, self.seed);
-        let train = data.batch(self.train_per_class, self.seed.wrapping_add(1));
-        let test = data.batch(self.test_per_class, self.seed.wrapping_add(2));
-
         let cfg = SmallCnnConfig {
             input_size: self.image_size,
             channels1: 8,
             channels2: 16,
             classes: self.classes,
         };
-        let mut net = SmallCnn::new(cfg, self.seed);
-        net.train(&train, self.epochs, 0.05);
+        self.measure(SmallCnn::new(cfg, self.seed), 0.05)
+    }
+
+    /// Runs the experiment on the residual small CNN.
+    pub fn run_residual(&self) -> AccuracyResult {
+        let cfg = SmallResNetConfig {
+            input_size: self.image_size,
+            channels: 12,
+            classes: self.classes,
+        };
+        self.measure(SmallCnn::residual(cfg, self.seed), 0.04)
+    }
+
+    /// Train → quantize → evaluate: trains `net` at rate `lr`, post-
+    /// training-quantizes it to int8 and evaluates it on both engines.
+    /// Evaluation parallelizes over test images (one forward pass per
+    /// sample yields both Top-1 and Top-k). Each engine's model is
+    /// prepared once (weight-stationary — DKV/LUT stream conversion and
+    /// narrow GEMM forms at load, not per image), which by the
+    /// `vdp_batch_prepared` contract cannot change a single logit.
+    fn measure(&self, mut net: SmallCnn, lr: f32) -> AccuracyResult {
+        let data = SyntheticDataset::new(self.classes, self.image_size, self.noise, self.seed);
+        let train = data.batch(self.train_per_class, self.seed.wrapping_add(1));
+        let test = data.batch(self.test_per_class, self.seed.wrapping_add(2));
+
+        net.train(&train, self.epochs, lr);
         let fp_top1 = net.accuracy(&test);
 
         let qnet = net.quantize(&train, 8);
@@ -280,45 +296,12 @@ pub struct CapacityTrend {
 /// Trains both small models on the same synthetic task and measures
 /// their Top-1 drops under the SCONNA engine.
 pub fn capacity_trend(exp: &AccuracyExperiment) -> CapacityTrend {
-    use sconna_tensor::resnet_small::{SmallResNet, SmallResNetConfig};
-
-    let data = SyntheticDataset::new(exp.classes, exp.image_size, exp.noise, exp.seed);
-    let train = data.batch(exp.train_per_class, exp.seed.wrapping_add(1));
-    let test = data.batch(exp.test_per_class, exp.seed.wrapping_add(2));
-
-    // Plain CNN.
-    let mut plain = SmallCnn::new(
-        SmallCnnConfig {
-            input_size: exp.image_size,
-            channels1: 8,
-            channels2: 16,
-            classes: exp.classes,
-        },
-        exp.seed,
-    );
-    plain.train(&train, exp.epochs, 0.05);
-    let plain_q = plain.quantize(&train, 8);
-    let plain_exact = plain_q.accuracy(&test, &ExactEngine);
-    let plain_sc = plain_q.accuracy(&test, &SconnaEngine::paper_default(exp.seed));
-
-    // Residual CNN (same channel budget class).
-    let mut residual = SmallResNet::new(
-        SmallResNetConfig {
-            input_size: exp.image_size,
-            channels: 12,
-            classes: exp.classes,
-        },
-        exp.seed,
-    );
-    residual.train(&train, exp.epochs, 0.04);
-    let res_q = residual.quantize(&train, 8);
-    let res_exact = res_q.accuracy(&test, &ExactEngine);
-    let res_sc = res_q.accuracy(&test, &SconnaEngine::paper_default(exp.seed));
-
+    let plain = exp.run();
+    let residual = exp.run_residual();
     CapacityTrend {
-        plain_drop_pct: 100.0 * (plain_exact - plain_sc),
-        residual_drop_pct: 100.0 * (res_exact - res_sc),
-        exact_top1: (plain_exact, res_exact),
+        plain_drop_pct: plain.top1_drop_pct,
+        residual_drop_pct: residual.top1_drop_pct,
+        exact_top1: (plain.exact_top1, residual.exact_top1),
     }
 }
 

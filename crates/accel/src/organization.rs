@@ -34,14 +34,14 @@ pub enum AcceleratorKind {
 
 /// Calibrated thermal DKV reprogramming latency of the analog baselines
 /// (MRR heater settling; microsecond-class per the thermal-tuning
-/// literature, calibrated within that range against Fig. 9(a) — see
-/// EXPERIMENTS.md).
+/// literature, calibrated within that range against Fig. 9(a) — listed
+/// under "Substitutions and calibrations" in ARCHITECTURE.md).
 pub const ANALOG_DKV_REPROGRAM: SimTime = SimTime::from_ps(20_000_000); // 20 µs
 
 /// Serializer switching-activity factor: the 5 mW Table IV figure is the
 /// full-rate toggling power; shifting stochastic bit-vectors toggles a
-/// fraction of cycles (calibrated against Fig. 9(b), documented in
-/// EXPERIMENTS.md).
+/// fraction of cycles (calibrated against Fig. 9(b), listed under
+/// "Substitutions and calibrations" in ARCHITECTURE.md).
 pub const SERIALIZER_ACTIVITY: f64 = 0.25;
 
 /// MAM VDPE area implied by the paper's scaling (Section VI-B):

@@ -606,9 +606,9 @@ mod tests {
 
     #[test]
     fn fig9_shape_gmean_ratios() {
-        // The headline reproduction bar (DESIGN.md): SCONNA/MAM gmean FPS
-        // ratio within 2x of the paper's 66.5x, SCONNA/AMM within 2x of
-        // 146.4x, and MAM > AMM.
+        // The headline reproduction bar (ARCHITECTURE.md, "Substitutions
+        // and calibrations"): SCONNA/MAM gmean FPS ratio within 2x of the
+        // paper's 66.5x, SCONNA/AMM within 2x of 146.4x, and MAM > AMM.
         let models = [googlenet(), resnet50(), mobilenet_v2(), shufflenet_v2()];
         let ratio = |a: &AcceleratorConfig, b: &AcceleratorConfig| {
             let rs: Vec<f64> = models

@@ -4,8 +4,8 @@
 //! LUT areas in the published table are clearly in different units than
 //! the rest (5.9 mm² *per OSM* would dwarf the die); we interpret them as
 //! 10⁻³ mm² class figures, which matches the cited sources (a 45 nm SerDes
-//! lane and a gain-cell eDRAM macro), and document the reinterpretation in
-//! EXPERIMENTS.md.
+//! lane and a gain-cell eDRAM macro), and list the reinterpretation under
+//! "Substitutions and calibrations" in ARCHITECTURE.md.
 
 use sconna_sim::time::SimTime;
 

@@ -2,13 +2,13 @@
 //! compute + ADC error) vs exact int8, plus the per-architecture
 //! layer-error propagation study.
 //!
-//! Substitution note (DESIGN.md §2.3): the paper measures pretrained
-//! ImageNet models through PyTorch; this harness trains a small CNN on
-//! the in-repo synthetic dataset and propagates errors through
-//! random-weight instances of the four real architectures' layer
-//! geometries.
+//! Substitution note (ARCHITECTURE.md, "Substitutions and
+//! calibrations"): the paper measures pretrained ImageNet models through
+//! PyTorch; this harness trains small CNNs on the in-repo synthetic
+//! dataset and propagates errors through random-weight instances of the
+//! four real architectures' layer geometries.
 
-use sconna_accel::accuracy::{capacity_trend, layer_error_experiment, AccuracyExperiment};
+use sconna_accel::accuracy::{layer_error_experiment, AccuracyExperiment};
 use sconna_bench::banner;
 use sconna_tensor::models::all_models;
 
@@ -24,6 +24,7 @@ fn main() {
     println!("[1/3] end-to-end accuracy (small CNN, synthetic 10-class set)");
     let mut top1_drops = Vec::new();
     let mut topk_drops = Vec::new();
+    let mut plain = Vec::new();
     println!(
         "{:>6}{:>10}{:>12}{:>12}{:>12}{:>12}{:>12}",
         "seed", "fp32", "int8 top1", "SC top1", "drop(pp)", "int8 top5", "SC top5"
@@ -46,6 +47,7 @@ fn main() {
         );
         top1_drops.push(r.top1_drop_pct);
         topk_drops.push(r.topk_drop_pct);
+        plain.push((seed, r.top1_drop_pct));
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     let median = |v: &mut Vec<f64>| {
@@ -69,17 +71,17 @@ fn main() {
     );
     let mut plain_sum = 0.0;
     let mut res_sum = 0.0;
-    for seed in [7u64, 21, 42] {
-        let t = capacity_trend(&AccuracyExperiment {
+    // The plain model at these seeds is the one [1/3] already measured.
+    for &(seed, plain_drop) in &plain[..3] {
+        let residual_drop = AccuracyExperiment {
             seed,
             ..Default::default()
-        });
-        println!(
-            "{:>6}{:>16.2}{:>18.2}",
-            seed, t.plain_drop_pct, t.residual_drop_pct
-        );
-        plain_sum += t.plain_drop_pct;
-        res_sum += t.residual_drop_pct;
+        }
+        .run_residual()
+        .top1_drop_pct;
+        println!("{seed:>6}{plain_drop:>16.2}{residual_drop:>18.2}");
+        plain_sum += plain_drop;
+        res_sum += residual_drop;
     }
     println!(
         "mean: plain {:.2} pp vs residual {:.2} pp  (paper's trend: deeper/",

@@ -9,8 +9,8 @@
 //!
 //! Where the paper relied on Lumerical/MultiSim device simulation, this
 //! crate substitutes calibrated analytic models; every calibration is
-//! listed in `DESIGN.md` §2.2 and asserted by unit tests against the
-//! paper's anchor numbers.
+//! listed under "Substitutions and calibrations" in `ARCHITECTURE.md` and
+//! asserted by unit tests against the paper's anchor numbers.
 //!
 //! ```
 //! use sconna_photonics::scalability::sconna_scalability_default;

@@ -40,7 +40,8 @@ pub struct LinkParameters {
     pub il_penalty_db: f64,
     /// Gap between adjacent OSMs, µm (`d_OSM`).
     pub d_osm_um: f64,
-    /// Budget calibration offset, dB — see DESIGN.md §2.2: Eq. 4 as
+    /// Budget calibration offset, dB (listed under "Substitutions and
+    /// calibrations" in ARCHITECTURE.md): Eq. 4 as
     /// printed is ambiguous about how the ideal 1×M split interacts with
     /// the penalty term; this offset is fixed so the solver reproduces the
     /// paper's anchor `N = M = 176` at `P_PD-opt = −28 dBm`.

@@ -15,7 +15,8 @@
 //!   (Fig. 7(a): supported bitrate vs FWHM at a fixed OMA floor), and
 //! * a time-domain transient simulation regenerating Fig. 6(c).
 //!
-//! **Calibration note (documented in DESIGN.md §2.2):** the paper derives
+//! **Calibration note (listed under "Substitutions and calibrations" in
+//! ARCHITECTURE.md):** the paper derives
 //! the bitrate limit from foundry-level Lumerical transients that include
 //! driver and junction dynamics. We fold those into one first-order
 //! response time `τ = response_time_scale · τ_photon(FWHM)`; the scale is

@@ -99,7 +99,8 @@ impl Photodetector {
     }
 }
 
-/// SCONNA's effective detection rate (DESIGN.md §2.2 calibration): the
+/// SCONNA's effective detection rate (a calibration listed under
+/// "Substitutions and calibrations" in ARCHITECTURE.md): the
 /// paper quotes `P_PD-opt = −28 dBm` for 1-bit resolution at BR = 30 Gb/s;
 /// Eq. 2 reproduces that sensitivity when the noise is integrated over
 /// `BR / B` (B = 8), i.e. a ~3.75 GS/s effective rate, which we adopt.

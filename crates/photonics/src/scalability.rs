@@ -242,7 +242,8 @@ mod tests {
     fn table_one_model_tracks_paper_shape() {
         // Model values must stay within ±35 % (or ±2 absolute for the
         // tiny entries) of the published table — the shape-reproduction
-        // bar set in DESIGN.md.
+        // bar set under "Substitutions and calibrations" in
+        // ARCHITECTURE.md.
         for e in reproduce_table_one() {
             let diff = (e.model_n as f64 - e.paper_n as f64).abs();
             let rel_ok = diff / e.paper_n as f64 <= 0.35;

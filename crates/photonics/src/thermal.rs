@@ -14,7 +14,8 @@
 //!   τ = 4 µs heater to 1 % of its step;
 //! * the per-ring tuning power that a power model may optionally add on
 //!   top of Table IV (the paper's table omits tuning power, so the
-//!   default ledgers do too — see EXPERIMENTS.md).
+//!   default ledgers do too — see "Substitutions and calibrations" in
+//!   ARCHITECTURE.md).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};

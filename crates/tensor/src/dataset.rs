@@ -1,6 +1,7 @@
 //! Synthetic classification dataset.
 //!
-//! Substitution for ImageNet (see DESIGN.md §2.3): the accuracy experiment
+//! Substitution for ImageNet (see "Substitutions and calibrations" in
+//! ARCHITECTURE.md): the accuracy experiment
 //! needs a dataset on which a CNN can be trained in-repo and whose
 //! accuracy under SCONNA's error injection can be compared against exact
 //! int8 inference. Each class is a smooth random template; samples are the

@@ -173,12 +173,15 @@ pub fn conv_backward(
     (grad_in, grad_w, grad_b)
 }
 
-/// ReLU forward.
-pub fn relu_forward(x: &Tensor<f32>) -> Tensor<f32> {
-    x.map(|v| v.max(0.0))
+/// ReLU forward, in place.
+pub fn relu_in_place(x: &mut Tensor<f32>) {
+    for v in x.as_mut_slice() {
+        *v = v.max(0.0);
+    }
 }
 
-/// ReLU backward: gates the gradient by the forward input's sign.
+/// ReLU backward: gates the gradient by the sign of the forward input,
+/// or equally of its output (`max(z, 0) > 0` exactly when `z > 0`).
 pub fn relu_backward(x: &Tensor<f32>, grad_out: &Tensor<f32>) -> Tensor<f32> {
     assert_eq!(x.dims(), grad_out.dims(), "shape mismatch");
     Tensor::from_fn(x.dims(), |i| {
@@ -352,9 +355,11 @@ mod tests {
     fn relu_gates_gradient() {
         let x = Tensor::from_vec(&[4], vec![-1.0, 0.0, 2.0, -3.0]);
         let g = Tensor::from_vec(&[4], vec![1.0, 1.0, 1.0, 1.0]);
-        let y = relu_forward(&x);
+        let mut y = x.clone();
+        relu_in_place(&mut y);
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
         assert_eq!(relu_backward(&x, &g).as_slice(), &[0.0, 0.0, 1.0, 0.0]);
+        assert_eq!(relu_backward(&y, &g).as_slice(), &[0.0, 0.0, 1.0, 0.0]);
     }
 
     #[test]

@@ -25,7 +25,6 @@ pub mod layers;
 pub mod models;
 pub mod network;
 pub mod quant;
-pub mod resnet_small;
 pub mod smallcnn;
 pub mod tensor;
 

@@ -24,7 +24,11 @@ use crate::engine::{combine_keys, PreparedWeights, VdpEngine};
 use crate::layers::{GlobalAvgPool, MaxPool2d, QConv2d, QFc};
 use crate::quant::{ActivationQuant, Requant};
 use crate::tensor::Tensor;
-use sconna_sim::parallel::parallel_map_with;
+use sconna_sim::parallel::{block_ranges, parallel_map_with};
+
+/// Images per chunk of [`PreparedNetwork::evaluate`]: each chunk stacks
+/// its images into shared tiles.
+const EVAL_CHUNK: usize = 16;
 
 /// One layer of a quantized network.
 #[derive(Debug, Clone)]
@@ -586,8 +590,10 @@ impl<'a> PreparedNetwork<'a> {
             .collect()
     }
 
-    /// Top-1 and Top-k accuracy, parallelized over images (sample `i`
-    /// runs under image key `i` — worker-count invariant).
+    /// Top-1 and Top-k accuracy, parallelized over fixed chunks of 16
+    /// images that share one arena. Sample `i` runs under
+    /// image key `i`, so the result is independent of the chunking and
+    /// the worker count.
     pub fn evaluate(
         &self,
         samples: &[crate::dataset::Sample],
@@ -597,19 +603,22 @@ impl<'a> PreparedNetwork<'a> {
         if samples.is_empty() {
             return (0.0, 0.0);
         }
-        let hits = parallel_map_with((0..samples.len()).collect(), workers, |i: usize| {
-            let s = &samples[i];
-            let logits = self
-                .forward_batch(&[&s.image], &[i as u64], &BatchArena::new())
-                .pop()
-                .expect("invariant: forward_batch yields one logit row per image");
-            let top1 = crate::layers::argmax(&logits) == s.label;
-            let topk = crate::layers::top_k(&logits, k).contains(&s.label);
-            (top1, topk)
+        let arena = BatchArena::new();
+        let chunks = block_ranges(samples.len(), EVAL_CHUNK);
+        let hits = parallel_map_with(chunks, workers, |range| {
+            let chunk = &samples[range.clone()];
+            let images: Vec<&Tensor<f32>> = chunk.iter().map(|s| &s.image).collect();
+            let keys: Vec<u64> = range.map(|i| i as u64).collect();
+            let mut hits = (0, 0);
+            for (logits, s) in self.forward_batch(&images, &keys, &arena).iter().zip(chunk) {
+                hits.0 += usize::from(crate::layers::argmax(logits) == s.label);
+                hits.1 += usize::from(crate::layers::top_k(logits, k).contains(&s.label));
+            }
+            hits
         });
         let n = samples.len() as f64;
-        let top1 = hits.iter().filter(|h| h.0).count() as f64 / n;
-        let topk = hits.iter().filter(|h| h.1).count() as f64 / n;
+        let top1 = hits.iter().map(|h| h.0).sum::<usize>() as f64 / n;
+        let topk = hits.iter().map(|h| h.1).sum::<usize>() as f64 / n;
         (top1, topk)
     }
 }
@@ -617,7 +626,9 @@ impl<'a> PreparedNetwork<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ExactEngine;
+    use crate::dataset::Sample;
+    use crate::engine::{mix_key, ExactEngine};
+    use crate::layers::argmax;
     use crate::quant::{Requant, WeightQuant};
 
     fn tiny_network() -> QuantizedNetwork {
@@ -700,6 +711,51 @@ mod tests {
                     dequant: mid.scale * wq.scale,
                 }),
             ],
+        }
+    }
+
+    /// Exact dot products plus a large key-dependent offset, so a
+    /// prediction depends on the image key its sample runs under.
+    struct KeyNoise;
+
+    impl VdpEngine for KeyNoise {
+        fn vdp_keyed(&self, inputs: &[u32], weights: &[i32], key: u64) -> f64 {
+            ExactEngine.vdp(inputs, weights) + (mix_key(key) % 20_001) as f64 - 10_000.0
+        }
+
+        fn name(&self) -> &'static str {
+            "key-noise"
+        }
+    }
+
+    #[test]
+    fn chunked_evaluate_matches_per_sample_oracle() {
+        // A prime-sized set: every chunking leaves a partial last chunk.
+        let net = tiny_network();
+        let samples: Vec<Sample> = (0..37)
+            .map(|i| Sample {
+                image: Tensor::from_fn(&[1, 4, 4], |p| ((i * 7 + p * 3) % 11) as f32 / 100.0),
+                label: i % 2,
+            })
+            .collect();
+        assert_ne!(samples.len() % EVAL_CHUNK, 0);
+        let hits = |engine: &dyn VdpEngine| -> Vec<bool> {
+            samples
+                .iter()
+                .enumerate()
+                .map(|(i, s)| argmax(&net.forward_keyed(&s.image, engine, i as u64)) == s.label)
+                .collect()
+        };
+        let oracle = hits(&KeyNoise);
+        assert_ne!(
+            oracle,
+            hits(&ExactEngine),
+            "the noise must move predictions"
+        );
+        let want = oracle.iter().filter(|&&hit| hit).count() as f64 / 37.0;
+        for workers in [1, 2, 3] {
+            let (top1, _) = net.evaluate(&samples, 1, &KeyNoise, workers);
+            assert_eq!(top1, want, "{workers} workers");
         }
     }
 

@@ -1,22 +1,33 @@
-//! A small trainable CNN — the in-repo stand-in for the paper's
-//! pretrained ImageNet models in the Table V accuracy experiment
-//! (substitution documented in DESIGN.md §2.3).
+//! Small trainable CNNs — the in-repo stand-ins for the paper's
+//! pretrained ImageNet models in the Table V accuracy experiment (see
+//! "Substitutions and calibrations" in ARCHITECTURE.md).
 //!
-//! Topology: conv3×3(pad 1) → ReLU → maxpool2 → conv3×3(pad 1) → ReLU →
-//! maxpool2 → FC → logits, trained with plain SGD on the synthetic
-//! dataset, then post-training-quantized into a [`QuantizedNetwork`] that
-//! runs on any [`crate::engine::VdpEngine`].
+//! Two topologies share one float layer list, aligned layer for layer
+//! with the [`QLayer`]s it quantizes into:
+//!
+//! * **plain** ([`SmallCnn::new`]): conv3×3 → ReLU → maxpool2 → conv3×3 →
+//!   ReLU → maxpool2 → FC;
+//! * **residual** ([`SmallCnn::residual`]): conv3×3 → ReLU → maxpool2 →
+//!   [conv3×3 → ReLU → conv3×3 → +skip → ReLU] → maxpool2 → FC. Table V
+//!   observes that larger and residual CNNs tolerate SCONNA's errors
+//!   better; the identity skip carries clean activations around the noisy
+//!   branch.
+//!
+//! One forward keeps each layer's output for backprop and calibration,
+//! one backward steps plain SGD, and one layer walk post-training-
+//! quantizes into a [`QuantizedNetwork`] that runs on any
+//! [`crate::engine::VdpEngine`].
 
 use crate::dataset::Sample;
 use crate::fp;
-use crate::layers::{MaxPool2d, QConv2d, QFc};
-use crate::network::{QLayer, QuantizedNetwork};
+use crate::layers::{argmax, MaxPool2d, QConv2d, QFc};
+use crate::network::{QLayer, QuantizedNetwork, Residual};
 use crate::quant::{ActivationQuant, WeightQuant};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Architecture hyper-parameters.
+/// Architecture hyper-parameters of the plain model.
 #[derive(Debug, Clone, Copy)]
 pub struct SmallCnnConfig {
     /// Input side length (must be divisible by 4).
@@ -40,97 +51,138 @@ impl Default for SmallCnnConfig {
     }
 }
 
-/// The float-precision model with its trainable parameters.
-#[derive(Debug, Clone)]
-pub struct SmallCnn {
-    /// Architecture.
-    pub cfg: SmallCnnConfig,
-    w1: Tensor<f32>,
-    b1: Vec<f32>,
-    w2: Tensor<f32>,
-    b2: Vec<f32>,
-    wf: Tensor<f32>,
-    bf: Vec<f32>,
+/// Architecture hyper-parameters of the residual model.
+#[derive(Debug, Clone, Copy)]
+pub struct SmallResNetConfig {
+    /// Input side length (must be divisible by 4).
+    pub input_size: usize,
+    /// Channel width throughout.
+    pub channels: usize,
+    /// Output classes.
+    pub classes: usize,
 }
 
-/// Intermediate activations kept for backprop.
-struct Caches {
-    x: Tensor<f32>,
-    z1: Tensor<f32>,
-    a1: Tensor<f32>,
-    p1: Tensor<f32>,
-    arg1: Vec<usize>,
-    z2: Tensor<f32>,
-    a2: Tensor<f32>,
-    p2: Tensor<f32>,
-    arg2: Vec<usize>,
-    logits: Vec<f32>,
+/// One float layer, aligned with the [`QLayer`] it quantizes into.
+#[derive(Debug, Clone)]
+enum Layer {
+    /// 3×3 "same" convolution followed by ReLU; its name is the quantized
+    /// conv's, so the noise key is too.
+    Conv {
+        name: &'static str,
+        w: Tensor<f32>,
+        b: Vec<f32>,
+    },
+    /// 2×2 stride-2 max pooling.
+    Pool,
+    /// Identity-skip block over its branch, which ends in a conv whose
+    /// ReLU runs after the merge.
+    Residual(Vec<Layer>),
+    /// The classifier producing logits.
+    Fc { w: Tensor<f32>, b: Vec<f32> },
+}
+
+/// What the forward keeps of one layer.
+enum Rec {
+    /// A conv's ReLU output, or the FC's logits.
+    Out(Tensor<f32>),
+    /// A pool's output and the flat argmax index of each output.
+    Pool(Tensor<f32>, Vec<usize>),
+    /// A residual block's branch records; the last is the merged output.
+    Block(Vec<Rec>),
+}
+
+impl Rec {
+    fn out(&self) -> &Tensor<f32> {
+        match self {
+            Rec::Out(t) | Rec::Pool(t, _) => t,
+            Rec::Block(branch) => branch
+                .last()
+                .expect("invariant: forward pushes a branch's merged output")
+                .out(),
+        }
+    }
+}
+
+/// A float-precision small CNN with its trainable parameters.
+#[derive(Debug, Clone)]
+pub struct SmallCnn {
+    layers: Vec<Layer>,
+}
+
+/// He-uniform initializer: one seeded stream, drawn in layer order.
+struct Init(StdRng);
+
+impl Init {
+    /// # Panics
+    /// Panics if the input size is not divisible by 4.
+    fn new(input_size: usize, seed: u64) -> Self {
+        assert!(
+            input_size.is_multiple_of(4),
+            "input size must be divisible by 4"
+        );
+        Self(StdRng::seed_from_u64(seed))
+    }
+
+    fn draw(&mut self, dims: &[usize], fan_in: usize) -> Tensor<f32> {
+        let s = (2.0 / fan_in as f32).sqrt();
+        Tensor::from_fn(dims, |_| self.0.gen_range(-s..s))
+    }
+
+    fn conv(&mut self, name: &'static str, c_in: usize, c_out: usize) -> Layer {
+        Layer::Conv {
+            name,
+            w: self.draw(&[c_out, c_in, 3, 3], 9 * c_in),
+            b: vec![0.0; c_out],
+        }
+    }
+
+    /// The classifier over `channels` maps of a twice-pooled input.
+    fn fc(&mut self, channels: usize, input_size: usize, classes: usize) -> Layer {
+        let fc_in = channels * (input_size / 4) * (input_size / 4);
+        Layer::Fc {
+            w: self.draw(&[classes, fc_in], fc_in),
+            b: vec![0.0; classes],
+        }
+    }
 }
 
 impl SmallCnn {
-    /// He-initialized network.
+    /// He-initialized plain model.
     ///
     /// # Panics
     /// Panics if the input size is not divisible by 4.
     pub fn new(cfg: SmallCnnConfig, seed: u64) -> Self {
-        assert!(
-            cfg.input_size.is_multiple_of(4),
-            "input size must be divisible by 4"
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let init = |dims: &[usize], fan_in: usize, rng: &mut StdRng| {
-            let s = (2.0 / fan_in as f32).sqrt();
-            Tensor::from_fn(dims, |_| rng.gen_range(-s..s))
-        };
-        let fc_in = cfg.channels2 * (cfg.input_size / 4) * (cfg.input_size / 4);
-        let w1 = init(&[cfg.channels1, 1, 3, 3], 9, &mut rng);
-        let w2 = init(
-            &[cfg.channels2, cfg.channels1, 3, 3],
-            9 * cfg.channels1,
-            &mut rng,
-        );
-        let wf = init(&[cfg.classes, fc_in], fc_in, &mut rng);
+        let mut init = Init::new(cfg.input_size, seed);
         Self {
-            cfg,
-            w1,
-            b1: vec![0.0; cfg.channels1],
-            w2,
-            b2: vec![0.0; cfg.channels2],
-            wf,
-            bf: vec![0.0; cfg.classes],
+            layers: vec![
+                init.conv("conv1", 1, cfg.channels1),
+                Layer::Pool,
+                init.conv("conv2", cfg.channels1, cfg.channels2),
+                Layer::Pool,
+                init.fc(cfg.channels2, cfg.input_size, cfg.classes),
+            ],
         }
     }
 
-    fn forward_cached(&self, x: &Tensor<f32>) -> Caches {
-        let z1 = fp::conv_forward(x, &self.w1, &self.b1, 1);
-        let a1 = fp::relu_forward(&z1);
-        let (p1, arg1) = fp::maxpool2_forward(&a1);
-        let z2 = fp::conv_forward(&p1, &self.w2, &self.b2, 1);
-        let a2 = fp::relu_forward(&z2);
-        let (p2, arg2) = fp::maxpool2_forward(&a2);
-        let logits = fp::fc_forward(p2.as_slice(), &self.wf, &self.bf);
-        Caches {
-            x: x.clone(),
-            z1,
-            a1,
-            p1,
-            arg1,
-            z2,
-            a2,
-            p2,
-            arg2,
-            logits,
+    /// He-initialized residual model.
+    ///
+    /// # Panics
+    /// Panics if the input size is not divisible by 4.
+    pub fn residual(cfg: SmallResNetConfig, seed: u64) -> Self {
+        let mut init = Init::new(cfg.input_size, seed);
+        let c = cfg.channels;
+        Self {
+            layers: vec![
+                init.conv("stem", 1, c),
+                Layer::Pool,
+                Layer::Residual(vec![
+                    init.conv("block.conv1", c, c),
+                    init.conv("block.conv2", c, c),
+                ]),
+                Layer::Pool,
+                init.fc(c, cfg.input_size, cfg.classes),
+            ],
         }
-    }
-
-    /// Float-precision logits for one image.
-    pub fn logits(&self, x: &Tensor<f32>) -> Vec<f32> {
-        self.forward_cached(x).logits
-    }
-
-    /// Float-precision prediction.
-    pub fn predict(&self, x: &Tensor<f32>) -> usize {
-        crate::layers::argmax(&self.logits(x))
     }
 
     /// Float-precision top-1 accuracy.
@@ -140,31 +192,21 @@ impl SmallCnn {
         }
         let ok = samples
             .iter()
-            .filter(|s| self.predict(&s.image) == s.label)
+            .filter(|s| {
+                let recs = forward(&self.layers, &s.image);
+                argmax(recs[recs.len() - 1].out().as_slice()) == s.label
+            })
             .count();
         ok as f64 / samples.len() as f64
     }
 
     /// One SGD step on one sample; returns the loss.
-    pub fn sgd_step(&mut self, sample: &Sample, lr: f32) -> f32 {
-        let c = self.forward_cached(&sample.image);
-        let (loss, grad_logits) = fp::softmax_cross_entropy(&c.logits, sample.label);
-
-        let (gp2, gwf, gbf) = fp::fc_backward(c.p2.as_slice(), &self.wf, &grad_logits);
-        let gp2 = Tensor::from_vec(c.p2.dims(), gp2);
-        let ga2 = fp::maxpool2_backward(c.a2.dims(), &c.arg2, &gp2);
-        let gz2 = fp::relu_backward(&c.z2, &ga2);
-        let (gp1, gw2, gb2) = fp::conv_backward(&c.p1, &self.w2, &gz2, 1);
-        let ga1 = fp::maxpool2_backward(c.a1.dims(), &c.arg1, &gp1);
-        let gz1 = fp::relu_backward(&c.z1, &ga1);
-        let (_, gw1, gb1) = fp::conv_backward(&c.x, &self.w1, &gz1, 1);
-
-        apply(&mut self.w1, &gw1, lr);
-        apply_vec(&mut self.b1, &gb1, lr);
-        apply(&mut self.w2, &gw2, lr);
-        apply_vec(&mut self.b2, &gb2, lr);
-        apply(&mut self.wf, &gwf, lr);
-        apply_vec(&mut self.bf, &gbf, lr);
+    fn sgd_step(&mut self, sample: &Sample, lr: f32) -> f32 {
+        let recs = forward(&self.layers, &sample.image);
+        let logits = recs[recs.len() - 1].out();
+        let (loss, grad) = fp::softmax_cross_entropy(logits.as_slice(), sample.label);
+        let grad = Tensor::from_vec(logits.dims(), grad);
+        backward(&mut self.layers, &sample.image, &recs, grad, lr);
         loss
     }
 
@@ -179,67 +221,198 @@ impl SmallCnn {
         last
     }
 
-    /// Post-training quantization: calibrates activation ranges on
-    /// `calibration` samples and emits the int-`bits` network.
+    /// Post-training quantization: calibrates every conv's activation
+    /// range on `calibration` samples and emits the int-`bits` network.
+    /// The input grid spans `[0, 1]`, each conv's output grid its largest
+    /// ReLU output, and a residual's merge grid the larger of the merge's
+    /// and the skip's maxima.
     ///
     /// # Panics
     /// Panics if the calibration set is empty.
     pub fn quantize(&self, calibration: &[Sample], bits: u8) -> QuantizedNetwork {
         assert!(!calibration.is_empty(), "calibration set must be non-empty");
-        let mut a1_max = 0.0f32;
-        let mut a2_max = 0.0f32;
+        let mut maxes: Vec<f32> = Vec::new();
+        let mut sample = Vec::new();
         for s in calibration {
-            let c = self.forward_cached(&s.image);
-            a1_max = a1_max.max(c.a1.max_abs());
-            a2_max = a2_max.max(c.a2.max_abs());
+            sample.clear();
+            conv_maxes(
+                &self.layers,
+                &s.image,
+                &forward(&self.layers, &s.image),
+                &mut sample,
+            );
+            maxes.resize(sample.len(), 0.0);
+            for (m, v) in maxes.iter_mut().zip(&sample) {
+                *m = m.max(*v);
+            }
         }
-        let input_q = ActivationQuant::fit(1.0, bits);
-        let act1_q = ActivationQuant::fit(a1_max.max(1e-6), bits);
-        let act2_q = ActivationQuant::fit(a2_max.max(1e-6), bits);
-        let wq1 = WeightQuant::fit(self.w1.max_abs().max(1e-6), bits);
-        let wq2 = WeightQuant::fit(self.w2.max_abs().max(1e-6), bits);
-        let wqf = WeightQuant::fit(self.wf.max_abs().max(1e-6), bits);
-
+        let mut act = ActivationQuant::fit(1.0, bits);
         QuantizedNetwork {
-            input_quant: input_q,
-            layers: vec![
-                QLayer::Conv(QConv2d::from_float(
-                    "conv1", &self.w1, &self.b1, input_q, wq1, act1_q,
-                )),
-                QLayer::MaxPool(MaxPool2d {
-                    kernel: 2,
-                    stride: 2,
-                    padding: 0,
-                }),
-                QLayer::Conv(QConv2d::from_float(
-                    "conv2", &self.w2, &self.b2, act1_q, wq2, act2_q,
-                )),
-                QLayer::MaxPool(MaxPool2d {
-                    kernel: 2,
-                    stride: 2,
-                    padding: 0,
-                }),
-                QLayer::Fc(QFc {
-                    name: "fc".into(),
-                    weights: wqf.quantize_tensor(&self.wf),
-                    bias: self.bf.clone(),
-                    dequant: act2_q.scale * wqf.scale,
-                }),
-            ],
+            input_quant: act,
+            layers: quantize_layers(&self.layers, &mut maxes.into_iter(), &mut act, bits),
         }
     }
 }
 
-fn apply(param: &mut Tensor<f32>, grad: &Tensor<f32>, lr: f32) {
-    for (p, g) in param.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-        *p -= lr * g;
+/// Runs `x` through `layers`, keeping one record per layer.
+fn forward(layers: &[Layer], x: &Tensor<f32>) -> Vec<Rec> {
+    let mut recs: Vec<Rec> = Vec::with_capacity(layers.len());
+    for layer in layers {
+        let input = recs.last().map_or(x, Rec::out);
+        let rec = match layer {
+            Layer::Conv { w, b, .. } => {
+                let mut a = fp::conv_forward(input, w, b, 1);
+                fp::relu_in_place(&mut a);
+                Rec::Out(a)
+            }
+            Layer::Pool => {
+                let (p, arg) = fp::maxpool2_forward(input);
+                Rec::Pool(p, arg)
+            }
+            Layer::Residual(branch) => {
+                let Some((Layer::Conv { w, b, .. }, body)) = branch.split_last() else {
+                    panic!("a residual branch must end in a conv");
+                };
+                let mut inner = forward(body, input);
+                let mut merged = fp::conv_forward(inner.last().map_or(input, Rec::out), w, b, 1);
+                for (m, skip) in merged.as_mut_slice().iter_mut().zip(input.as_slice()) {
+                    *m += skip;
+                }
+                fp::relu_in_place(&mut merged);
+                inner.push(Rec::Out(merged));
+                Rec::Block(inner)
+            }
+            Layer::Fc { w, b } => {
+                let logits = fp::fc_forward(input.as_slice(), w, b);
+                Rec::Out(Tensor::from_vec(&[logits.len()], logits))
+            }
+        };
+        recs.push(rec);
     }
+    recs
 }
 
-fn apply_vec(param: &mut [f32], grad: &[f32], lr: f32) {
+/// Backpropagates `grad`, the loss gradient at the last record's output,
+/// through `layers` (which ran on `x` and left `recs`), stepping every
+/// parameter by SGD at rate `lr` once its gradient is known; returns the
+/// gradient at `x`. A layer's step comes after its own input gradient, so
+/// stepping on the way down matches stepping after the whole pass.
+fn backward(
+    layers: &mut [Layer],
+    x: &Tensor<f32>,
+    recs: &[Rec],
+    mut grad: Tensor<f32>,
+    lr: f32,
+) -> Tensor<f32> {
+    for (i, layer) in layers.iter_mut().enumerate().rev() {
+        let input = if i == 0 { x } else { recs[i - 1].out() };
+        grad = match (layer, &recs[i]) {
+            (Layer::Conv { w, b, .. }, Rec::Out(a)) => {
+                // ReLU gates on its output: `a > 0` exactly when `z > 0`.
+                let gz = fp::relu_backward(a, &grad);
+                let (gx, gw, gb) = fp::conv_backward(input, w, &gz, 1);
+                step(w.as_mut_slice(), gw.as_slice(), lr);
+                step(b, &gb, lr);
+                gx
+            }
+            (Layer::Pool, Rec::Pool(_, arg)) => fp::maxpool2_backward(input.dims(), arg, &grad),
+            (Layer::Residual(branch), Rec::Block(inner)) => {
+                // The merge fans its gradient into the branch (whose
+                // closing conv gates it by the merged ReLU) and the skip.
+                let skip = fp::relu_backward(recs[i].out(), &grad);
+                let mut gx = backward(branch, input, inner, grad, lr);
+                for (g, s) in gx.as_mut_slice().iter_mut().zip(skip.as_slice()) {
+                    *g += s;
+                }
+                gx
+            }
+            (Layer::Fc { w, b }, Rec::Out(_)) => {
+                let (gx, gw, gb) = fp::fc_backward(input.as_slice(), w, grad.as_slice());
+                step(w.as_mut_slice(), gw.as_slice(), lr);
+                step(b, &gb, lr);
+                Tensor::from_vec(input.dims(), gx)
+            }
+            _ => unreachable!("records are aligned with layers by construction"),
+        };
+    }
+    grad
+}
+
+fn step(param: &mut [f32], grad: &[f32], lr: f32) {
     for (p, g) in param.iter_mut().zip(grad) {
         *p -= lr * g;
     }
+}
+
+/// Pushes one sample's conv output maxima onto `maxes`, one per conv in
+/// layer order. A residual's closing conv pushes the larger of the
+/// merge's and the skip's (the block input's) maxima, so the merge grid
+/// holds both.
+fn conv_maxes(layers: &[Layer], x: &Tensor<f32>, recs: &[Rec], maxes: &mut Vec<f32>) {
+    for (i, (layer, rec)) in layers.iter().zip(recs).enumerate() {
+        match (layer, rec) {
+            (Layer::Conv { .. }, _) => maxes.push(rec.out().max_abs()),
+            (Layer::Residual(branch), Rec::Block(inner)) => {
+                let input = if i == 0 { x } else { recs[i - 1].out() };
+                conv_maxes(branch, input, inner, maxes);
+                let merge = maxes
+                    .last_mut()
+                    .expect("invariant: forward checked that a branch ends in a conv");
+                *merge = merge.max(input.max_abs());
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Quantizes `layers`, taking each conv's calibrated output maximum from
+/// `maxes` in layer order; `act` is the incoming activation grid and
+/// leaves as the outgoing one.
+fn quantize_layers(
+    layers: &[Layer],
+    maxes: &mut impl Iterator<Item = f32>,
+    act: &mut ActivationQuant,
+    bits: u8,
+) -> Vec<QLayer> {
+    let wq = |w: &Tensor<f32>| WeightQuant::fit(w.max_abs().max(1e-6), bits);
+    layers
+        .iter()
+        .map(|layer| match layer {
+            Layer::Conv { name, w, b } => {
+                let max = maxes
+                    .next()
+                    .expect("invariant: calibration yields one maximum per conv");
+                let out = ActivationQuant::fit(max.max(1e-6), bits);
+                let conv = QConv2d::from_float(name, w, b, *act, wq(w), out);
+                *act = out;
+                QLayer::Conv(conv)
+            }
+            Layer::Pool => QLayer::MaxPool(MaxPool2d {
+                kernel: 2,
+                stride: 2,
+                padding: 0,
+            }),
+            Layer::Residual(branch) => {
+                let skip = *act;
+                let branch = quantize_layers(branch, maxes, act, bits);
+                // The skip's codes move onto the merge grid (the closing
+                // conv's output) by the scale ratio.
+                QLayer::Residual(Residual {
+                    branch,
+                    skip_rescale: skip.scale / act.scale,
+                })
+            }
+            Layer::Fc { w, b } => {
+                let wq = wq(w);
+                QLayer::Fc(QFc {
+                    name: "fc".into(),
+                    weights: wq.quantize_tensor(w),
+                    bias: b.clone(),
+                    dequant: act.scale * wq.scale,
+                })
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -374,5 +547,149 @@ mod tests {
             },
             0,
         );
+    }
+
+    /// The residual model's tests.
+    mod residual {
+        use super::*;
+
+        fn small_cfg() -> SmallResNetConfig {
+            SmallResNetConfig {
+                input_size: 12,
+                channels: 8,
+                classes: 6,
+            }
+        }
+
+        #[test]
+        fn training_learns_the_task() {
+            let data = SyntheticDataset::new(6, 12, 0.2, 11);
+            let train = data.batch(20, 1);
+            let test = data.batch(8, 2);
+            let mut net = SmallCnn::residual(small_cfg(), 0);
+            let first = net.train(&train, 1, 0.04);
+            let last = net.train(&train, 9, 0.04);
+            assert!(last < first, "loss must fall: {first} -> {last}");
+            let acc = net.accuracy(&test);
+            assert!(acc > 0.8, "residual net accuracy {acc}");
+        }
+
+        #[test]
+        fn skip_gradient_reaches_the_stem() {
+            // With the block weights zeroed, gradients still flow to the stem
+            // through the identity skip (the whole point of the residual).
+            let data = SyntheticDataset::new(6, 12, 0.2, 3);
+            let train = data.batch(4, 1);
+            let mut net = SmallCnn::residual(small_cfg(), 0);
+            let Layer::Residual(branch) = &mut net.layers[2] else {
+                panic!("the block follows the stem and its pool");
+            };
+            for layer in branch {
+                if let Layer::Conv { w, .. } = layer {
+                    *w = Tensor::zeros(w.dims());
+                }
+            }
+            let stem = |net: &SmallCnn| match &net.layers[0] {
+                Layer::Conv { w, .. } => w.clone(),
+                _ => panic!("the stem is a conv"),
+            };
+            let stem_before = stem(&net);
+            net.sgd_step(&train[0], 0.05);
+            let moved = stem(&net)
+                .as_slice()
+                .iter()
+                .zip(stem_before.as_slice())
+                .any(|(a, b)| a != b);
+            assert!(moved, "stem weights must receive gradient through the skip");
+        }
+
+        #[test]
+        fn quantized_matches_fp_accuracy() {
+            let data = SyntheticDataset::new(6, 12, 0.2, 11);
+            let train = data.batch(20, 1);
+            let test = data.batch(8, 2);
+            let mut net = SmallCnn::residual(small_cfg(), 0);
+            net.train(&train, 10, 0.04);
+            let fp_acc = net.accuracy(&test);
+            let q_acc = net.quantize(&train, 8).accuracy(&test, &ExactEngine);
+            assert!(
+                (fp_acc - q_acc).abs() <= 0.11,
+                "fp {fp_acc} vs int8 {q_acc}"
+            );
+        }
+
+        #[test]
+        fn exact_logits_and_top1_are_pinned() {
+            // Training and the exact int8 forward, pinned bit for bit: the
+            // final-epoch loss must not move under a refactor of the float
+            // path, and the residual block's signed requantization, skip
+            // rescale and saturating merge must reproduce these logits on any
+            // forward path.
+            let data = SyntheticDataset::new(6, 12, 0.2, 11);
+            let train = data.batch(20, 1);
+            let test = data.batch(8, 2);
+            let mut net = SmallCnn::residual(small_cfg(), 0);
+            let loss = net.train(&train, 10, 0.04);
+            assert_eq!(loss.to_bits(), 0x3a87_963b, "final-epoch loss {loss}");
+            let qnet = net.quantize(&train, 8);
+            let bits: Vec<Vec<u32>> = test[..3]
+                .iter()
+                .map(|s| {
+                    let logits = qnet.forward(&s.image, &ExactEngine);
+                    logits.iter().map(|l| l.to_bits()).collect()
+                })
+                .collect();
+            let pinned: [[u32; 6]; 3] = [
+                [
+                    0x4116_7646,
+                    0xc093_c34c,
+                    0xc09f_e248,
+                    0x401a_0618,
+                    0xc038_a035,
+                    0xc01f_c478,
+                ],
+                [
+                    0x4107_7425,
+                    0xc0d4_d593,
+                    0xbce6_cf48,
+                    0x3f60_18ef,
+                    0xbf58_1c89,
+                    0xc087_abea,
+                ],
+                [
+                    0x4108_bf9f,
+                    0xc08d_ca7b,
+                    0xc078_12ba,
+                    0x4039_ea80,
+                    0xc02f_71ba,
+                    0xc057_cc6d,
+                ],
+            ];
+            assert_eq!(bits, pinned.map(Vec::from));
+            assert_eq!(qnet.accuracy(&test, &ExactEngine), 1.0);
+        }
+
+        #[test]
+        fn residual_merge_uses_the_skip() {
+            // Zero branch weights: the quantized forward must reduce to
+            // (rescaled) skip activations, not zeros.
+            let data = SyntheticDataset::new(6, 12, 0.2, 11);
+            let train = data.batch(10, 1);
+            let mut net = SmallCnn::residual(small_cfg(), 0);
+            net.train(&train, 4, 0.04);
+            let mut qnet = net.quantize(&train, 8);
+            let QLayer::Residual(block) = &mut qnet.layers[2] else {
+                panic!("the block follows the stem and its pool");
+            };
+            let QLayer::Conv(conv2) = &mut block.branch[1] else {
+                panic!("the branch closes with a conv");
+            };
+            conv2.weights = Tensor::zeros(conv2.weights.dims());
+            let logits = qnet.forward(&train[0].image, &ExactEngine);
+            assert!(
+                logits.iter().any(|&l| l.abs() > 1e-6),
+                "skip path must carry signal when the branch is dead"
+            );
+        }
     }
 }
