@@ -42,6 +42,7 @@ fn main() {
 
     for &(label, sigma) in &[
         ("none (SC only)", -1.0f64),
+        ("0 (quant. only)", 0.0),
         ("0.5x (0.73%)", 0.00725),
         ("1.0x (1.45%)", 0.0145),
         ("2.0x (2.9%)", 0.029),

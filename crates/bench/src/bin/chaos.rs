@@ -32,7 +32,7 @@ use sconna_accel::serve::{
     chaos_sweep, simulate_serving, ChaosPoint, FailureProcess, ServingConfig, ServingReport,
     Supervisor,
 };
-use sconna_bench::{banner, json_num, same_at_workers};
+use sconna_bench::{banner, obj, same_at_workers, write_artifact, Json};
 use sconna_sim::stats::GoodputSamples;
 use sconna_sim::time::SimTime;
 use sconna_tensor::models::{googlenet, shufflenet_v2};
@@ -49,45 +49,31 @@ fn served_fraction(r: &ServingReport) -> f64 {
     (r.completed + r.degraded) as f64 / r.offered as f64
 }
 
-fn arm_json(r: &ServingReport, fault_free: &ServingReport) -> String {
-    format!(
-        concat!(
-            "{{\"served_fraction\": {}, \"goodput_fps\": {}, ",
-            "\"goodput_over_fault_free\": {}, \"min_window_fps\": {}, ",
-            "\"makespan_us\": {}, \"incidents\": {}, \"recoveries\": {}, ",
-            "\"restarts_issued\": {}, \"benched\": {}, \"active_instances\": {}, ",
-            "\"mean_mttr_us\": {}, \"downtime_us\": {}, ",
-            "\"retries\": {}, \"max_attempts_seen\": {}, ",
-            "\"stranded\": {}, \"shed_retry\": {}}}"
-        ),
-        json_num(served_fraction(r)),
-        json_num(r.goodput_fps),
-        json_num(r.goodput_fps / fault_free.goodput_fps),
-        json_num(
-            r.goodput_series
-                .as_ref()
-                .map_or(f64::NAN, GoodputSamples::min_rate_fps)
-        ),
-        json_num(r.makespan.as_secs_f64() * 1e6),
-        r.availability.incidents,
-        r.availability.recoveries,
-        r.availability.restarts_issued,
-        r.availability.benched,
-        r.availability.active_instances,
-        json_num(r.availability.mean_mttr.as_secs_f64() * 1e6),
-        json_num(
-            r.availability
-                .downtime
-                .iter()
-                .map(|d| d.as_secs_f64())
-                .sum::<f64>()
-                * 1e6
-        ),
-        r.availability.retries,
-        r.availability.max_attempts_seen,
-        r.shed.stranded,
-        r.shed.retry,
-    )
+fn arm_json(r: &ServingReport, fault_free: &ServingReport) -> Json {
+    let a = &r.availability;
+    let downtime_s: f64 = a.downtime.iter().map(|d| d.as_secs_f64()).sum();
+    let min_window_fps = r
+        .goodput_series
+        .as_ref()
+        .map_or(f64::NAN, GoodputSamples::min_rate_fps);
+    obj! {
+        "served_fraction" => served_fraction(r),
+        "goodput_fps" => r.goodput_fps,
+        "goodput_over_fault_free" => r.goodput_fps / fault_free.goodput_fps,
+        "min_window_fps" => min_window_fps,
+        "makespan_us" => r.makespan.as_secs_f64() * 1e6,
+        "incidents" => a.incidents,
+        "recoveries" => a.recoveries,
+        "restarts_issued" => a.restarts_issued,
+        "benched" => a.benched,
+        "active_instances" => a.active_instances,
+        "mean_mttr_us" => a.mean_mttr.as_secs_f64() * 1e6,
+        "downtime_us" => downtime_s * 1e6,
+        "retries" => a.retries,
+        "max_attempts_seen" => a.max_attempts_seen,
+        "stranded" => r.shed.stranded,
+        "shed_retry" => r.shed.retry,
+    }
 }
 
 /// One accelerator's full curve: the fault-free baseline plus, at each
@@ -225,34 +211,24 @@ fn main() {
                 s.availability.recoveries,
                 s.availability.mean_mttr,
             );
-            point_json.push(format!(
-                concat!(
-                    "        {{\"mtbf_us\": {}, \"mtbf_over_makespan\": {}, ",
-                    "\"fault_rate_per_s\": {},\n",
-                    "         \"unsupervised\": {},\n",
-                    "         \"supervised\": {}}}"
-                ),
-                json_num(mtbf.as_secs_f64() * 1e6),
-                json_num(multipliers[i]),
-                json_num(1.0 / mtbf.as_secs_f64()),
-                arm_json(u, &curve.fault_free),
-                arm_json(s, &curve.fault_free),
-            ));
+            point_json.push(obj! {
+                "mtbf_us" => mtbf.as_secs_f64() * 1e6,
+                "mtbf_over_makespan" => multipliers[i],
+                "fault_rate_per_s" => 1.0 / mtbf.as_secs_f64(),
+                "unsupervised" => arm_json(u, &curve.fault_free),
+                "supervised" => arm_json(s, &curve.fault_free),
+            });
         }
         println!();
-        accel_json.push(format!(
-            concat!(
-                "    {{\"accelerator\": \"{}\",\n",
-                "      \"fault_free\": {{\"makespan_us\": {}, \"goodput_fps\": {}}},\n",
-                "      \"warm_reload_us\": {},\n",
-                "      \"points\": [\n{}\n      ]}}"
-            ),
-            curve.name,
-            json_num(curve.fault_free.makespan.as_secs_f64() * 1e6),
-            json_num(curve.fault_free.goodput_fps),
-            json_num(curve.warm_reload.as_secs_f64() * 1e6),
-            point_json.join(",\n"),
-        ));
+        accel_json.push(obj! {
+            "accelerator" => curve.name,
+            "fault_free" => obj! {
+                "makespan_us" => curve.fault_free.makespan.as_secs_f64() * 1e6,
+                "goodput_fps" => curve.fault_free.goodput_fps,
+            },
+            "warm_reload_us" => curve.warm_reload.as_secs_f64() * 1e6,
+            "points" => point_json,
+        });
     }
 
     let sconna = &grid[0];
@@ -280,56 +256,34 @@ fn main() {
         sc_mid.availability.mean_mttr, mam_mid.availability.mean_mttr,
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"chaos\",\n",
-            "  \"mode\": \"{}\",\n",
-            "  \"timing_model\": \"{}\",\n",
-            "  \"fleet\": {{\"instances\": {}, \"max_batch\": {}, \"requests\": {}}},\n",
-            "  \"failure_process\": {{\"seed\": {}, \"kind\": \"kill-only, per-instance exponential, counter-keyed\"}},\n",
-            "  \"supervisor\": {{\"seed\": {}, \"initial_backoff_us\": {}, \"backoff_factor\": {}, ",
-            "\"max_backoff_us\": {}, \"jitter\": {}, \"restart_mode\": \"warm\", ",
-            "\"crash_loop_window\": \"makespan/50\", \"crash_loop_limit\": {}}},\n",
-            "  \"retry\": \"default: unconditional re-admission of kill-aborted requests\",\n",
-            "  \"mtbf_multipliers_of_makespan\": [{}],\n",
-            "  \"worker_invariant_1_2_8\": {},\n",
-            "  \"accelerators\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        if smoke { "smoke" } else { "full" },
-        model.name,
-        instances,
-        max_batch,
-        requests,
-        PROCESS_SEED,
-        SUPERVISOR_SEED,
-        json_num(
-            Supervisor::new(SUPERVISOR_SEED)
-                .initial_backoff
-                .as_secs_f64()
-                * 1e6
-        ),
-        Supervisor::new(SUPERVISOR_SEED).backoff_factor,
-        json_num(Supervisor::new(SUPERVISOR_SEED).max_backoff.as_secs_f64() * 1e6),
-        json_num(Supervisor::new(SUPERVISOR_SEED).jitter),
-        Supervisor::new(SUPERVISOR_SEED).crash_loop_limit,
-        multipliers
-            .iter()
-            .map(|m| json_num(*m))
-            .collect::<Vec<_>>()
-            .join(", "),
-        invariant,
-        accel_json.join(",\n"),
+    let sup = Supervisor::new(SUPERVISOR_SEED);
+    println!();
+    write_artifact(
+        "chaos",
+        smoke,
+        obj! {
+            "timing_model" => model.name,
+            "fleet" => obj! { "instances" => instances, "max_batch" => max_batch, "requests" => requests },
+            "failure_process" => obj! {
+                "seed" => PROCESS_SEED,
+                "kind" => "kill-only, per-instance exponential, counter-keyed",
+            },
+            "supervisor" => obj! {
+                "seed" => SUPERVISOR_SEED,
+                "initial_backoff_us" => sup.initial_backoff.as_secs_f64() * 1e6,
+                "backoff_factor" => Json::Raw(sup.backoff_factor.to_string()),
+                "max_backoff_us" => sup.max_backoff.as_secs_f64() * 1e6,
+                "jitter" => sup.jitter,
+                "restart_mode" => "warm",
+                "crash_loop_window" => "makespan/50",
+                "crash_loop_limit" => sup.crash_loop_limit,
+            },
+            "retry" => "default: unconditional re-admission of kill-aborted requests",
+            "mtbf_multipliers_of_makespan" => multipliers.iter().map(|&m| Json::Num(m)).collect::<Vec<_>>(),
+            "worker_invariant_1_2_8" => invariant,
+            "accelerators" => accel_json,
+        },
     );
-    if smoke {
-        // Smoke numbers (tiny sweep, few requests) are not a baseline;
-        // the checked-in record is always a full-mode run.
-        println!("\nsmoke mode: BENCH_chaos.json (full-mode baseline) left untouched");
-    } else {
-        std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
-        println!("\nwrote BENCH_chaos.json");
-    }
 
     // The availability gates hold in both modes.
     for curve in &grid {

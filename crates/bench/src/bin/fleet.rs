@@ -25,7 +25,7 @@
 use sconna_accel::organization::AcceleratorConfig;
 use sconna_accel::serve::{sweep, AutoscalePolicy, Fleet, ServingConfig};
 use sconna_accel::serve::{ArrivalProcess, ServingReport};
-use sconna_bench::{banner, json_num, same_at_workers};
+use sconna_bench::{banner, obj, same_at_workers, write_artifact, Json};
 use sconna_sim::time::SimTime;
 use sconna_tensor::models::{shufflenet_v2, CnnModel};
 use std::time::Instant;
@@ -147,40 +147,28 @@ fn main() {
             "  fps linearity 16→{}: {:.3}x of linear | events/s retention: {:.3}x\n",
             last.instances, fps_linearity, events_rate_retention
         );
-        let point_json: Vec<String> = points
+        let point_json: Vec<Json> = points
             .iter()
             .map(|p| {
-                format!(
-                    concat!(
-                        "        {{\"instances\": {}, \"fps\": {}, \"goodput_fps\": {}, ",
-                        "\"makespan_us\": {}, \"events\": {}, \"wall_s\": {}, ",
-                        "\"events_per_sec\": {}, \"mean_batch_fill\": {}}}"
-                    ),
-                    p.instances,
-                    json_num(p.report.fps),
-                    json_num(p.report.goodput_fps),
-                    json_num(p.report.makespan.as_secs_f64() * 1e6),
-                    p.events,
-                    json_num(p.wall_s),
-                    json_num(p.events_per_sec()),
-                    json_num(p.report.mean_batch_fill),
-                )
+                obj! {
+                    "instances" => p.instances,
+                    "fps" => p.report.fps,
+                    "goodput_fps" => p.report.goodput_fps,
+                    "makespan_us" => p.report.makespan.as_secs_f64() * 1e6,
+                    "events" => p.events,
+                    "wall_s" => p.wall_s,
+                    "events_per_sec" => p.events_per_sec(),
+                    "mean_batch_fill" => p.report.mean_batch_fill,
+                }
             })
             .collect();
-        accel_json.push(format!(
-            concat!(
-                "    {{\"accelerator\": \"{}\",\n",
-                "      \"fps_linearity_16_to_{}\": {},\n",
-                "      \"events_rate_retention_16_to_{}\": {},\n",
-                "      \"points\": [\n{}\n      ]}}"
-            ),
-            name,
-            last.instances,
-            json_num(fps_linearity),
-            last.instances,
-            json_num(events_rate_retention),
-            point_json.join(",\n"),
-        ));
+        let suffix = format!("16_to_{}", last.instances);
+        accel_json.push(obj! {
+            "accelerator" => *name,
+            format!("fps_linearity_{suffix}") => fps_linearity,
+            format!("events_rate_retention_{suffix}") => events_rate_retention,
+            "points" => point_json,
+        });
         curves.push((name, fps_linearity, events_rate_retention, points));
     }
 
@@ -282,56 +270,38 @@ fn main() {
     );
     println!("  trace-shuffle and 1/2/8-worker sweeps: bit-identical\n");
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"fleet\",\n",
-            "  \"mode\": \"{}\",\n",
-            "  \"timing_model\": \"{}\",\n",
-            "  \"scaling\": {{\n",
-            "    \"arrivals\": \"closed-loop saturation\",\n",
-            "    \"max_batch\": {}, \"requests_per_instance\": {},\n",
-            "    \"accelerators\": [\n{}\n  ]}},\n",
-            "  \"autoscale_trace\": {{\n",
-            "    \"provisioned_instances\": {}, \"min\": {}, \"initial\": {}, \"requests\": {},\n",
-            "    \"profile\": \"diurnal sinusoid (80..720 instances of demand) + periodic 3x bursts, arithmetic trace\",\n",
-            "    \"scale_events\": {}, \"min_active\": {}, \"peak_active\": {},\n",
-            "    \"offered\": {}, \"completed\": {}, \"makespan_us\": {}, \"fps\": {},\n",
-            "    \"events\": {}, \"wall_s\": {}, \"events_per_sec\": {},\n",
-            "    \"trace_shuffle_invariant\": {}, \"worker_invariant_1_2_8\": {}\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        if smoke { "smoke" } else { "full" },
-        model.name,
-        MAX_BATCH,
-        rpi,
-        accel_json.join(",\n"),
-        provisioned,
-        policy.min,
-        policy.initial,
-        trace_requests,
-        n_scale_events,
-        min_active,
-        peak_active,
-        auto_report.offered,
-        auto_report.completed,
-        json_num(auto_report.makespan.as_secs_f64() * 1e6),
-        json_num(auto_report.fps),
-        auto_events,
-        json_num(auto_wall),
-        json_num(auto_events as f64 / auto_wall),
-        shuffle_invariant,
-        worker_invariant,
+    write_artifact(
+        "fleet",
+        smoke,
+        obj! {
+            "timing_model" => model.name,
+            "scaling" => obj! {
+                "arrivals" => "closed-loop saturation",
+                "max_batch" => MAX_BATCH,
+                "requests_per_instance" => rpi,
+                "accelerators" => accel_json,
+            },
+            "autoscale_trace" => obj! {
+                "provisioned_instances" => provisioned,
+                "min" => policy.min,
+                "initial" => policy.initial,
+                "requests" => trace_requests,
+                "profile" => "diurnal sinusoid (80..720 instances of demand) + periodic 3x bursts, arithmetic trace",
+                "scale_events" => n_scale_events,
+                "min_active" => min_active,
+                "peak_active" => peak_active,
+                "offered" => auto_report.offered,
+                "completed" => auto_report.completed,
+                "makespan_us" => auto_report.makespan.as_secs_f64() * 1e6,
+                "fps" => auto_report.fps,
+                "events" => auto_events,
+                "wall_s" => auto_wall,
+                "events_per_sec" => auto_events as f64 / auto_wall,
+                "trace_shuffle_invariant" => shuffle_invariant,
+                "worker_invariant_1_2_8" => worker_invariant,
+            },
+        },
     );
-    if smoke {
-        // Smoke numbers (reduced grid) are not a baseline; the
-        // checked-in record is always a full-mode run.
-        println!("smoke mode: BENCH_fleet.json (full-mode baseline) left untouched");
-    } else {
-        std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
-        println!("wrote BENCH_fleet.json");
-    }
 
     // ---- Acceptance gates (both modes) ----
     for (name, fps_linearity, events_rate_retention, points) in &curves {

@@ -29,7 +29,7 @@ use sconna_accel::serve::{
     overload_sweep, simulate_serving, AdmissionPolicy, FunctionalWorkload, OverloadPoint,
     ServingConfig,
 };
-use sconna_bench::{banner, json_num, same_at_workers};
+use sconna_bench::{banner, obj, same_at_workers, write_artifact, Json};
 use sconna_photonics::pca::AdcModel;
 use sconna_sc::Precision;
 use sconna_sim::time::SimTime;
@@ -41,7 +41,7 @@ use sconna_tensor::smallcnn::{SmallCnn, SmallCnnConfig};
 /// Precision of the degrade-policy fallback model and its engine.
 const FALLBACK_BITS: u8 = 4;
 
-fn point_json(p: &OverloadPoint, capacity: f64) -> String {
+fn point_json(p: &OverloadPoint, capacity: f64) -> Json {
     let s = &p.report.serving;
     // Shed events can outlive the last completion, so integrate the
     // depth series over the longer of the two horizons.
@@ -49,29 +49,21 @@ fn point_json(p: &OverloadPoint, capacity: f64) -> String {
         .makespan
         .max(s.queue_depth.last_time().unwrap_or(SimTime::ZERO))
         .max(SimTime::from_ps(1));
-    format!(
-        concat!(
-            "        {{\"offered_fps\": {}, \"offered_over_capacity\": {}, ",
-            "\"goodput_fps\": {}, \"fps_full_fidelity\": {}, ",
-            "\"dropped\": {}, \"degraded\": {}, \"drop_rate\": {}, ",
-            "\"p50_us\": {}, \"p99_us\": {}, ",
-            "\"mean_queue_depth\": {}, \"max_queue_depth\": {}, ",
-            "\"accuracy_admitted\": {}, \"accuracy_offered\": {}}}"
-        ),
-        json_num(p.offered_fps),
-        json_num(p.offered_fps / capacity),
-        json_num(s.goodput_fps),
-        json_num(s.fps),
-        s.dropped,
-        s.degraded,
-        json_num(s.drop_rate),
-        json_num(s.latency.p50.as_secs_f64() * 1e6),
-        json_num(s.latency.p99.as_secs_f64() * 1e6),
-        json_num(s.queue_depth.mean_depth(depth_end)),
-        s.queue_depth.max_depth(),
-        json_num(p.report.accuracy_under_load),
-        json_num(p.report.accuracy_offered),
-    )
+    obj! {
+        "offered_fps" => p.offered_fps,
+        "offered_over_capacity" => p.offered_fps / capacity,
+        "goodput_fps" => s.goodput_fps,
+        "fps_full_fidelity" => s.fps,
+        "dropped" => s.dropped,
+        "degraded" => s.degraded,
+        "drop_rate" => s.drop_rate,
+        "p50_us" => s.latency.p50.as_secs_f64() * 1e6,
+        "p99_us" => s.latency.p99.as_secs_f64() * 1e6,
+        "mean_queue_depth" => s.queue_depth.mean_depth(depth_end),
+        "max_queue_depth" => s.queue_depth.max_depth(),
+        "accuracy_admitted" => p.report.accuracy_under_load,
+        "accuracy_offered" => p.report.accuracy_offered,
+    }
 }
 
 fn main() {
@@ -201,15 +193,8 @@ fn main() {
         println!("policy: {name} ({admission:?})");
         print!("{}", format_overload_sweep(points));
         println!();
-        policy_json.push(format!(
-            "    {{\"policy\": \"{}\",\n      \"points\": [\n{}\n      ]}}",
-            name,
-            points
-                .iter()
-                .map(|p| point_json(p, capacity))
-                .collect::<Vec<_>>()
-                .join(",\n"),
-        ));
+        let points: Vec<Json> = points.iter().map(|p| point_json(p, capacity)).collect();
+        policy_json.push(obj! { "policy" => *name, "points" => points });
     }
 
     let under = |points: &[OverloadPoint]| points.first().expect("sweep has points").clone();
@@ -244,47 +229,29 @@ fn main() {
         100.0 * dg_u.report.accuracy_under_load
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"overload\",\n",
-            "  \"mode\": \"{}\",\n",
-            "  \"timing_model\": \"{}\",\n",
-            "  \"fleet\": {{\"instances\": {}, \"max_batch\": {}, \"queue_cap_per_instance\": {},\n",
-            "            \"batch_window_us\": {}, \"deadline_slo_us\": {}, \"fallback_weight_bits\": {}}},\n",
-            "  \"requests_per_point\": {},\n",
-            "  \"capacity_fps_estimate\": {},\n",
-            "  \"capacity_fps_measured_closed_loop\": {},\n",
-            "  \"offline_top1_primary\": {},\n",
-            "  \"offline_top1_fallback\": {},\n",
-            "  \"worker_invariant_1_2_8\": {},\n",
-            "  \"policies\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        if smoke { "smoke" } else { "full" },
-        model.name,
-        base.instances,
-        base.max_batch,
-        base.queue_cap.expect("bounded"),
-        json_num(base.batch_window.as_secs_f64() * 1e6),
-        json_num(slo.as_secs_f64() * 1e6),
-        FALLBACK_BITS,
-        requests,
-        json_num(capacity),
-        json_num(measured.fps),
-        json_num(offline_top1),
-        json_num(fallback_top1),
-        invariant,
-        policy_json.join(",\n"),
+    println!();
+    write_artifact(
+        "overload",
+        smoke,
+        obj! {
+            "timing_model" => model.name,
+            "fleet" => obj! {
+                "instances" => base.instances,
+                "max_batch" => base.max_batch,
+                "queue_cap_per_instance" => base.queue_cap.expect("bounded"),
+                "batch_window_us" => base.batch_window.as_secs_f64() * 1e6,
+                "deadline_slo_us" => slo.as_secs_f64() * 1e6,
+                "fallback_weight_bits" => u32::from(FALLBACK_BITS),
+            },
+            "requests_per_point" => requests,
+            "capacity_fps_estimate" => capacity,
+            "capacity_fps_measured_closed_loop" => measured.fps,
+            "offline_top1_primary" => offline_top1,
+            "offline_top1_fallback" => fallback_top1,
+            "worker_invariant_1_2_8" => invariant,
+            "policies" => policy_json,
+        },
     );
-    if smoke {
-        // Smoke numbers (tiny sweep, few requests) are not a baseline;
-        // the checked-in record is always a full-mode run.
-        println!("\nsmoke mode: BENCH_overload.json (full-mode baseline) left untouched");
-    } else {
-        std::fs::write("BENCH_overload.json", &json).expect("write BENCH_overload.json");
-        println!("\nwrote BENCH_overload.json");
-    }
 
     // The shedding gates hold in both modes: past the knee the bounded
     // queue must actually shed, each policy in its own way.

@@ -26,7 +26,7 @@
 use sconna_accel::organization::AcceleratorConfig;
 use sconna_accel::serve::{sweep, ArrivalProcess, Fleet, ServingConfig, ServingReport};
 use sconna_accel::serve::{TenantScheduler, TenantSpec};
-use sconna_bench::{banner, json_num, same_at_workers};
+use sconna_bench::{banner, obj, same_at_workers, write_artifact, Json};
 use sconna_sim::time::SimTime;
 use sconna_tensor::models::{googlenet, shufflenet_v2};
 
@@ -189,26 +189,17 @@ fn main() {
                 us(v.latency.p99),
                 us(a.latency.p99),
             );
-            points.push(format!(
-                concat!(
-                    "          {{\"aggressor_share_multiple\": {}, ",
-                    "\"victim_p99_us\": {}, \"victim_p99_vs_solo\": {}, ",
-                    "\"victim_completed\": {}, \"aggressor_offered\": {}, ",
-                    "\"aggressor_p99_us\": {}, \"fleet_makespan_us\": {}}}"
-                ),
-                json_num(m),
-                json_num(us(v.latency.p99)),
-                json_num(ratio),
-                v.completed,
-                a.offered,
-                json_num(us(a.latency.p99)),
-                json_num(us(r.makespan)),
-            ));
+            points.push(obj! {
+                "aggressor_share_multiple" => m,
+                "victim_p99_us" => us(v.latency.p99),
+                "victim_p99_vs_solo" => ratio,
+                "victim_completed" => v.completed,
+                "aggressor_offered" => a.offered,
+                "aggressor_p99_us" => us(a.latency.p99),
+                "fleet_makespan_us" => us(r.makespan),
+            });
         }
-        sched_json.push(format!(
-            "      {{\"scheduler\": \"{s:?}\",\n        \"points\": [\n{}\n      ]}}",
-            points.join(",\n"),
-        ));
+        sched_json.push(obj! { "scheduler" => format!("{s:?}"), "points" => points });
     }
     let wfq_ratio = ratio_at(0, multiples.len() - 1);
     let fifo_ratio = ratio_at(1, multiples.len() - 1);
@@ -270,7 +261,7 @@ fn main() {
         let swaps: u64 = report.tenants.iter().map(|t| t.model_swaps).sum();
         let swap_time: f64 = report.tenants.iter().map(|t| us(t.swap_time)).sum();
         assert!(swaps > 0, "{name}: co-located models must force swaps");
-        let rows: Vec<String> = report
+        let rows: Vec<Json> = report
             .tenants
             .iter()
             .map(|t| {
@@ -282,33 +273,23 @@ fn main() {
                     us(t.latency.p99),
                     t.energy_j,
                 );
-                format!(
-                    concat!(
-                        "          {{\"tenant\": \"{}\", \"model\": \"{}\", ",
-                        "\"model_swaps\": {}, \"swap_time_us\": {}, ",
-                        "\"p99_us\": {}, \"energy_j\": {}}}"
-                    ),
-                    t.name,
-                    t.model,
-                    t.model_swaps,
-                    json_num(us(t.swap_time)),
-                    json_num(us(t.latency.p99)),
-                    format!("{:.6}", t.energy_j),
-                )
+                obj! {
+                    "tenant" => t.name.as_str(),
+                    "model" => t.model.as_str(),
+                    "model_swaps" => t.model_swaps,
+                    "swap_time_us" => us(t.swap_time),
+                    "p99_us" => us(t.latency.p99),
+                    "energy_j" => Json::Raw(format!("{:.6}", t.energy_j)),
+                }
             })
             .collect();
-        swap_json.push(format!(
-            concat!(
-                "      {{\"accelerator\": \"{}\", \"total_model_swaps\": {}, ",
-                "\"total_swap_time_us\": {}, \"makespan_us\": {},\n",
-                "        \"tenants\": [\n{}\n      ]}}"
-            ),
-            name,
-            swaps,
-            json_num(swap_time),
-            json_num(us(report.makespan)),
-            rows.join(",\n"),
-        ));
+        swap_json.push(obj! {
+            "accelerator" => *name,
+            "total_model_swaps" => swaps,
+            "total_swap_time_us" => swap_time,
+            "makespan_us" => us(report.makespan),
+            "tenants" => rows,
+        });
         swap_totals.push((name, swaps, swap_time));
     }
     let sconna_swap_us = swap_totals[0].2;
@@ -316,51 +297,34 @@ fn main() {
     let swap_asymmetry = mam_swap_us / sconna_swap_us;
     println!("  MAM spends {swap_asymmetry:.0}x SCONNA's time swapping models\n");
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"tenants\",\n",
-            "  \"mode\": \"{}\",\n",
-            "  \"isolation\": {{\n",
-            "    \"model\": \"{}\", \"instances\": {}, \"max_batch\": 1,\n",
-            "    \"fleet_capacity_fps\": {}, \"victim_rate_fps\": {},\n",
-            "    \"victim_weight_share\": 0.5, \"victim_load_of_share\": 0.25,\n",
-            "    \"victim_requests\": {},\n",
-            "    \"solo_p99_us\": {},\n",
-            "    \"schedulers\": [\n{}\n    ],\n",
-            "    \"wfq_p99_ratio_at_4x\": {}, \"fifo_p99_ratio_at_4x\": {}\n",
-            "  }},\n",
-            "  \"swap_cost\": {{\n",
-            "    \"instances\": 1, \"max_batch\": 4, \"requests\": {},\n",
-            "    \"accelerators\": [\n{}\n    ],\n",
-            "    \"swap_time_ratio_mam_over_sconna\": {}\n",
-            "  }},\n",
-            "  \"worker_invariant_1_2_8\": {}\n",
-            "}}\n"
-        ),
-        if smoke { "smoke" } else { "full" },
-        model.name,
-        instances,
-        json_num(capacity),
-        json_num(victim_rate),
-        victim_requests,
-        json_num(us(solo_p99)),
-        sched_json.join(",\n"),
-        json_num(wfq_ratio),
-        json_num(fifo_ratio),
-        swap_requests,
-        swap_json.join(",\n"),
-        json_num(swap_asymmetry),
-        worker_invariant,
+    write_artifact(
+        "tenants",
+        smoke,
+        obj! {
+            "isolation" => obj! {
+                "model" => model.name,
+                "instances" => instances,
+                "max_batch" => base.max_batch,
+                "fleet_capacity_fps" => capacity,
+                "victim_rate_fps" => victim_rate,
+                "victim_weight_share" => Json::Raw("0.5".into()),
+                "victim_load_of_share" => Json::Raw("0.25".into()),
+                "victim_requests" => victim_requests,
+                "solo_p99_us" => us(solo_p99),
+                "schedulers" => sched_json,
+                "wfq_p99_ratio_at_4x" => wfq_ratio,
+                "fifo_p99_ratio_at_4x" => fifo_ratio,
+            },
+            "swap_cost" => obj! {
+                "instances" => Json::Int(1),
+                "max_batch" => Json::Int(4),
+                "requests" => swap_requests,
+                "accelerators" => swap_json,
+                "swap_time_ratio_mam_over_sconna" => swap_asymmetry,
+            },
+            "worker_invariant_1_2_8" => worker_invariant,
+        },
     );
-    if smoke {
-        // Smoke numbers (reduced grid) are not a baseline; the
-        // checked-in record is always a full-mode run.
-        println!("smoke mode: BENCH_tenants.json (full-mode baseline) left untouched");
-    } else {
-        std::fs::write("BENCH_tenants.json", &json).expect("write BENCH_tenants.json");
-        println!("wrote BENCH_tenants.json");
-    }
 
     // ---- Acceptance gates (both modes) ----
     assert!(

@@ -93,12 +93,15 @@ pub fn conv_forward(
 }
 
 /// Convolution backward: returns `(grad_input, grad_weights, grad_bias)`.
+/// `grad_input` is `None` unless `input_grad` asks for it; a network's
+/// first layer has no use for the gradient at its image.
 pub fn conv_backward(
     input: &Tensor<f32>,
     weights: &Tensor<f32>,
     grad_out: &Tensor<f32>,
     pad: usize,
-) -> (Tensor<f32>, Tensor<f32>, Vec<f32>) {
+    input_grad: bool,
+) -> (Option<Tensor<f32>>, Tensor<f32>, Vec<f32>) {
     let [c_in, h, w] = *input.dims() else {
         panic!("rank")
     };
@@ -121,7 +124,7 @@ pub fn conv_backward(
     let mut grad_b = vec![0.0f32; l];
     // gcol[pix][s] = Σ_k g[k][pix] · w[k][s] — the input gradient in
     // im2col coordinates, scattered back by col2im below.
-    let mut gcol = vec![0.0f32; p_total * s];
+    let mut gcol = vec![0.0f32; if input_grad { p_total * s } else { 0 }];
 
     for k in 0..l {
         let go_row = &go[k * p_total..(k + 1) * p_total];
@@ -135,12 +138,19 @@ pub fn conv_backward(
             }
             grad_b[k] += g;
             let crow = &col[pix * s..(pix + 1) * s];
-            let grow = &mut gcol[pix * s..(pix + 1) * s];
             for idx in 0..s {
                 gw_row[idx] += g * crow[idx];
-                grow[idx] += g * wrow[idx];
+            }
+            if input_grad {
+                let grow = &mut gcol[pix * s..(pix + 1) * s];
+                for idx in 0..s {
+                    grow[idx] += g * wrow[idx];
+                }
             }
         }
+    }
+    if !input_grad {
+        return (None, grad_w, grad_b);
     }
 
     // col2im: scatter-add the patch-coordinate gradients back to input
@@ -170,7 +180,7 @@ pub fn conv_backward(
             }
         }
     }
-    (grad_in, grad_w, grad_b)
+    (Some(grad_in), grad_w, grad_b)
 }
 
 /// ReLU forward, in place.
@@ -321,7 +331,13 @@ mod tests {
         // Loss = sum of outputs (grad_out = ones).
         let out = conv_forward(&input, &w, &bias, pad);
         let grad_out = Tensor::from_fn(out.dims(), |_| 1.0f32);
-        let (gi, gw, gb) = conv_backward(&input, &w, &grad_out, pad);
+        let (gi, gw, gb) = conv_backward(&input, &w, &grad_out, pad, true);
+        let gi = gi.expect("asked for the input gradient");
+        // Skipping the input gradient leaves the other two bit-identical.
+        let (none, gw_only, gb_only) = conv_backward(&input, &w, &grad_out, pad, false);
+        assert!(none.is_none());
+        assert_eq!(gw_only.as_slice(), gw.as_slice());
+        assert_eq!(gb_only, gb);
 
         let eps = 1e-3f32;
         let loss = |inp: &Tensor<f32>, wt: &Tensor<f32>, b: &[f32]| -> f32 {

@@ -206,7 +206,7 @@ impl SmallCnn {
         let logits = recs[recs.len() - 1].out();
         let (loss, grad) = fp::softmax_cross_entropy(logits.as_slice(), sample.label);
         let grad = Tensor::from_vec(logits.dims(), grad);
-        backward(&mut self.layers, &sample.image, &recs, grad, lr);
+        backward(&mut self.layers, &sample.image, &recs, grad, lr, false);
         loss
     }
 
@@ -295,32 +295,36 @@ fn forward(layers: &[Layer], x: &Tensor<f32>) -> Vec<Rec> {
 /// Backpropagates `grad`, the loss gradient at the last record's output,
 /// through `layers` (which ran on `x` and left `recs`), stepping every
 /// parameter by SGD at rate `lr` once its gradient is known; returns the
-/// gradient at `x`. A layer's step comes after its own input gradient, so
-/// stepping on the way down matches stepping after the whole pass.
+/// gradient at `x`, except that a first conv skips it (returning `None`)
+/// unless `input_grad` asks for it. A layer's step comes after its own
+/// input gradient, so stepping on the way down matches stepping after the
+/// whole pass.
 fn backward(
     layers: &mut [Layer],
     x: &Tensor<f32>,
     recs: &[Rec],
     mut grad: Tensor<f32>,
     lr: f32,
-) -> Tensor<f32> {
+    input_grad: bool,
+) -> Option<Tensor<f32>> {
     for (i, layer) in layers.iter_mut().enumerate().rev() {
         let input = if i == 0 { x } else { recs[i - 1].out() };
         grad = match (layer, &recs[i]) {
             (Layer::Conv { w, b, .. }, Rec::Out(a)) => {
                 // ReLU gates on its output: `a > 0` exactly when `z > 0`.
                 let gz = fp::relu_backward(a, &grad);
-                let (gx, gw, gb) = fp::conv_backward(input, w, &gz, 1);
+                let (gx, gw, gb) = fp::conv_backward(input, w, &gz, 1, i > 0 || input_grad);
                 step(w.as_mut_slice(), gw.as_slice(), lr);
                 step(b, &gb, lr);
-                gx
+                gx?
             }
             (Layer::Pool, Rec::Pool(_, arg)) => fp::maxpool2_backward(input.dims(), arg, &grad),
             (Layer::Residual(branch), Rec::Block(inner)) => {
                 // The merge fans its gradient into the branch (whose
                 // closing conv gates it by the merged ReLU) and the skip.
                 let skip = fp::relu_backward(recs[i].out(), &grad);
-                let mut gx = backward(branch, input, inner, grad, lr);
+                let mut gx = backward(branch, input, inner, grad, lr, true)
+                    .expect("invariant: asked for the branch's input gradient");
                 for (g, s) in gx.as_mut_slice().iter_mut().zip(skip.as_slice()) {
                     *g += s;
                 }
@@ -335,7 +339,7 @@ fn backward(
             _ => unreachable!("records are aligned with layers by construction"),
         };
     }
-    grad
+    Some(grad)
 }
 
 fn step(param: &mut [f32], grad: &[f32], lr: f32) {
