@@ -20,9 +20,10 @@ use crate::engine::SconnaEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sconna_sc::error::rmse;
-use sconna_tensor::dataset::SyntheticDataset;
+use sconna_tensor::dataset::{Sample, SyntheticDataset};
 use sconna_tensor::engine::{ExactEngine, VdpEngine};
 use sconna_tensor::models::CnnModel;
+use sconna_tensor::network::QuantizedNetwork;
 use sconna_tensor::smallcnn::{SmallCnn, SmallCnnConfig, SmallResNetConfig};
 use serde::{Deserialize, Serialize};
 
@@ -88,16 +89,22 @@ impl Default for AccuracyExperiment {
     }
 }
 
+/// A small CNN trained on an experiment's synthetic task and post-
+/// training-quantized to int8, with the test set it is scored on.
+#[derive(Debug)]
+pub struct TrainedModel {
+    /// Float-precision Top-1 accuracy, before quantization.
+    pub fp_top1: f64,
+    /// The int8 network.
+    pub qnet: QuantizedNetwork,
+    /// The held-out test samples.
+    pub test: Vec<Sample>,
+}
+
 impl AccuracyExperiment {
     /// Runs the experiment on the plain small CNN.
     pub fn run(&self) -> AccuracyResult {
-        let cfg = SmallCnnConfig {
-            input_size: self.image_size,
-            channels1: 8,
-            channels2: 16,
-            classes: self.classes,
-        };
-        self.measure(SmallCnn::new(cfg, self.seed), 0.05)
+        self.measure(self.train_plain())
     }
 
     /// Runs the experiment on the residual small CNN.
@@ -107,34 +114,52 @@ impl AccuracyExperiment {
             channels: 12,
             classes: self.classes,
         };
-        self.measure(SmallCnn::residual(cfg, self.seed), 0.04)
+        self.measure(self.train(SmallCnn::residual(cfg, self.seed), 0.04))
     }
 
-    /// Train → quantize → evaluate: trains `net` at rate `lr`, post-
-    /// training-quantizes it to int8 and evaluates it on both engines.
-    /// Evaluation parallelizes over test images (one forward pass per
-    /// sample yields both Top-1 and Top-k). Each engine's model is
-    /// prepared once (weight-stationary — DKV/LUT stream conversion and
-    /// narrow GEMM forms at load, not per image), which by the
-    /// `vdp_batch_prepared` contract cannot change a single logit.
-    fn measure(&self, mut net: SmallCnn, lr: f32) -> AccuracyResult {
+    /// Trains and quantizes the plain small CNN that [`Self::run`]
+    /// measures.
+    pub fn train_plain(&self) -> TrainedModel {
+        let cfg = SmallCnnConfig {
+            input_size: self.image_size,
+            channels1: 8,
+            channels2: 16,
+            classes: self.classes,
+        };
+        self.train(SmallCnn::new(cfg, self.seed), 0.05)
+    }
+
+    /// Train → quantize: trains `net` at rate `lr` on the synthetic
+    /// task, scores it in float, and post-training-quantizes it to int8,
+    /// calibrated on the training set.
+    fn train(&self, mut net: SmallCnn, lr: f32) -> TrainedModel {
         let data = SyntheticDataset::new(self.classes, self.image_size, self.noise, self.seed);
         let train = data.batch(self.train_per_class, self.seed.wrapping_add(1));
         let test = data.batch(self.test_per_class, self.seed.wrapping_add(2));
-
         net.train(&train, self.epochs, lr);
-        let fp_top1 = net.accuracy(&test);
+        TrainedModel {
+            fp_top1: net.accuracy(&test),
+            qnet: net.quantize(&train, 8),
+            test,
+        }
+    }
 
-        let qnet = net.quantize(&train, 8);
+    /// Evaluates a trained model on both engines. Evaluation
+    /// parallelizes over test images (one forward pass per sample yields
+    /// both Top-1 and Top-k). Each engine's model is prepared once
+    /// (weight-stationary — DKV/LUT stream conversion and narrow GEMM
+    /// forms at load, not per image), which by the `vdp_batch_prepared`
+    /// contract cannot change a single logit.
+    fn measure(&self, model: TrainedModel) -> AccuracyResult {
+        let TrainedModel { qnet, test, .. } = &model;
         let exact = ExactEngine;
         let sconna = SconnaEngine::paper_default(self.seed);
 
-        let (exact_top1, exact_topk) = qnet.prepare(&exact).evaluate(&test, self.k, self.workers);
-        let (sconna_top1, sconna_topk) =
-            qnet.prepare(&sconna).evaluate(&test, self.k, self.workers);
+        let (exact_top1, exact_topk) = qnet.prepare(&exact).evaluate(test, self.k, self.workers);
+        let (sconna_top1, sconna_topk) = qnet.prepare(&sconna).evaluate(test, self.k, self.workers);
 
         AccuracyResult {
-            fp_top1,
+            fp_top1: model.fp_top1,
             exact_top1,
             exact_topk,
             sconna_top1,

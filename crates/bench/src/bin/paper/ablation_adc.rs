@@ -1,40 +1,16 @@
 //! Ablation A4: sensitivity of end-to-end accuracy to the PCA ADC error
 //! (the paper's single injected error source, 1.3 % MAPE).
 
-use sconna_accel::accuracy::AccuracyExperiment;
+use sconna_accel::accuracy::{AccuracyExperiment, TrainedModel};
 use sconna_accel::engine::SconnaEngine;
-use sconna_bench::banner;
 use sconna_photonics::pca::AdcModel;
 use sconna_sc::Precision;
-use sconna_tensor::dataset::SyntheticDataset;
 use sconna_tensor::engine::ExactEngine;
-use sconna_tensor::smallcnn::{SmallCnn, SmallCnnConfig};
 
-fn main() {
-    print!(
-        "{}",
-        banner(
-            "Ablation A4 — accuracy vs ADC noise level",
-            "SCONNA paper, Section V-C / VI-D error model"
-        )
-    );
-
+pub fn run() {
     // Train once, evaluate under different ADC noise settings.
     let exp = AccuracyExperiment::default();
-    let data = SyntheticDataset::new(exp.classes, exp.image_size, exp.noise, exp.seed);
-    let train = data.batch(exp.train_per_class, exp.seed + 1);
-    let test = data.batch(exp.test_per_class, exp.seed + 2);
-    let mut net = SmallCnn::new(
-        SmallCnnConfig {
-            input_size: exp.image_size,
-            channels1: 8,
-            channels2: 16,
-            classes: exp.classes,
-        },
-        exp.seed,
-    );
-    net.train(&train, exp.epochs, 0.05);
-    let qnet = net.quantize(&train, 8);
+    let TrainedModel { qnet, test, .. } = exp.train_plain();
     let exact_acc = qnet.accuracy(&test, &ExactEngine);
     println!("exact int8 Top-1: {:.1}%", 100.0 * exact_acc);
     println!();

@@ -5,17 +5,9 @@
 
 use sconna_accel::organization::AcceleratorConfig;
 use sconna_accel::perf::simulate_inference_batched;
-use sconna_bench::banner;
 use sconna_tensor::models::resnet50;
 
-fn main() {
-    print!(
-        "{}",
-        banner(
-            "Ablation A5 — FPS vs batch size (ResNet50)",
-            "robustness of the Fig. 9 comparison beyond batch 1"
-        )
-    );
+pub fn run() {
     let model = resnet50();
     println!(
         "{:<8}{:>14}{:>16}{:>14}{:>18}",

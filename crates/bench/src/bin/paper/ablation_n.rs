@@ -4,18 +4,10 @@
 
 use sconna_accel::organization::AcceleratorConfig;
 use sconna_accel::perf::simulate_inference;
-use sconna_bench::banner;
 use sconna_sim::stats::gmean;
 use sconna_tensor::models::all_models;
 
-fn main() {
-    print!(
-        "{}",
-        banner(
-            "Ablation A1 — SCONNA FPS vs VDPE size N",
-            "design choice behind Section V-B's N = 176"
-        )
-    );
+pub fn run() {
     let models = all_models();
     println!(
         "{:<8}{:>14}{:>14}{:>14}{:>14}{:>12}",

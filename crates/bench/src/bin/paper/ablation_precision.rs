@@ -5,20 +5,12 @@
 
 use sconna_accel::organization::AcceleratorConfig;
 use sconna_accel::perf::simulate_inference;
-use sconna_bench::banner;
 use sconna_sc::multiply::{ideal_product, lds_product, real_product};
 use sconna_sc::Precision;
 use sconna_sim::time::SimTime;
 use sconna_tensor::models::resnet50;
 
-fn main() {
-    print!(
-        "{}",
-        banner(
-            "Ablation A2 — precision vs stream length vs error",
-            "SCONNA paper, Section III-B precision-flexibility claim"
-        )
-    );
+pub fn run() {
     println!(
         "{:>6}{:>12}{:>16}{:>18}{:>20}",
         "B", "stream", "pass time", "ResNet50 FPS", "worst mult err"

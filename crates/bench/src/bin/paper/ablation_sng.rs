@@ -3,20 +3,12 @@
 //! paper's XOR-hashed single-fetch LUT, against the ideal rounded
 //! product.
 
-use sconna_bench::banner;
 use sconna_sc::lut::{PairLut, XorHashedLut};
 use sconna_sc::multiply::{multiply_streams, real_product};
 use sconna_sc::sng::{LfsrSng, StochasticNumberGenerator};
 use sconna_sc::Precision;
 
-fn main() {
-    print!(
-        "{}",
-        banner(
-            "Ablation A3 — SNG strategy vs multiplication error",
-            "SCONNA paper, Section IV-B LUT design rationale"
-        )
-    );
+pub fn run() {
     let p = Precision::B8;
     let lut = PairLut::generate(p);
     let hashed = XorHashedLut::generate(p);

@@ -7,20 +7,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sconna_accel::organization::AcceleratorConfig;
 use sconna_accel::perf::simulate_inference;
-use sconna_bench::banner;
 use sconna_photonics::thermal::{tuning_power_analysis, FabricationVariation, HeaterModel};
 use sconna_sim::time::SimTime;
 use sconna_tensor::models::resnet50;
 
-fn main() {
-    print!(
-        "{}",
-        banner(
-            "Ablation A6 — thermal tuning of the MRR banks",
-            "grounding for the analog DKV reprogramming calibration"
-        )
-    );
-
+pub fn run() {
     let heater = HeaterModel::default();
     println!(
         "heater: {:.2} nm/mW, tau = {:.1} us, reach = {:.1} nm",

@@ -2,20 +2,12 @@
 //! pseudo-random operand streams at 10 Gb/s, drop-port optical power, and
 //! the recovered AND decisions.
 
-use sconna_bench::banner;
 use sconna_photonics::oag::{transient, OpticalAndGate};
 use sconna_photonics::units::watts_to_dbm;
 use sconna_sc::format::Precision;
 use sconna_sc::sng::{LfsrSng, StochasticNumberGenerator};
 
-fn main() {
-    print!(
-        "{}",
-        banner(
-            "Fig. 6(c) — OAG transient analysis at 10 Gb/s",
-            "SCONNA paper, Section IV-B, Fig. 6(c)"
-        )
-    );
+pub fn run() {
     let gate = OpticalAndGate::new(0.8e-9, 50e-9, 1e-3);
     let p = Precision::new(5); // 32-bit PRBS excerpt
     let i = LfsrSng::new(0b10110).generate(20, p);

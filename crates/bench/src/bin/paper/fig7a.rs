@@ -1,18 +1,10 @@
 //! Fig. 7(a): supported OAG bitrate vs passband FWHM at an OMA floor of
 //! −28 dBm (the photodetector sensitivity).
 
-use sconna_bench::banner;
 use sconna_photonics::oag::OpticalAndGate;
 use sconna_photonics::units::dbm_to_watts;
 
-fn main() {
-    print!(
-        "{}",
-        banner(
-            "Fig. 7(a) — OAG bitrate vs FWHM at OMA = -28 dBm",
-            "SCONNA paper, Section V-A, Fig. 7(a)"
-        )
-    );
+pub fn run() {
     let floor = dbm_to_watts(-28.0);
     println!("{:>10}{:>16}{:>26}", "FWHM(nm)", "BR(Gb/s)", "");
     for step in 1..=12 {

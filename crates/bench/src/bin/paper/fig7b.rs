@@ -1,17 +1,9 @@
 //! Fig. 7(b): PCA analog output voltage vs α, the fraction of `1`s in
 //! the incident bit-streams relative to the 176×256 full scale.
 
-use sconna_bench::banner;
 use sconna_photonics::pca::PcaCircuit;
 
-fn main() {
-    print!(
-        "{}",
-        banner(
-            "Fig. 7(b) — PCA output voltage vs alpha",
-            "SCONNA paper, Section V-C, Fig. 7(b)"
-        )
-    );
+pub fn run() {
     let pca = PcaCircuit::default();
     let full = 176u64 * 256;
     println!(

@@ -4,17 +4,9 @@
 //! factors.
 
 use sconna_accel::report::run_fig9;
-use sconna_bench::banner;
 use sconna_tensor::models::all_models;
 
-fn main() {
-    print!(
-        "{}",
-        banner(
-            "Fig. 9 — FPS / FPS/W / FPS/W/mm2 comparison",
-            "SCONNA paper, Section VI-C, Fig. 9(a)(b)(c)"
-        )
-    );
+pub fn run() {
     let models = all_models();
     let grid = run_fig9(&models);
 

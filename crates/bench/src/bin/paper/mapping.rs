@@ -4,17 +4,9 @@
 
 use sconna_accel::mapper::map_model;
 use sconna_accel::organization::AcceleratorConfig;
-use sconna_bench::banner;
 use sconna_tensor::models::all_models;
 
-fn main() {
-    print!(
-        "{}",
-        banner(
-            "Weight-stationary mapping report",
-            "Fig. 8 preprocessing-and-mapping unit"
-        )
-    );
+pub fn run() {
     for cfg in AcceleratorConfig::all() {
         println!(
             "== {} ({} VDPEs of N = {})",

@@ -2,19 +2,12 @@
 //! sensitivity, power-limited and channel-limited N, and the link-budget
 //! breakdown at the achievable size.
 
-use sconna_bench::{banner, format_kv};
+use sconna_bench::format_kv;
 use sconna_photonics::link::{received_power_dbm, sconna_channel_loss, LinkParameters};
 use sconna_photonics::scalability::sconna_scalability_default;
 use sconna_photonics::spectrum::crosstalk_penalty_db;
 
-fn main() {
-    print!(
-        "{}",
-        banner(
-            "SCONNA VDPC scalability (N = M solve)",
-            "SCONNA paper, Section V-B"
-        )
-    );
+pub fn run() {
     let s = sconna_scalability_default();
     print!(
         "{}",

@@ -2,17 +2,9 @@
 //! 4/6-bit precision and 1/3/5/10 GS/s, model vs the paper's published
 //! values.
 
-use sconna_bench::banner;
 use sconna_photonics::scalability::reproduce_table_one;
 
-fn main() {
-    print!(
-        "{}",
-        banner(
-            "Table I — analog VDPE size N vs precision and data rate",
-            "SCONNA paper, Section III-A, Table I (values from [21])"
-        )
-    );
+pub fn run() {
     println!(
         "{:<18}{:>6}{:>10}{:>10}{:>10}{:>10}",
         "organization", "B", "DR", "model N", "paper N", "diff"

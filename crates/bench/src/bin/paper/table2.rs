@@ -5,7 +5,6 @@
 //! the evaluation (Fig. 9) runs GoogleNet / ResNet50 / MobileNet_V2 /
 //! ShuffleNet_V2. Both sets are censused here.
 
-use sconna_bench::banner;
 use sconna_tensor::models::{all_models, census_models, CnnModel};
 
 /// The paper's published (S ≤ 44, S > 44) counts.
@@ -34,14 +33,7 @@ fn print_row(m: &CnnModel) {
     );
 }
 
-fn main() {
-    print!(
-        "{}",
-        banner(
-            "Table II — kernel tensors by DKV size S (threshold 44)",
-            "SCONNA paper, Section III-B, Table II"
-        )
-    );
+pub fn run() {
     println!(
         "{:<16}{:>12}{:>12}{:>12}{:>14}{:>14}",
         "model", "S<=44", "S>44", ">44 frac", "paper S<=44", "paper S>44"

@@ -9,18 +9,9 @@
 //! four real architectures' layer geometries.
 
 use sconna_accel::accuracy::{layer_error_experiment, AccuracyExperiment};
-use sconna_bench::banner;
 use sconna_tensor::models::all_models;
 
-fn main() {
-    print!(
-        "{}",
-        banner(
-            "Table V — inference accuracy under SCONNA's error sources",
-            "SCONNA paper, Section VI-D, Table V"
-        )
-    );
-
+pub fn run() {
     println!("[1/3] end-to-end accuracy (small CNN, synthetic 10-class set)");
     let mut top1_drops = Vec::new();
     let mut topk_drops = Vec::new();

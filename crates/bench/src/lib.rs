@@ -1,8 +1,8 @@
 //! # sconna-bench — experiment binaries
 //!
-//! One binary per paper table/figure and ablation study (indexed in the
-//! crate README), plus the serving, overload, chaos, fleet and tenant
-//! sweeps that write the `BENCH_*.json` artifacts. Host time is measured
+//! The `paper` binary runs every paper table/figure and ablation study
+//! (indexed in the crate README), and the overload, chaos, fleet and
+//! tenant sweeps write the `BENCH_*.json` artifacts. Host time is measured
 //! by the separate `perfbench` package, not here. Shared helpers live in
 //! this library: table formatting, the worker-count determinism gate,
 //! and the one JSON writer behind every artifact: the [`Json`] value

@@ -54,7 +54,9 @@ fn im2col(input: &Tensor<f32>, kh: usize, kw: usize, pad: usize) -> (Vec<f32>, u
 }
 
 /// Stride-1 zero-padded convolution forward: input `[C, H, W]`, weights
-/// `[L, C, K, K]`, bias `[L]` → output `[L, H', W']`.
+/// `[L, C, K, K]`, bias `[L]` → output `[L, H', W']`, returned with the
+/// input's im2col patch matrix, which [`conv_backward`] takes in place of
+/// the input.
 ///
 /// # Panics
 /// Panics on shape mismatches.
@@ -63,7 +65,7 @@ pub fn conv_forward(
     weights: &Tensor<f32>,
     bias: &[f32],
     pad: usize,
-) -> Tensor<f32> {
+) -> (Tensor<f32>, Vec<f32>) {
     let [c_in, _, _] = *input.dims() else {
         panic!("conv input must be rank 3, got {:?}", input.dims());
     };
@@ -89,20 +91,23 @@ pub fn conv_forward(
             od[k * p_total + pix] = acc;
         }
     }
-    out
+    (out, col)
 }
 
-/// Convolution backward: returns `(grad_input, grad_weights, grad_bias)`.
-/// `grad_input` is `None` unless `input_grad` asks for it; a network's
-/// first layer has no use for the gradient at its image.
+/// Convolution backward over the input of dims `input_dims`, given the
+/// im2col patch matrix `col` that [`conv_forward`] gathered from it:
+/// returns `(grad_input, grad_weights, grad_bias)`. `grad_input` is
+/// `None` unless `input_grad` asks for it; a network's first layer has no
+/// use for the gradient at its image.
 pub fn conv_backward(
-    input: &Tensor<f32>,
+    input_dims: &[usize],
+    col: &[f32],
     weights: &Tensor<f32>,
     grad_out: &Tensor<f32>,
     pad: usize,
     input_grad: bool,
 ) -> (Option<Tensor<f32>>, Tensor<f32>, Vec<f32>) {
-    let [c_in, h, w] = *input.dims() else {
+    let [c_in, h, w] = *input_dims else {
         panic!("rank")
     };
     let [l, _, kh, kw] = *weights.dims() else {
@@ -113,10 +118,9 @@ pub fn conv_backward(
     };
     assert_eq!(l, lo, "kernel count mismatch");
 
-    let (col, ch_out, cw_out) = im2col(input, kh, kw, pad);
-    assert_eq!((ch_out, cw_out), (h_out, w_out), "grad_out shape mismatch");
     let s = c_in * kh * kw;
     let p_total = h_out * w_out;
+    assert_eq!(col.len(), p_total * s, "grad_out shape mismatch");
     let go = grad_out.as_slice();
     let wd = weights.as_slice();
 
@@ -315,7 +319,7 @@ mod tests {
     fn conv_forward_identity() {
         let input = Tensor::from_vec(&[1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
         let w = Tensor::from_vec(&[1, 1, 1, 1], vec![2.0]);
-        let out = conv_forward(&input, &w, &[1.0], 0);
+        let (out, _) = conv_forward(&input, &w, &[1.0], 0);
         assert_eq!(out.as_slice(), &[3.0, 5.0, 7.0, 9.0]);
     }
 
@@ -329,19 +333,19 @@ mod tests {
         let pad = 1;
 
         // Loss = sum of outputs (grad_out = ones).
-        let out = conv_forward(&input, &w, &bias, pad);
+        let (out, col) = conv_forward(&input, &w, &bias, pad);
         let grad_out = Tensor::from_fn(out.dims(), |_| 1.0f32);
-        let (gi, gw, gb) = conv_backward(&input, &w, &grad_out, pad, true);
+        let (gi, gw, gb) = conv_backward(input.dims(), &col, &w, &grad_out, pad, true);
         let gi = gi.expect("asked for the input gradient");
         // Skipping the input gradient leaves the other two bit-identical.
-        let (none, gw_only, gb_only) = conv_backward(&input, &w, &grad_out, pad, false);
+        let (none, gw_only, gb_only) = conv_backward(input.dims(), &col, &w, &grad_out, pad, false);
         assert!(none.is_none());
         assert_eq!(gw_only.as_slice(), gw.as_slice());
         assert_eq!(gb_only, gb);
 
         let eps = 1e-3f32;
         let loss = |inp: &Tensor<f32>, wt: &Tensor<f32>, b: &[f32]| -> f32 {
-            conv_forward(inp, wt, b, pad).as_slice().iter().sum()
+            conv_forward(inp, wt, b, pad).0.as_slice().iter().sum()
         };
         // Check a handful of weight coordinates.
         for &idx in &[0usize, 7, 23, 53] {

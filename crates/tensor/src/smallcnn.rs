@@ -83,7 +83,10 @@ enum Layer {
 
 /// What the forward keeps of one layer.
 enum Rec {
-    /// A conv's ReLU output, or the FC's logits.
+    /// A conv's ReLU output and its input's im2col patches, which the
+    /// backward reuses.
+    Conv(Tensor<f32>, Vec<f32>),
+    /// The FC's logits.
     Out(Tensor<f32>),
     /// A pool's output and the flat argmax index of each output.
     Pool(Tensor<f32>, Vec<usize>),
@@ -94,7 +97,7 @@ enum Rec {
 impl Rec {
     fn out(&self) -> &Tensor<f32> {
         match self {
-            Rec::Out(t) | Rec::Pool(t, _) => t,
+            Rec::Conv(t, _) | Rec::Out(t) | Rec::Pool(t, _) => t,
             Rec::Block(branch) => branch
                 .last()
                 .expect("invariant: forward pushes a branch's merged output")
@@ -261,9 +264,9 @@ fn forward(layers: &[Layer], x: &Tensor<f32>) -> Vec<Rec> {
         let input = recs.last().map_or(x, Rec::out);
         let rec = match layer {
             Layer::Conv { w, b, .. } => {
-                let mut a = fp::conv_forward(input, w, b, 1);
+                let (mut a, col) = fp::conv_forward(input, w, b, 1);
                 fp::relu_in_place(&mut a);
-                Rec::Out(a)
+                Rec::Conv(a, col)
             }
             Layer::Pool => {
                 let (p, arg) = fp::maxpool2_forward(input);
@@ -274,12 +277,13 @@ fn forward(layers: &[Layer], x: &Tensor<f32>) -> Vec<Rec> {
                     panic!("a residual branch must end in a conv");
                 };
                 let mut inner = forward(body, input);
-                let mut merged = fp::conv_forward(inner.last().map_or(input, Rec::out), w, b, 1);
+                let (mut merged, col) =
+                    fp::conv_forward(inner.last().map_or(input, Rec::out), w, b, 1);
                 for (m, skip) in merged.as_mut_slice().iter_mut().zip(input.as_slice()) {
                     *m += skip;
                 }
                 fp::relu_in_place(&mut merged);
-                inner.push(Rec::Out(merged));
+                inner.push(Rec::Conv(merged, col));
                 Rec::Block(inner)
             }
             Layer::Fc { w, b } => {
@@ -310,10 +314,11 @@ fn backward(
     for (i, layer) in layers.iter_mut().enumerate().rev() {
         let input = if i == 0 { x } else { recs[i - 1].out() };
         grad = match (layer, &recs[i]) {
-            (Layer::Conv { w, b, .. }, Rec::Out(a)) => {
+            (Layer::Conv { w, b, .. }, Rec::Conv(a, col)) => {
                 // ReLU gates on its output: `a > 0` exactly when `z > 0`.
                 let gz = fp::relu_backward(a, &grad);
-                let (gx, gw, gb) = fp::conv_backward(input, w, &gz, 1, i > 0 || input_grad);
+                let (gx, gw, gb) =
+                    fp::conv_backward(input.dims(), col, w, &gz, 1, i > 0 || input_grad);
                 step(w.as_mut_slice(), gw.as_slice(), lr);
                 step(b, &gb, lr);
                 gx?
