@@ -730,6 +730,57 @@ mod batch_tests {
     }
 
     #[test]
+    fn fig9_batched_makespan_and_fps_are_pinned() {
+        // The four Fig. 9 models on the three accelerators at batch 1
+        // and 8, pinned to the picosecond and the bit: a refactor of how
+        // layer times add up must move none of them.
+        use sconna_tensor::models::{mobilenet_v2, shufflenet_v2};
+        let pins: [(&str, u64, u64); 24] = [
+            ("GoogleNet SCONNA 1", 94_184_443, 0x40c4_bcbb_7bb1_4e4b),
+            ("GoogleNet SCONNA 8", 704_699_775, 0x40c6_2c2d_12fa_f55b),
+            ("GoogleNet MAM 1", 10_982_213_120, 0x4056_c39a_e0bf_7227),
+            ("GoogleNet MAM 8", 80_264_034_995, 0x4058_eaf2_59fb_e8d6),
+            ("GoogleNet AMM 1", 14_461_947_495, 0x4051_4968_207c_14a0),
+            ("GoogleNet AMM 8", 100_339_666_245, 0x4053_eeaa_ff62_4148),
+            ("ResNet50 SCONNA 1", 249_463_587, 0x40af_5133_be83_cbc6),
+            ("ResNet50 SCONNA 8", 1_901_878_536, 0x40b0_6e5e_1251_1741),
+            ("ResNet50 MAM 1", 29_059_647_560, 0x4041_34bb_bfa6_e29e),
+            ("ResNet50 MAM 8", 206_792_366_310, 0x4043_57d3_af04_bb73),
+            ("ResNet50 AMM 1", 39_554_610_060, 0x4039_4810_97a6_21ac),
+            ("ResNet50 AMM 8", 257_720_025_685, 0x403f_0a9b_a158_1aef),
+            ("MobileNet_V2 SCONNA 1", 66_243_043, 0x40cd_7bf6_61ff_6341),
+            ("MobileNet_V2 SCONNA 8", 491_680_308, 0x40cf_c75e_14bb_f1d0),
+            ("MobileNet_V2 MAM 1", 3_411_046_795, 0x4072_52a4_6665_9853),
+            ("MobileNet_V2 MAM 8", 19_463_168_670, 0x4079_b086_32c1_86fa),
+            ("MobileNet_V2 AMM 1", 4_473_003_045, 0x406b_f207_cbc3_76f3),
+            ("MobileNet_V2 AMM 8", 21_323_606_170, 0x4077_72bc_acdc_8e8c),
+            ("ShuffleNet_V2 SCONNA 1", 22_616_885, 0x40e5_96d8_1e67_ebc7),
+            ("ShuffleNet_V2 SCONNA 8", 150_025_183, 0x40ea_098c_302c_e124),
+            ("ShuffleNet_V2 MAM 1", 2_174_456_105, 0x407c_be29_7051_7fcd),
+            ("ShuffleNet_V2 MAM 8", 9_004_965_480, 0x408b_c330_9f66_ea3d),
+            ("ShuffleNet_V2 AMM 1", 2_901_027_980, 0x4075_8b49_4dcd_8fd7),
+            ("ShuffleNet_V2 AMM 8", 10_796_890_480, 0x4087_27a1_f225_adae),
+        ];
+        let mut pins = pins.iter();
+        for model in [googlenet(), resnet50(), mobilenet_v2(), shufflenet_v2()] {
+            for (cfg, kind) in [
+                (AcceleratorConfig::sconna(), "SCONNA"),
+                (AcceleratorConfig::mam(), "MAM"),
+                (AcceleratorConfig::amm(), "AMM"),
+            ] {
+                for batch in [1usize, 8] {
+                    let &(label, makespan_ps, fps_bits) = pins.next().unwrap();
+                    assert_eq!(label, format!("{} {kind} {batch}", model.name));
+                    let perf = simulate_inference_batched(&cfg, &model, batch);
+                    assert_eq!(perf.makespan.as_ps(), makespan_ps, "{label} makespan");
+                    assert_eq!(perf.fps.to_bits(), fps_bits, "{label} fps");
+                }
+            }
+        }
+        assert!(pins.next().is_none());
+    }
+
+    #[test]
     fn batched_analysis_equals_batched_workload_helper() {
         // `analyze_layer_batched(cfg, w, b)` and the tensor-side helper
         // `analyze_layer(cfg, &w.batched(b))` describe the same
