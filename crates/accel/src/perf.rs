@@ -5,14 +5,13 @@
 //! layer's geometry and the accelerator organization, converted into four
 //! throughput terms, and the layer occupies the accelerator for the
 //! maximum of those terms plus its pipeline-fill latency. Layers execute
-//! in sequence (batch size 1, layer dependencies), driven through the
-//! discrete-event queue; energy integrates static power over the makespan
-//! plus per-operation dynamic energy from Table IV.
+//! in sequence (layer dependencies), so the makespan is the sum of the
+//! layer times; energy integrates static power over the makespan plus
+//! per-operation dynamic energy from Table IV.
 
 use crate::organization::{AcceleratorConfig, AcceleratorKind, SERIALIZER_ACTIVITY};
 use crate::peripherals as p;
 use sconna_sim::energy::{ComponentSpec, EnergyLedger};
-use sconna_sim::event::EventQueue;
 use sconna_sim::time::SimTime;
 use sconna_tensor::models::{CnnModel, VdpWorkload};
 use serde::{Deserialize, Serialize};
@@ -413,8 +412,8 @@ fn dynamic_spec(power_w: f64, latency: SimTime) -> ComponentSpec {
     }
 }
 
-/// Runs one inference of `model` on `cfg` through the event queue and
-/// returns the full performance result.
+/// Runs one inference of `model` on `cfg` and returns the full
+/// performance result.
 pub fn simulate_inference(cfg: &AcceleratorConfig, model: &CnnModel) -> InferencePerf {
     simulate_inference_batched(cfg, model, 1)
 }
@@ -433,24 +432,8 @@ pub fn simulate_inference_batched(
         .map(|w| analyze_layer_batched(cfg, w, batch))
         .collect();
 
-    // Event-driven execution: each layer's completion schedules the next
-    // layer's start (sequential dependency at batch 1).
-    #[derive(Clone, Copy)]
-    enum Ev {
-        LayerDone(usize),
-    }
-    let mut q = EventQueue::new();
-    if !layers.is_empty() {
-        q.schedule_at(layers[0].total, Ev::LayerDone(0));
-    }
-    let durations: Vec<SimTime> = layers.iter().map(|l| l.total).collect();
-    let makespan = q.run(|q, _t, ev| match ev {
-        Ev::LayerDone(i) => {
-            if i + 1 < durations.len() {
-                q.schedule_in(durations[i + 1], Ev::LayerDone(i + 1));
-            }
-        }
-    });
+    // Layers run back to back (each depends on the previous one).
+    let makespan = layers.iter().fold(SimTime::ZERO, |acc, l| acc + l.total);
 
     let ledger = build_ledger(cfg, &layers, model, batch);
     let energy_breakdown_j = ledger.breakdown_j(makespan);

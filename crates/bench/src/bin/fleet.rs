@@ -4,13 +4,14 @@
 //!
 //! Two claims are measured and checked in as `BENCH_fleet.json`:
 //!
-//! * **Scale-invariant event core.** The bucketed (hierarchical
-//!   time-wheel) event queue costs O(1) per event regardless of fleet
-//!   size, and the rack-router dispatch costs O(1) per dispatch instead
-//!   of O(instances) — so wall-clock events/sec holds roughly flat from
-//!   16 to 1024 instances while simulated FPS grows **near-linearly**
-//!   (≥ 0.8× linear is asserted here), SCONNA and the analog baseline
-//!   alike.
+//! * **Scaling curve.** Closed-loop saturation runs at 16 to 1024
+//!   instances, SCONNA and the analog baseline alike, each timed on the
+//!   wall clock. Simulated FPS must grow near-linearly (≥ 0.8× linear
+//!   from 16 to 1024 instances is asserted), and the event count at
+//!   1024 instances must lie between one event per `2 × max_batch`
+//!   requests and 16 per request. Wall-clock events/sec at 1024
+//!   instances must keep at least 0.3× its value at 16; the measured
+//!   retention is in the JSON.
 //! * **Reactive autoscaling at scale.** A 1024-instance fleet under a
 //!   diurnal + bursty arrival trace scales its active pool up and down
 //!   through the same epoch-guarded reload/drain machinery as fault
@@ -102,7 +103,7 @@ fn main() {
     print!(
         "{}",
         banner(
-            "Fleet scaling — bucketed event core & reactive autoscaling",
+            "Fleet scaling — event core & reactive autoscaling",
             "events/sec and simulated FPS, 16 to 1024 instances"
         )
     );
@@ -311,9 +312,9 @@ fn main() {
             *fps_linearity >= 0.8,
             "{name}: simulated FPS must scale >= 0.8x linear 16->1024, got {fps_linearity:.3}"
         );
-        // Events/sec is wall-clock: the O(1) event core should hold it
-        // roughly flat, but CI machines are noisy, so the in-bin gate is
-        // deliberately loose; the measured retention is in the JSON.
+        // Events/sec is wall-clock and CI machines are noisy, so the
+        // in-bin gate is deliberately loose; the measured retention is in
+        // the JSON.
         assert!(
             *events_rate_retention >= 0.3,
             "{name}: per-event cost blew up with fleet size, retention {events_rate_retention:.3}"

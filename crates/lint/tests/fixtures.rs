@@ -123,7 +123,7 @@ fn fleet_unordered_fixture_fires_throughout_the_serve_submodule() {
 
 #[test]
 fn autoscaler_and_event_core_stay_determinism_scoped() {
-    // The bucketed event core orders every event in the simulator and
+    // The event core orders every event in the simulator and
     // the autoscaler's decisions must be pure functions of simulated
     // time — these are exactly the files whose determinism the
     // fleet-scale replay claims rest on. Pin both inside `no-wallclock`
