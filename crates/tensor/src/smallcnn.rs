@@ -546,6 +546,97 @@ mod tests {
         assert_eq!(qnet.accuracy(&test, &ExactEngine), 1.0);
     }
 
+    /// FNV-1a over 64-bit words.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// One line per quantized layer: every float parameter as its bits,
+    /// each weight and bias vector as an FNV-1a checksum.
+    fn layer_pins(layers: &[QLayer], out: &mut Vec<String>) {
+        let codes = |w: &Tensor<i32>| fnv(w.as_slice().iter().map(|&q| q as u32 as u64));
+        for layer in layers {
+            match layer {
+                QLayer::Conv(c) => out.push(format!(
+                    "{} w={:016x} b={:016x} m={:08x}/{}",
+                    c.name,
+                    codes(&c.weights),
+                    fnv(c.bias.iter().map(|b| b.to_bits())),
+                    c.requant.multiplier.to_bits(),
+                    c.requant.bits
+                )),
+                QLayer::Residual(r) => {
+                    out.push(format!("skip_rescale={:08x}", r.skip_rescale.to_bits()));
+                    layer_pins(&r.branch, out);
+                }
+                QLayer::Fc(f) => out.push(format!(
+                    "{} w={:016x} b={:016x} dequant={:08x}",
+                    f.name,
+                    codes(&f.weights),
+                    fnv(f.bias.iter().map(|b| u64::from(b.to_bits()))),
+                    f.dequant.to_bits()
+                )),
+                QLayer::MaxPool(_) | QLayer::GlobalAvgPool => out.push("pool".into()),
+            }
+        }
+    }
+
+    /// `quantize`'s output at 8 bits: the bits of every calibrated
+    /// activation scale (the input's first, then each conv's output in
+    /// layer order, as calibration fits them) and one pin line per layer.
+    fn quantize_pins(net: &SmallCnn, calibration: &[Sample]) -> (Vec<u32>, Vec<String>) {
+        let mut maxes: Vec<f32> = Vec::new();
+        for s in calibration {
+            let mut sample = Vec::new();
+            conv_maxes(
+                &net.layers,
+                &s.image,
+                &forward(&net.layers, &s.image),
+                &mut sample,
+            );
+            maxes.resize(sample.len(), 0.0);
+            for (m, v) in maxes.iter_mut().zip(&sample) {
+                *m = m.max(*v);
+            }
+        }
+        let scales = std::iter::once(1.0)
+            .chain(maxes)
+            .map(|m| ActivationQuant::fit(m.max(1e-6), 8).scale.to_bits())
+            .collect();
+        let qnet = net.quantize(calibration, 8);
+        assert_eq!(
+            qnet.input_quant.scale.to_bits(),
+            ActivationQuant::fit(1.0, 8).scale.to_bits()
+        );
+        let mut lines = Vec::new();
+        layer_pins(&qnet.layers, &mut lines);
+        (scales, lines)
+    }
+
+    #[test]
+    fn quantize_is_pinned() {
+        // Calibration runs the float forward over the whole set: these
+        // bits must not move under a rewrite of the float kernels.
+        let data = SyntheticDataset::new(6, 12, 0.15, 11);
+        let train = data.batch(25, 1);
+        let mut net = SmallCnn::new(small_cfg(), 0);
+        net.train(&train, 10, 0.05);
+        let (scales, lines) = quantize_pins(&net, &train);
+        assert_eq!(scales, [0x3b80_8081, 0x3c8c_6786, 0x3d1b_c18c]);
+        assert_eq!(
+            lines,
+            [
+                "conv1 w=59397a745d33d7ce b=4f6055a5c99d713d m=3afce4ef/8",
+                "pool",
+                "conv2 w=dfc0ed77389e7645 b=e208cb541d106495 m=3b99feab/8",
+                "pool",
+                "fc w=8d9ff185552238ba b=3b5e2617bfd94f50 dequant=3983ed19",
+            ]
+        );
+    }
+
     #[test]
     #[should_panic(expected = "divisible by 4")]
     fn odd_input_size_rejected() {
@@ -676,6 +767,28 @@ mod tests {
             ];
             assert_eq!(bits, pinned.map(Vec::from));
             assert_eq!(qnet.accuracy(&test, &ExactEngine), 1.0);
+        }
+
+        #[test]
+        fn quantize_is_pinned() {
+            let data = SyntheticDataset::new(6, 12, 0.2, 11);
+            let train = data.batch(20, 1);
+            let mut net = SmallCnn::residual(small_cfg(), 0);
+            net.train(&train, 10, 0.04);
+            let (scales, lines) = quantize_pins(&net, &train);
+            assert_eq!(scales, [0x3b80_8081, 0x3c6e_4d68, 0x3cce_9341, 0x3d3e_5838]);
+            assert_eq!(
+                lines,
+                [
+                    "stem w=769f0ca136f8f948 b=4ac68605081a39c5 m=3b14ef7c/8",
+                    "pool",
+                    "skip_rescale=3ea03ff9",
+                    "block.conv1 w=8ee80d2550355088 b=088b3647481a39c5 m=3b231315/8",
+                    "block.conv2 w=7696f3a5675218a0 b=6030101e081a39c5 m=3b24e063/8",
+                    "pool",
+                    "fc w=4f83423923a8f1b3 b=24c3af4c6ba818d3 dequant=398092c3",
+                ]
+            );
         }
 
         #[test]
