@@ -47,7 +47,9 @@ impl Fig9Results {
         gmean(&ratios)
     }
 
-    /// Formats one metric as a table with per-model columns.
+    /// Formats one metric as a table with per-model columns. Values
+    /// below 1 print in scientific notation, so no nonzero value prints
+    /// as `0.000`.
     pub fn format_metric(
         &self,
         title: &str,
@@ -61,13 +63,20 @@ impl Fig9Results {
             let _ = write!(out, "{m:>16}");
         }
         let _ = writeln!(out, "{:>12}", "gmean");
+        let cell = |v: f64, width: usize| {
+            if v < 1.0 {
+                format!("{v:>width$.3e}")
+            } else {
+                format!("{v:>width$.3}")
+            }
+        };
         for (ai, cfg) in self.accelerators.iter().enumerate() {
             let _ = write!(out, "{:<18}", cfg.name);
             let values: Vec<f64> = self.results[ai].iter().map(&metric).collect();
-            for v in &values {
-                let _ = write!(out, "{v:>16.3}");
+            for &v in &values {
+                out.push_str(&cell(v, 16));
             }
-            let _ = writeln!(out, "{:>12.3}", gmean(&values));
+            let _ = writeln!(out, "{}", cell(gmean(&values), 12));
         }
         out
     }
@@ -188,6 +197,23 @@ mod tests {
         assert!(table.contains("MAM (HOLYLIGHT)"));
         assert!(table.contains("AMM (DEAPCNN)"));
         assert!(table.contains("gmean"));
+        // The baselines' area efficiencies sit far below 1: each prints
+        // in scientific notation, never as `0.000`.
+        let area = grid.format_metric("area", "FPS/W/mm2", |p| p.fps_per_w_per_mm2);
+        let small = grid.results[1..]
+            .iter()
+            .flatten()
+            .map(|p| p.fps_per_w_per_mm2)
+            .filter(|&v| v < 1.0)
+            .collect::<Vec<_>>();
+        assert!(!small.is_empty(), "a baseline's area efficiency is below 1");
+        for v in small {
+            assert!(
+                v > 0.0 && area.contains(&format!("{v:.3e}")),
+                "{v} in\n{area}"
+            );
+        }
+        assert!(!area.split_whitespace().any(|c| c == "0.000"), "{area}");
         let speedups = grid.format_speedups();
         assert!(speedups.contains("FPS/W/mm2"));
     }
